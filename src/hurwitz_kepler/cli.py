@@ -3,9 +3,8 @@
 Subcommands: ``transform`` (bilinear map sweeps), ``spectrum`` (analytic
 vs finite-difference eigenvalues), ``qes`` (quasi-exactly-solvable
 blocks) and ``duality`` (three-way oscillator / spherical / parabolic
-agreement).  Exit codes are a stable contract: 0 success, 2 config
-error, 3 separability violation, 4 violated QES precondition, 5 bracket
-failure, 1 anything else.  Numeric fields are serialized with 17
+agreement).  Exit codes are a stable contract, listed in
+:mod:`hurwitz_kepler.errors`.  Numeric fields are serialized with 17
 significant digits and every JSON document carries ``schema_version``.
 """
 
@@ -35,6 +34,7 @@ from .errors import (
     AccuracyError,
     BracketError,
     ConfigError,
+    QesClosureError,
     QesPreconditionError,
     SeparabilityError,
 )
@@ -535,7 +535,18 @@ def main(argv=None) -> int:
         return 4
     except BracketError as exc:
         print(f"bracket error: {exc}", file=sys.stderr)
+        if exc.bracket is not None:
+            e_lo, e_hi = exc.bracket
+            print(f"  bracket: E_lo = {e_lo:.10g}, E_hi = {e_hi:.10g}", file=sys.stderr)
+        for (i, j), (f_lo, f_hi) in exc.endpoint_mismatch.items():
+            print(
+                f"  pair ({i}, {j}): mismatch {f_lo:.6g} at E_lo, {f_hi:.6g} at E_hi",
+                file=sys.stderr,
+            )
         return 5
+    except QesClosureError as exc:
+        print(f"QES closure failed: {exc}", file=sys.stderr)
+        return 6
     except AccuracyError as exc:
         print(f"accuracy error: {exc}", file=sys.stderr)
         return 1

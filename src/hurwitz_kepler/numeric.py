@@ -25,18 +25,26 @@ between the two grids serving as the convergence check demanded of every
 reported eigenvalue.  An optional exponentially stretched grid clusters
 nodes near the origin for Coulomb-like tails.
 
+The two parabolic equations depend on the energy only through -E w/2, so
+on a fixed grid each is the linear pencil T(E) = T0 - (E/2) diag(w) of a
+right-definite two-parameter Sturm-Liouville problem.  The joint search
+assembles T0 once per grid and evaluates an energy with one diagonal
+shift and one eigensolve per equation; its eigenvalues fall strictly
+with E and their slopes follow from the eigenvectors (Hellmann-Feynman),
+so each matching root is found by safeguarded Newton iteration on both
+grids and the root itself is Richardson-extrapolated, with an error bar.
+
 Solves share no mutable state; concurrent sector sweeps are safe.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.optimize import brentq
 
 from .errors import AccuracyError, BracketError
 from .potentials import (
@@ -61,6 +69,8 @@ __all__ = [
 ]
 
 _TAIL_LIMIT = math.exp(-20.0)
+_MAX_EXTENSIONS = 6
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -157,7 +167,11 @@ def _mapped_nodes(grid: Grid, lo: float, hi: float, n: int):
     return x_nodes, g_nodes, x_half, g_half, ht
 
 
-def _solve_once(problem: RadialProblem, grid: Grid, lo: float, hi: float, n: int, k: int):
+def _assemble(problem: RadialProblem, grid: Grid, lo: float, hi: float, n: int):
+    """Symmetric tridiagonal (d, e) of ``problem`` on ``n`` nodes in (lo, hi).
+
+    Also returns the nodes x and the mass, for R = chi / sqrt(mass).
+    """
     x, g, xh, gh, ht = _mapped_nodes(grid, lo, hi, n)
     s_half = problem.weight(xh) / gh
     wm = problem.weight(x) * g
@@ -169,23 +183,40 @@ def _solve_once(problem: RadialProblem, grid: Grid, lo: float, hi: float, n: int
     a_off = -s_half[1:-1] / ht**2
     d = a_diag / mass
     e = a_off / np.sqrt(mass[:-1] * mass[1:])
-    vals, chi = eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1))
-    # defect of the symmetric tridiagonal eigenpairs, scale-normalized
-    res = np.empty(k)
-    for j in range(k):
-        v = chi[:, j]
-        tv = d * v
-        tv[:-1] += e * v[1:]
-        tv[1:] += e * v[:-1]
-        res[j] = np.linalg.norm(tv - vals[j] * v) / (1.0 + abs(vals[j]))
+    return d, e, x, mass
+
+
+def _tridiag_times(d: np.ndarray, e: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """T v for the symmetric tridiagonal T = (d, e) and the columns of v."""
+    tv = d[:, None] * v
+    tv[:-1] += e[:, None] * v[1:]
+    tv[1:] += e[:, None] * v[:-1]
+    return tv
+
+
+def _defects(d: np.ndarray, e: np.ndarray, vals: np.ndarray, chi: np.ndarray) -> np.ndarray:
+    """Scale-normalized defect of symmetric tridiagonal eigenpairs."""
+    defect = _tridiag_times(d, e, chi) - vals * chi
+    return np.array(
+        [np.linalg.norm(defect[:, j]) / (1.0 + abs(vals[j])) for j in range(len(vals))]
+    )
+
+
+def _physical_vectors(chi: np.ndarray, mass: np.ndarray) -> np.ndarray:
+    """R = chi / sqrt(mass), peak-normalized, first significant entry positive."""
     vecs = chi / np.sqrt(mass)[:, None]
-    for j in range(k):
+    for j in range(vecs.shape[1]):
         peak = np.max(np.abs(vecs[:, j]))
         vecs[:, j] /= peak
         lead = np.argmax(np.abs(vecs[:, j]) > 1e-3)
         if vecs[lead, j] < 0.0:
             vecs[:, j] = -vecs[:, j]
-    return vals, vecs, x, res, chi
+    return vecs
+
+
+def _tail_fraction(chi: np.ndarray) -> float:
+    """Largest share of its peak that any state keeps at the upper end."""
+    return float(np.max(np.max(np.abs(chi[-2:]), axis=0) / np.max(np.abs(chi), axis=0)))
 
 
 def _count_nodes(vec: np.ndarray) -> int:
@@ -201,7 +232,7 @@ def fd_eigensolve(
     richardson: bool = True,
     conv_tol: float = 1e-5,
     auto_extend: bool = True,
-    max_extensions: int = 6,
+    max_extensions: int = _MAX_EXTENSIONS,
 ) -> Spectrum:
     """Lowest ``k`` eigenpairs of ``problem`` on ``grid``.
 
@@ -220,13 +251,14 @@ def fd_eigensolve(
     lo, hi = problem.domain
     n = grid.n
     for attempt in range(max_extensions + 1):
-        vals_f, vecs_f, x_f, res_f, chi_f = _solve_once(problem, grid, lo, hi, 2 * n + 1, k)
-        tail = np.max(np.abs(chi_f[-2:, :k]), axis=0) / np.max(np.abs(chi_f[:, :k]), axis=0)
-        if problem.extendable and np.any(tail > _TAIL_LIMIT):
+        d, e, x_f, mass = _assemble(problem, grid, lo, hi, 2 * n + 1)
+        vals_f, chi_f = eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1))
+        tail = _tail_fraction(chi_f)
+        if problem.extendable and tail > _TAIL_LIMIT:
             if not auto_extend:
                 raise AccuracyError(
                     f"states have not decayed at hi = {hi:.6g} "
-                    f"(tail fraction {np.max(tail):.3g}); enable auto_extend or enlarge hi"
+                    f"(tail fraction {tail:.3g}); enable auto_extend or enlarge hi"
                 )
             if attempt == max_extensions:
                 raise AccuracyError(
@@ -237,7 +269,10 @@ def fd_eigensolve(
             continue
         break
     if richardson:
-        vals_c, _, _, _, _ = _solve_once(problem, grid, lo, hi, n, k)
+        d_c, e_c, _, _ = _assemble(problem, grid, lo, hi, n)
+        vals_c = eigh_tridiagonal(
+            d_c, e_c, select="i", select_range=(0, k - 1), eigvals_only=True
+        )
         extrap = (4.0 * vals_f - vals_c) / 3.0
         conv = np.abs(vals_f - vals_c) / 3.0
         rel = conv / np.maximum(1.0, np.abs(extrap))
@@ -252,6 +287,8 @@ def fd_eigensolve(
     else:
         values = vals_f
         conv = None
+    vecs_f = _physical_vectors(chi_f, mass)
+    res_f = _defects(d, e, vals_f, chi_f)
     scale = problem.eigenvalue_scale
     return Spectrum(
         eigenvalues=values * scale,
@@ -399,9 +436,20 @@ def qes_verification_problem(potential: Potential8D, dim: int, rmax: float) -> R
 # Parabolic joint eigenvalue search
 
 
+# Newton steps allowed per root; bisection alone would need about 60.
+_MAX_NEWTON = 100
+
+
 @dataclass(frozen=True)
 class JointState:
-    """A matched parabolic eigenstate: energy, separation constant, nodes."""
+    """A matched parabolic eigenstate: energy, separation constant, nodes.
+
+    ``E`` and ``P`` are Richardson-extrapolated from the roots on the two
+    grids and ``E_error = |E_fine - E_coarse| / 3`` bounds the error of E.
+    ``mismatch``, the node counts and the eigenpair residuals belong to the
+    fine-grid root.  ``solves`` counts the tridiagonal eigensolves of the
+    whole search that returned this state.
+    """
 
     E: float
     P: float
@@ -410,6 +458,63 @@ class JointState:
     mismatch: float
     residual_u: float
     residual_v: float
+    E_error: float
+    solves: int
+
+
+def _shifted(pencil, energy: float, first: int, last: int):
+    """Eigenpairs first..last of T(E) = T0 - (E/2) diag(x), and dmu/dE.
+
+    ``pencil`` is ``(d0, e, x, mass)`` assembled at E = 0.  Each eigenvalue
+    is the Rayleigh quotient of its orthonormal eigenvector chi, which is
+    accurate to rounding on the nodes the state occupies; the bisection
+    value is only accurate to eps |T| over the whole domain.  The slope is
+    the Hellmann-Feynman derivative -1/2 sum_k chi_k^2 x_k.
+    """
+    d0, e, x, _ = pencil
+    d = d0 - 0.5 * energy * x
+    _, chi = eigh_tridiagonal(d, e, select="i", select_range=(first, last))
+    vals = np.einsum("kj,kj->j", chi, _tridiag_times(d, e, chi))
+    return vals, chi, -0.5 * (x @ chi**2)
+
+
+def _match_root(pencils, i: int, j: int, energy: float, lo: float, hi: float):
+    """Root of F(E) = mu_u[i](E) + mu_v[j](E) by Newton steps from ``energy``.
+
+    F is strictly decreasing, so every evaluation moves one end of the known
+    bracket (lo, hi), which may start unbounded; a step that would leave it
+    is replaced by bisection.  Newton stops once its step falls below the
+    rounding floor eps (|T_u| + |T_v|) / |F'|, below which it would cycle;
+    that last step is applied without a further solve.  Returns the root,
+    P = mu_v[j] there (carried along the slope), the last energy solved
+    at, the (mu, chi) of both branches at that energy and the number of
+    evaluations.
+    """
+    norm = sum(
+        np.max(np.abs(d0 - 0.5 * energy * x)) + 2.0 * np.max(np.abs(e))
+        for d0, e, x, _ in pencils
+    )
+    for evals in range(1, _MAX_NEWTON + 1):
+        (mu_u, chi_u, s_u), (mu_v, chi_v, s_v) = (
+            _shifted(p, energy, b, b) for p, b in zip(pencils, (i, j))
+        )
+        f = mu_u[0] + mu_v[0]
+        slope = s_u[0] + s_v[0]
+        if f > 0.0:
+            lo = energy
+        else:
+            hi = energy
+        step = -f / slope
+        floor = _EPS * norm / abs(slope)
+        if abs(step) <= floor or hi - lo <= floor:
+            eigenpairs = ((mu_u, chi_u), (mu_v, chi_v))
+            return energy + step, mu_v[0] + s_v[0] * step, energy, eigenpairs, evals
+        energy += step
+        if not lo < energy < hi:
+            energy = 0.5 * (lo + hi)
+    raise AccuracyError(
+        f"Newton search for branch pair ({i}, {j}) did not converge near E = {energy:.10g}"
+    )
 
 
 def parabolic_joint_solve(
@@ -424,73 +529,103 @@ def parabolic_joint_solve(
 
     For fixed E, the u-equation eigenvalues are -P-candidates and the
     v-equation eigenvalues are +P-candidates; a physical state needs a
-    branch pair (i, j) with mu_u[i](E) + mu_v[j](E) = 0, the branch index
-    being the node count.  Sign changes of the mismatch over the bracket
-    are refined by bracketed root finding; with several states in the
-    bracket the lowest E wins and degenerate pairs are broken by the
-    smallest |P|.
+    branch pair (i, j) with F(E) = mu_u[i](E) + mu_v[j](E) = 0, the branch
+    index being the node count.  E enters both equations only as -E w/2,
+    so on a grid each is the linear pencil T(E) = T0 - (E/2) diag(w) of a
+    right-definite two-parameter problem: every mu decreases strictly with
+    E, F has at most one root per pair, and dF/dE comes exactly from the
+    eigenvectors (Hellmann-Feynman).
+
+    Both equations are assembled once, at E = 0, on a fine grid (2n+1
+    nodes) and a coarse one (n nodes); an energy then costs one diagonal
+    shift and one tridiagonal eigensolve per equation.  The domain is
+    extended (times 1.5 at fixed spacing) until all ``branch_max + 1``
+    states have decayed to e^-20 at the least-bound end of the bracket,
+    and kept for every energy and both grids.  Each pair whose endpoint
+    mismatch changes sign is solved by bracket-safeguarded Newton on the
+    fine grid, polished by Newton on the coarse grid from the fine root,
+    and Richardson-extrapolated: E = (4 E_fine - E_coarse) / 3, likewise P.
+    Of the roots found, the lowest E wins and degenerate pairs (within
+    1e-8 relative) are broken by the smallest |P|.  Every state of that
+    degenerate group must satisfy ``E_error <= conv_tol * |E|`` or
+    :class:`AccuracyError` is raised; a bracket without a sign change
+    raises :class:`BracketError` carrying the endpoint mismatches.
     """
     e_lo, e_hi = bracket
     if not (e_lo < e_hi < 0.0):
         raise ValueError("bracket must satisfy E_lo < E_hi < 0")
-    kappa_min = math.sqrt(-2.0 * e_hi)
-    wmax = 50.0 / kappa_min
-    n = max(grid.n, int(wmax / 0.1))
-    work = Grid(n=n, spacing=grid.spacing, stretch=grid.stretch)
+    if branch_max < 0:
+        raise ValueError("branch_max must be nonnegative")
     kb = branch_max + 1
-    cache: dict = {}
-
-    def spectra(energy: float):
-        if energy not in cache:
-            pu = build_radial_problem(
-                "para_u", model=model, micz=micz, energy=energy, wmax=wmax
-            )
-            pv = build_radial_problem(
-                "para_v", model=model, micz=micz, energy=energy, wmax=wmax
-            )
-            su = fd_eigensolve(pu, work, kb, conv_tol=conv_tol)
-            sv = fd_eigensolve(pv, work, kb, conv_tol=conv_tol)
-            cache[energy] = (su, sv)
-        return cache[energy]
+    hi = 50.0 / math.sqrt(-2.0 * e_hi)
+    n = max(grid.n, int(hi / 0.1))
+    problems = [
+        build_radial_problem(kind, model=model, micz=micz, energy=0.0, wmax=hi)
+        for kind in ("para_u", "para_v")
+    ]
+    solves = 0
+    for attempt in range(_MAX_EXTENSIONS + 1):
+        fine = [_assemble(p, grid, 0.0, hi, 2 * n + 1) for p in problems]
+        top = [_shifted(pencil, e_hi, 0, kb - 1)[:2] for pencil in fine]
+        solves += 2
+        if max(_tail_fraction(chi) for _, chi in top) <= _TAIL_LIMIT:
+            break
+        if attempt == _MAX_EXTENSIONS:
+            raise AccuracyError(f"domain extension failed to contain the states (hi = {hi:.6g})")
+        hi *= 1.5
+        n = int(n * 1.5)
+    coarse = [_assemble(p, grid, 0.0, hi, n) for p in problems]
+    (mu_u_lo, _, _), (mu_v_lo, _, _) = (_shifted(pencil, e_lo, 0, kb - 1) for pencil in fine)
+    (mu_u_hi, _), (mu_v_hi, _) = top
+    solves += 2
+    mismatch = {
+        (i, j): (float(mu_u_lo[i] + mu_v_lo[j]), float(mu_u_hi[i] + mu_v_hi[j]))
+        for i in range(kb)
+        for j in range(kb - i)
+    }
 
     states = []
-    for i in range(kb):
-        for j in range(kb):
-            if i + j > branch_max:
-                continue
-
-            def mism(energy, i=i, j=j):
-                su, sv = spectra(energy)
-                return su.eigenvalues[i] + sv.eigenvalues[j]
-
-            f_lo, f_hi = mism(e_lo), mism(e_hi)
-            if f_lo == 0.0:
-                root = e_lo
-            elif f_hi == 0.0:
-                root = e_hi
-            elif f_lo * f_hi < 0.0:
-                root = brentq(mism, e_lo, e_hi, xtol=1e-14, rtol=1e-14)
-            else:
-                continue
-            su, sv = spectra(root)
-            states.append(
-                JointState(
-                    E=root,
-                    P=sv.eigenvalues[j],
-                    node_u=su.node_counts[i],
-                    node_v=sv.node_counts[j],
-                    mismatch=abs(su.eigenvalues[i] + sv.eigenvalues[j]),
-                    residual_u=float(su.residuals[i]),
-                    residual_v=float(sv.residuals[j]),
-                )
+    for (i, j), (f_lo, f_hi) in mismatch.items():
+        if not f_lo >= 0.0 >= f_hi:
+            continue
+        start = e_lo + (e_hi - e_lo) * f_lo / (f_lo - f_hi) if f_lo else e_lo
+        e_f, p_f, at, eigenpairs, evals_f = _match_root(fine, i, j, start, e_lo, e_hi)
+        e_c, p_c, _, _, evals_c = _match_root(coarse, i, j, e_f, -math.inf, math.inf)
+        solves += 2 * (evals_f + evals_c)
+        nodes, residuals = [], []
+        for (d0, e, x, mass), (mu, chi) in zip(fine, eigenpairs):
+            nodes.append(_count_nodes(chi[:, 0] / np.sqrt(mass)))
+            residuals.append(float(_defects(d0 - 0.5 * at * x, e, mu, chi)[0]))
+        (mu_u, _), (mu_v, _) = eigenpairs
+        states.append(
+            JointState(
+                E=float(4.0 * e_f - e_c) / 3.0,
+                P=float(4.0 * p_f - p_c) / 3.0,
+                node_u=nodes[0],
+                node_v=nodes[1],
+                mismatch=float(abs(mu_u[0] + mu_v[0])),
+                residual_u=residuals[0],
+                residual_v=residuals[1],
+                E_error=float(abs(e_f - e_c)) / 3.0,
+                solves=0,
             )
+        )
     if not states:
         raise BracketError(
-            f"no eigenvalue match changes sign in the bracket ({e_lo:.6g}, {e_hi:.6g})"
+            f"no eigenvalue match changes sign in the bracket ({e_lo:.6g}, {e_hi:.6g})",
+            bracket=(e_lo, e_hi),
+            endpoint_mismatch=mismatch,
         )
     best_e = min(s.E for s in states)
     group = [s for s in states if abs(s.E - best_e) <= 1e-8 * abs(best_e)]
-    return min(group, key=lambda s: abs(s.P))
+    for s in group:
+        if s.E_error > conv_tol * abs(s.E):
+            raise AccuracyError(
+                f"grid doubling did not converge: state ({s.node_u}, {s.node_v}) "
+                f"E changed by {3.0 * s.E_error:.3g} (n = {n} vs {2 * n + 1}, "
+                f"tol = {conv_tol:.1g})"
+            )
+    return replace(min(group, key=lambda s: abs(s.P)), solves=solves)
 
 
 def spherical_micz_energies(

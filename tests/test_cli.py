@@ -134,6 +134,22 @@ class TestQes:
         assert main(["qes", cfg, "--out", str(tmp_path)]) == 4
         assert "b'^2" in capsys.readouterr().err
 
+    def test_closure_failure_exit_6(self, tmp_path, monkeypatch, capsys):
+        import hurwitz_kepler.cli as climod
+        from hurwitz_kepler.errors import QesClosureError
+
+        def leak(*a, **k):
+            raise QesClosureError("sub2 closure residual 1 exceeds 1e-09")
+
+        monkeypatch.setattr(climod, "qes_solve", leak)
+        cfg = _write(
+            tmp_path,
+            "q.json",
+            {"family": "super2", "a_prime": 0.05, "b_prime": 1.0, "N": 1},
+        )
+        assert main(["qes", cfg, "--out", str(tmp_path)]) == 6
+        assert "QES closure failed: sub2 closure residual" in capsys.readouterr().err
+
     def test_sub2_oscillator_reduction(self, tmp_path):
         cfg = _write(
             tmp_path,
@@ -176,16 +192,40 @@ class TestDuality:
         e1, e2 = -0.5 * 0.25**2, -0.5 * 0.5**2
         assert doc["dipole_coefficient"] == pytest.approx(0.5 * (e1 - e2))
 
-    def test_bracket_failure_exit_5(self, tmp_path, monkeypatch):
+    def test_bracket_failure_exit_5(self, tmp_path, monkeypatch, capsys):
         import hurwitz_kepler.cli as climod
         from hurwitz_kepler.errors import BracketError
 
         def boom(*a, **k):
-            raise BracketError("nothing in bracket")
+            raise BracketError(
+                "nothing in bracket",
+                bracket=(-0.028, -0.024),
+                endpoint_mismatch={(0, 0): (0.25, 0.125)},
+            )
 
         monkeypatch.setattr(climod, "parabolic_joint_solve", boom)
         cfg = _write(tmp_path, "d.json", {"omega": 0.25})
         assert main(["duality", cfg, "--out", str(tmp_path)]) == 5
+        err = capsys.readouterr().err
+        assert "E_lo = -0.028, E_hi = -0.024" in err
+        assert "pair (0, 0): mismatch 0.25 at E_lo, 0.125 at E_hi" in err
+
+    def test_empty_bracket_fields_reach_stderr(self, tmp_path, monkeypatch, capsys):
+        # the real search on a bracket between the two lowest levels
+        import hurwitz_kepler.cli as climod
+
+        solve = climod.parabolic_joint_solve
+
+        def shifted(model, micz, grid, bracket):
+            return solve(model, micz, grid, bracket=(-0.028, -0.024))
+
+        monkeypatch.setattr(climod, "parabolic_joint_solve", shifted)
+        cfg = _write(tmp_path, "d.json", {"omega": 0.25})
+        assert main(["duality", cfg, "--out", str(tmp_path)]) == 5
+        err = capsys.readouterr().err
+        assert "E_lo = -0.028, E_hi = -0.024" in err
+        for pair in ("(0, 0)", "(0, 1)", "(0, 2)", "(1, 0)", "(1, 1)", "(2, 0)"):
+            assert f"pair {pair}: mismatch" in err
 
 
 class TestSerialization:
