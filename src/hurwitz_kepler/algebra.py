@@ -100,14 +100,7 @@ def hurwitz_forward(u, v, gammas: np.ndarray | None = None) -> np.ndarray:
     x_k = 2 (Gamma_k)_{st} u_s v_t for k = 0..7 and x_8 = u.u - v.v,
     so that |x| = u.u + v.v.
     """
-    u = _as_vec(u, 8, "u")
-    v = _as_vec(v, 8, "v")
-    if gammas is None:
-        gammas = build_gamma_set()
-    x = np.empty(9)
-    x[:8] = 2.0 * np.einsum("kst,s,t->k", gammas, u, v)
-    x[8] = u @ u - v @ v
-    return x
+    return hurwitz_forward_batch(_as_vec(u, 8, "u"), _as_vec(v, 8, "v"), gammas)[0]
 
 
 def hurwitz_forward_batch(U, V, gammas: np.ndarray | None = None) -> np.ndarray:

@@ -23,7 +23,9 @@ Accuracy strategy: the scheme is second order; by default each solve is
 repeated on a doubled grid and Richardson-extrapolated, the difference
 between the two grids serving as the convergence check demanded of every
 reported eigenvalue.  An optional exponentially stretched grid clusters
-nodes near the origin for Coulomb-like tails.
+nodes near the origin for Coulomb-like tails.  Every domain except the
+polar (0, pi) is widened until the requested states have decayed; the
+fixed-grid solve and the joint search share that loop.
 
 The two parabolic equations depend on the energy only through -E w/2, so
 on a fixed grid each is the linear pencil T(E) = T0 - (E/2) diag(w) of a
@@ -40,7 +42,7 @@ Solves share no mutable state; concurrent sector sweeps are safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -51,8 +53,9 @@ from .potentials import (
     MiczParams,
     OscillatorModel,
     Potential8D,
+    eval_potential,
+    factor_potential,
     micz_centrifugal_strengths,
-    parabolic_W,
     require_spherically_separable,
 )
 
@@ -96,10 +99,11 @@ class RadialProblem:
 
     ``weight_exponent`` is the power k of the x^k weight (7, 8 or 4 here);
     ``weight_kind = 'sin7'`` selects the sin^7 weight of the polar
-    equation instead.  ``centrifugal_coeff`` multiplies 1/x^2;
-    ``effective_term`` is the remaining vectorized source.  The raw
-    eigenvalue mu is reported as ``eigenvalue_scale * mu`` in the slot
-    named by ``slot`` (2Z -> Z, 2E -> E, Lambda, -P / +P).
+    equation instead, whose domain (0, pi) is the only one never
+    extended.  ``centrifugal_coeff`` multiplies 1/x^2; ``effective_term``
+    is the remaining vectorized source.  The raw eigenvalue mu is
+    reported as ``eigenvalue_scale * mu`` (0.5 turns 2Z into Z and 2E
+    into E).
     """
 
     weight_exponent: int
@@ -109,9 +113,6 @@ class RadialProblem:
     weight_kind: str = "power"
     mass_term: Callable | None = None
     eigenvalue_scale: float = 1.0
-    slot: str = "mu"
-    extendable: bool = True
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         lo, hi = self.domain
@@ -130,9 +131,10 @@ class RadialProblem:
 class Spectrum:
     """Lowest eigenpairs of a radial problem, ascending.
 
-    ``eigenvalues`` are in the problem's physical slot, ``convergence``
-    holds the estimated remaining error per state (from grid doubling) and
-    ``residuals`` the discrete eigenpair defect, both in slot units.
+    ``eigenvalues`` are scaled by the problem's ``eigenvalue_scale``,
+    ``convergence`` holds the estimated remaining error per state (from
+    grid doubling) and ``residuals`` the discrete eigenpair defect, both
+    in the same units.
     """
 
     eigenvalues: np.ndarray
@@ -141,7 +143,6 @@ class Spectrum:
     residuals: np.ndarray
     convergence: np.ndarray | None
     node_counts: tuple
-    slot: str
 
 
 def _mapped_nodes(grid: Grid, lo: float, hi: float, n: int):
@@ -194,6 +195,11 @@ def _tridiag_times(d: np.ndarray, e: np.ndarray, v: np.ndarray) -> np.ndarray:
     return tv
 
 
+def _rayleigh(d: np.ndarray, e: np.ndarray, chi: np.ndarray) -> np.ndarray:
+    """Rayleigh quotients of the orthonormal columns of chi under T = (d, e)."""
+    return np.einsum("kj,kj->j", chi, _tridiag_times(d, e, chi))
+
+
 def _defects(d: np.ndarray, e: np.ndarray, vals: np.ndarray, chi: np.ndarray) -> np.ndarray:
     """Scale-normalized defect of symmetric tridiagonal eigenpairs."""
     defect = _tridiag_times(d, e, chi) - vals * chi
@@ -225,51 +231,55 @@ def _count_nodes(vec: np.ndarray) -> int:
     return int(np.count_nonzero(np.sign(sig[1:]) != np.sign(sig[:-1])))
 
 
+def _contain(problems, grid: Grid, n: int, k: int, energy: float = 0.0):
+    """Fine-grid pencils whose lowest ``k`` states at ``energy`` have decayed.
+
+    Each problem is assembled at E = 0 on 2n+1 nodes of its domain and
+    solved for its lowest ``k`` eigenpairs of T0 - (energy/2) diag(x).
+    While some state keeps more than e^-20 of its peak at the upper end,
+    the domain is extended times 1.5 at fixed node spacing, at most
+    ``_MAX_EXTENSIONS`` times (the sin^7 polar domain is never extended).
+    Returns the pencils (d0, e, x, mass), the eigenpairs, the final upper
+    end and n, and the number of eigensolves made.
+    """
+    lo, hi = problems[0].domain
+    fixed = any(p.weight_kind == "sin7" for p in problems)
+    for attempt in range(_MAX_EXTENSIONS + 1):
+        pencils = [_assemble(p, grid, lo, hi, 2 * n + 1) for p in problems]
+        eigenpairs = [
+            eigh_tridiagonal(d0 - 0.5 * energy * x, e, select="i", select_range=(0, k - 1))
+            for d0, e, x, _ in pencils
+        ]
+        if fixed or max(_tail_fraction(chi) for _, chi in eigenpairs) <= _TAIL_LIMIT:
+            return pencils, eigenpairs, hi, n, len(problems) * (attempt + 1)
+        if attempt == _MAX_EXTENSIONS:
+            raise AccuracyError(f"domain extension failed to contain the states (hi = {hi:.6g})")
+        hi = lo + (hi - lo) * 1.5
+        n = int(n * 1.5)
+
+
 def fd_eigensolve(
     problem: RadialProblem,
     grid: Grid,
     k: int,
     richardson: bool = True,
     conv_tol: float = 1e-5,
-    auto_extend: bool = True,
-    max_extensions: int = _MAX_EXTENSIONS,
 ) -> Spectrum:
     """Lowest ``k`` eigenpairs of ``problem`` on ``grid``.
 
     With ``richardson`` (default) the solve runs on the grid and on its
     doubling; each eigenvalue is extrapolated and the residual grid change
     must stay below ``conv_tol * max(1, |mu|)`` or :class:`AccuracyError`
-    is raised.  When the requested states have not decayed to e^-20 at the
-    upper end, the domain is extended (times 1.5, preserving the node
-    spacing) up to ``max_extensions`` times unless the problem is marked
-    non-extendable or ``auto_extend`` is off.
+    is raised.  The domain is first extended until the requested states
+    have decayed to e^-20 at the upper end (see :func:`_contain`).
     """
     if k < 1:
         raise ValueError("need at least one eigenvalue")
     if k > grid.n // 4:
         raise ValueError(f"k = {k} exceeds n/4 = {grid.n // 4}")
-    lo, hi = problem.domain
-    n = grid.n
-    for attempt in range(max_extensions + 1):
-        d, e, x_f, mass = _assemble(problem, grid, lo, hi, 2 * n + 1)
-        vals_f, chi_f = eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1))
-        tail = _tail_fraction(chi_f)
-        if problem.extendable and tail > _TAIL_LIMIT:
-            if not auto_extend:
-                raise AccuracyError(
-                    f"states have not decayed at hi = {hi:.6g} "
-                    f"(tail fraction {tail:.3g}); enable auto_extend or enlarge hi"
-                )
-            if attempt == max_extensions:
-                raise AccuracyError(
-                    f"domain extension failed to contain the states (hi = {hi:.6g})"
-                )
-            hi = lo + (hi - lo) * 1.5
-            n = int(n * 1.5)
-            continue
-        break
+    ((d, e, x_f, mass),), ((vals_f, chi_f),), hi, n, _ = _contain([problem], grid, grid.n, k)
     if richardson:
-        d_c, e_c, _, _ = _assemble(problem, grid, lo, hi, n)
+        d_c, e_c, _, _ = _assemble(problem, grid, problem.domain[0], hi, n)
         vals_c = eigh_tridiagonal(
             d_c, e_c, select="i", select_range=(0, k - 1), eigvals_only=True
         )
@@ -297,7 +307,6 @@ def fd_eigensolve(
         residuals=res_f * scale,
         convergence=None if conv is None else conv * scale,
         node_counts=tuple(_count_nodes(vecs_f[:, j]) for j in range(k)),
-        slot=problem.slot,
     )
 
 
@@ -305,46 +314,31 @@ def fd_eigensolve(
 # Problem builders
 
 
-def _osc_effective(potential: Potential8D):
-    om2, a, b, variant = potential.omega**2, potential.a, potential.b, potential.variant
-
-    def eff(r):
-        v = 0.5 * om2 * r**2
-        if variant == "sub2":
-            v = v + a * r + b / r
-        elif variant == "super2":
-            v = v + b * r**4 + a * r**6
-        return 2.0 * v
-
-    return eff
-
-
 def build_radial_problem(kind: str, **params) -> RadialProblem:
     """Assemble a :class:`RadialProblem` for one separated equation.
 
     kind = 'osc8'   : 8-D radial oscillator; needs potential, optional L,
-                      rmax.  Slot Z (weight r^7, raw eigenvalue 2Z).
+                      rmax.  Eigenvalue Z (weight r^7, raw eigenvalue 2Z).
     kind = 'coul9'  : spherical-chart radial equation; needs Z (or a
                       separable model), lam (the angular eigenvalue) and
-                      rmax.  Slot E (weight r^8, raw 2E).
-    kind = 'theta'  : polar equation; needs micz.  Slot Lambda.
+                      rmax.  Eigenvalue E (weight r^8, raw 2E).
+    kind = 'theta'  : polar equation; needs micz.  Eigenvalue Lambda.
     kind = 'para_u' : parabolic u-equation; needs model, micz, energy,
-                      wmax.  Slot -P (raw eigenvalue is -P).
-    kind = 'para_v' : parabolic v-equation, slot +P.
+                      wmax.  Eigenvalue -P.
+    kind = 'para_v' : parabolic v-equation, eigenvalue +P.
     """
     kind = kind.lower()
     if kind == "osc8":
         potential: Potential8D = params["potential"]
         L = int(params.get("L", 0))
         rmax = params.get("rmax") or 14.0 / math.sqrt(potential.omega)
+        E = -0.5 * potential.omega**2
         return RadialProblem(
             weight_exponent=7,
             centrifugal_coeff=L * (L + 6) + 2.0 * potential.c,
-            effective_term=_osc_effective(potential),
+            effective_term=lambda r: 2.0 * factor_potential(potential, E, r**2),
             domain=(0.0, rmax),
             eigenvalue_scale=0.5,
-            slot="Z",
-            meta={"L": L, "omega": potential.omega},
         )
     if kind == "coul9":
         model: OscillatorModel | None = params.get("model")
@@ -361,8 +355,6 @@ def build_radial_problem(kind: str, **params) -> RadialProblem:
             effective_term=lambda r: -2.0 * Z / r,
             domain=(0.0, rmax),
             eigenvalue_scale=0.5,
-            slot="E",
-            meta={"Z": Z, "lam": lam},
         )
     if kind == "theta":
         micz: MiczParams = params["micz"]
@@ -382,53 +374,34 @@ def build_radial_problem(kind: str, **params) -> RadialProblem:
             centrifugal_coeff=0.0,
             effective_term=eff,
             domain=(0.0, math.pi),
-            slot="Lambda",
-            extendable=False,
-            meta={"alpha_u": alpha_u, "alpha_v": alpha_v},
         )
     if kind in ("para_u", "para_v"):
         model: OscillatorModel = params["model"]
         micz: MiczParams = params["micz"]
-        energy = params.get("energy")
+        energy = float(params["energy"])
         wmax = float(params["wmax"])
         alpha_u, alpha_v = micz_centrifugal_strengths(micz)
-        wu, wv = parabolic_W(model, E1=energy, E2=energy)
         if kind == "para_u":
-            alpha, weval, slot = alpha_u, wu, "-P"
+            alpha, p, Za = alpha_u, model.p1, model.Z1
         else:
-            alpha, weval, slot = alpha_v, wv, "P"
+            alpha, p, Za = alpha_v, model.p2, model.Z2
         return RadialProblem(
             weight_exponent=4,
             centrifugal_coeff=alpha,
-            effective_term=lambda w: weval(w) / w,
+            effective_term=lambda w: (factor_potential(p, energy, 0.5 * w) - Za) / w,
             domain=(0.0, wmax),
             mass_term=lambda w: 1.0 / w,
-            slot=slot,
-            meta={"alpha": alpha, "energy": energy, "W": weval},
         )
     raise ValueError(f"unknown problem kind {kind!r}")
 
 
 def qes_verification_problem(potential: Potential8D, dim: int, rmax: float) -> RadialProblem:
     """Radial problem matching the QES reduced operator -f'' - (dim/r)f' + V f."""
-
-    def eff(r):
-        v = 0.5 * potential.omega**2 * r**2
-        if potential.c != 0.0:
-            v = v + potential.c / r**2
-        if potential.variant == "sub2":
-            v = v + potential.a * r + potential.b / r
-        elif potential.variant == "super2":
-            v = v + potential.b * r**4 + potential.a * r**6
-        return v
-
     return RadialProblem(
         weight_exponent=int(dim),
         centrifugal_coeff=0.0,
-        effective_term=eff,
+        effective_term=lambda r: eval_potential(potential, r),
         domain=(0.0, rmax),
-        slot="E",
-        meta={"dim": dim},
     )
 
 
@@ -474,8 +447,7 @@ def _shifted(pencil, energy: float, first: int, last: int):
     d0, e, x, _ = pencil
     d = d0 - 0.5 * energy * x
     _, chi = eigh_tridiagonal(d, e, select="i", select_range=(first, last))
-    vals = np.einsum("kj,kj->j", chi, _tridiag_times(d, e, chi))
-    return vals, chi, -0.5 * (x @ chi**2)
+    return _rayleigh(d, e, chi), chi, -0.5 * (x @ chi**2)
 
 
 def _match_root(pencils, i: int, j: int, energy: float, lo: float, hi: float):
@@ -563,20 +535,12 @@ def parabolic_joint_solve(
         build_radial_problem(kind, model=model, micz=micz, energy=0.0, wmax=hi)
         for kind in ("para_u", "para_v")
     ]
-    solves = 0
-    for attempt in range(_MAX_EXTENSIONS + 1):
-        fine = [_assemble(p, grid, 0.0, hi, 2 * n + 1) for p in problems]
-        top = [_shifted(pencil, e_hi, 0, kb - 1)[:2] for pencil in fine]
-        solves += 2
-        if max(_tail_fraction(chi) for _, chi in top) <= _TAIL_LIMIT:
-            break
-        if attempt == _MAX_EXTENSIONS:
-            raise AccuracyError(f"domain extension failed to contain the states (hi = {hi:.6g})")
-        hi *= 1.5
-        n = int(n * 1.5)
+    fine, top, hi, n, solves = _contain(problems, grid, n, kb, energy=e_hi)
     coarse = [_assemble(p, grid, 0.0, hi, n) for p in problems]
     (mu_u_lo, _, _), (mu_v_lo, _, _) = (_shifted(pencil, e_lo, 0, kb - 1) for pencil in fine)
-    (mu_u_hi, _), (mu_v_hi, _) = top
+    mu_u_hi, mu_v_hi = (
+        _rayleigh(d0 - 0.5 * e_hi * x, e, chi) for (d0, e, x, _), (_, chi) in zip(fine, top)
+    )
     solves += 2
     mismatch = {
         (i, j): (float(mu_u_lo[i] + mu_v_lo[j]), float(mu_u_hi[i] + mu_v_hi[j]))

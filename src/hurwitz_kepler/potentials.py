@@ -10,6 +10,13 @@ with rho^2 = x_s x_s.  A 16-D model is an ordered pair of factors plus
 per-factor charges (Z1, Z2) and energy parameters (E1, E2); under the
 oscillator-Coulomb duality E_a = -omega_a^2/2, which is the default.
 
+One evaluator, :func:`factor_potential`, holds the three formulas: it
+returns V(rho) - c/rho^2 at rho^2 = x with the harmonic piece written as
+-E x.  Every chart is that function at its own x: the oscillator radius
+(x = rho^2, E = -omega^2/2, see :func:`eval_potential`), the spherical
+chart (x = r cos^2(theta/2) or r sin^2(theta/2)) and the parabolic chart
+(x = w/2).
+
 The Kepler-side effective terms here follow the separated equations
 literally: the inverse-square strengths c1, c2 are routed into the
 angular / centrifugal numerators (J(J+6)+8c1)/4 and (L(L+6)+8c2)/4 and
@@ -33,6 +40,7 @@ __all__ = [
     "Potential8D",
     "OscillatorModel",
     "MiczParams",
+    "factor_potential",
     "eval_potential",
     "spherical_W",
     "is_spherically_separable",
@@ -75,16 +83,34 @@ class Potential8D:
             raise ValueError("sho variant must have a = b = 0")
 
 
+def factor_potential(p: Potential8D, E, x, pole=0.0):
+    """V(rho) - c/rho^2 at rho^2 = x, with omega^2 rho^2 / 2 written as -E x.
+
+    Vectorized over ``E`` and ``x``.  A nonzero 1/rho coefficient raises
+    ValueError wherever x <= ``pole``.
+    """
+    out = -E * x
+    if p.variant == "sub2":
+        if p.b != 0.0:
+            if np.any(x <= pole):
+                raise ValueError(
+                    "factor potential is singular at rho = 0 with a nonzero 1/rho coefficient"
+                )
+            out = out + p.b / np.sqrt(x)
+        if p.a != 0.0:
+            out = out + p.a * np.sqrt(x)
+    elif p.variant == "super2":
+        out = out + p.b * x**2 + p.a * x**3
+    return out
+
+
 def eval_potential(p: Potential8D, rho: float) -> float:
     """V(rho) for the given variant; rho is the 8-D radius (> 0)."""
     rho = np.asarray(rho, dtype=float)
     if np.any(rho <= 0.0):
         raise ValueError("rho must be positive (singular terms)")
-    v = 0.5 * p.omega**2 * rho**2 + p.c / rho**2
-    if p.variant == "sub2":
-        v = v + p.a * rho + p.b / rho
-    elif p.variant == "super2":
-        v = v + p.b * rho**4 + p.a * rho**6
+    x = rho**2
+    v = factor_potential(p, -0.5 * p.omega**2, x) + p.c / x
     return float(v) if np.ndim(rho) == 0 else v
 
 
@@ -112,22 +138,19 @@ class OscillatorModel:
 
 @dataclass(frozen=True)
 class MiczParams:
-    """Kepler-side parameters: charge, non-central strengths, (J, L), Q^2."""
+    """Kepler-side parameters: charge, non-central strengths, (J, L)."""
 
     Z: float
     c1: float = 0.0
     c2: float = 0.0
     J: int = 0
     L: int = 0
-    Qsq: float = 0.0
 
     def __post_init__(self):
         if self.c1 < 0.0 or self.c2 < 0.0:
             raise ValueError("non-central strengths c1, c2 must be nonnegative")
         if self.J < 0 or self.L < 0 or self.J != int(self.J) or self.L != int(self.L):
             raise ValueError("J and L must be nonnegative integers")
-        if self.Qsq < 0.0:
-            raise ValueError("Qsq must be nonnegative")
 
 
 def model_number(model: OscillatorModel) -> int | None:
@@ -141,27 +164,6 @@ def model_number(model: OscillatorModel) -> int | None:
     }.get(key)
 
 
-def _half_terms(p: Potential8D, E: float, x, r):
-    """(V(x) - c/x) / r with the harmonic piece written through E."""
-    if p.variant == "super2":
-        return (-E * x + p.b * x**2 + p.a * x**3) / r
-    # sho and sub2 share the harmonic piece; sub2 adds b/sqrt(x) + a*sqrt(x)
-    out = -E * x / r
-    if p.variant == "sub2":
-        if p.b != 0.0:
-            # x/r = cos^2 or sin^2 of the half angle; 1e-24 catches the
-            # float representation of the poles theta in {0, pi}
-            if np.any(np.asarray(x) <= 1e-24 * np.asarray(r)):
-                raise ValueError(
-                    "spherical effective term is singular: theta in {0, pi} "
-                    "with a nonzero 1/rho coefficient"
-                )
-            out = out + p.b / (np.sqrt(x) * r)
-        if p.a != 0.0:
-            out = out + p.a * np.sqrt(np.maximum(x, 0.0)) / r
-    return out
-
-
 def spherical_W(model: OscillatorModel, r: float, theta: float):
     """Effective spherical-chart source W'(r, theta), c-terms excluded.
 
@@ -172,16 +174,15 @@ def spherical_W(model: OscillatorModel, r: float, theta: float):
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0.0):
         raise ValueError("r must be positive")
-    ch2 = np.cos(np.asarray(theta) / 2.0) ** 2
-    sh2 = np.sin(np.asarray(theta) / 2.0) ** 2
-    xu = r * ch2
-    xv = r * sh2
+    xu = r * np.cos(np.asarray(theta) / 2.0) ** 2
+    xv = r * np.sin(np.asarray(theta) / 2.0) ** 2
+    # x/r = cos^2 or sin^2 of the half angle; 1e-24 catches the float
+    # representation of the poles theta in {0, pi}
+    pole = 1e-24 * r
     w = (
-        _half_terms(model.p1, model.E1, xu, r)
-        + _half_terms(model.p2, model.E2, xv, r)
-        - model.Z1
-        - model.Z2
-    )
+        factor_potential(model.p1, model.E1, xu, pole)
+        + factor_potential(model.p2, model.E2, xv, pole)
+    ) / r - model.Z1 - model.Z2
     return float(w) if np.ndim(w) == 0 else w
 
 
@@ -204,45 +205,24 @@ def require_spherically_separable(model: OscillatorModel) -> None:
         )
 
 
-def _parabolic_factor(p: Potential8D, E: float, Za: float):
-    variant, a, b = p.variant, p.a, p.b
-
-    def w_eval(w):
-        w = np.asarray(w, dtype=float)
-        if np.any(w < 0.0):
-            raise ValueError("parabolic coordinate must be nonnegative")
-        if variant == "super2":
-            out = -0.5 * w * E + 0.25 * b * w**2 + 0.125 * a * w**3
-        else:
-            out = -0.5 * w * E
-            if variant == "sub2":
-                if b != 0.0:
-                    if np.any(w <= 0.0):
-                        raise ValueError(
-                            "parabolic effective term is singular at w = 0 "
-                            "with a nonzero 1/rho coefficient"
-                        )
-                    out = out + b * np.sqrt(2.0 / w)
-                if a != 0.0:
-                    out = out + a * np.sqrt(w / 2.0)
-        out = out - Za
-        return float(out) if np.ndim(out) == 0 else out
-
-    return w_eval
-
-
-def parabolic_W(model: OscillatorModel, E1: float | None = None, E2: float | None = None):
+def parabolic_W(model: OscillatorModel):
     """Single-variable evaluators (W'_u, W'_v); c-terms excluded.
 
-    ``E1``/``E2`` override the model energy parameters, which the joint
-    parabolic eigenvalue search uses to scan the physical energy.
+    Each is its factor potential at rho^2 = w/2 minus its charge, with the
+    model energy parameter E1 or E2.
     """
-    e1 = model.E1 if E1 is None else E1
-    e2 = model.E2 if E2 is None else E2
-    return (
-        _parabolic_factor(model.p1, e1, model.Z1),
-        _parabolic_factor(model.p2, e2, model.Z2),
-    )
+
+    def factor(p: Potential8D, E: float, Za: float):
+        def w_eval(w):
+            w = np.asarray(w, dtype=float)
+            if np.any(w < 0.0):
+                raise ValueError("parabolic coordinate must be nonnegative")
+            out = factor_potential(p, E, 0.5 * w) - Za
+            return float(out) if np.ndim(out) == 0 else out
+
+        return w_eval
+
+    return factor(model.p1, model.E1, model.Z1), factor(model.p2, model.E2, model.Z2)
 
 
 def micz_centrifugal_strengths(m: MiczParams) -> tuple[float, float]:
@@ -292,12 +272,11 @@ def model_from_dict(d: dict) -> OscillatorModel:
 
 
 def micz_from_dict(d: dict) -> MiczParams:
-    _check_keys(d, {"Z", "c1", "c2", "J", "L", "Qsq"}, {"Z"}, "micz block")
+    _check_keys(d, {"Z", "c1", "c2", "J", "L"}, {"Z"}, "micz block")
     return MiczParams(
         Z=float(d["Z"]),
         c1=float(d.get("c1", 0.0)),
         c2=float(d.get("c2", 0.0)),
         J=int(d.get("J", 0)),
         L=int(d.get("L", 0)),
-        Qsq=float(d.get("Qsq", 0.0)),
     )

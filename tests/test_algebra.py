@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hurwitz_kepler.algebra import build_gamma_set, hurwitz_forward, hurwitz_forward_batch
 
@@ -91,3 +93,28 @@ def test_forward_rejects_bad_input():
         hurwitz_forward(np.zeros(7), np.zeros(8))
     with pytest.raises(ValueError):
         hurwitz_forward(np.full(8, np.nan), np.zeros(8))
+
+
+unit8 = st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=8, max_size=8).filter(
+    lambda c: max(abs(t) for t in c) > 1e-3
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    u=unit8,
+    v=unit8,
+    s=st.floats(min_value=-2.0, max_value=2.0),
+    pair=st.sampled_from(["generic", "v=0", "v=su"]),
+    exponent=st.integers(min_value=-50, max_value=50),
+)
+def test_forward_norm_and_x9_properties(u, v, s, pair, exponent):
+    # |x|^2 = (u.u + v.v)^2 and x9 = u.u - v.v on both entry points, over
+    # 100 decades of scale and at the degenerate pairs v = 0 and v = s u
+    scale = 10.0**exponent
+    u = scale * np.array(u)
+    v = {"generic": scale * np.array(v), "v=0": np.zeros(8), "v=su": s * u}[pair]
+    uu, vv = u @ u, v @ v
+    for x in (hurwitz_forward(u, v), hurwitz_forward_batch(u[None], v[None])[0]):
+        assert x @ x == pytest.approx((uu + vv) ** 2, rel=1e-12)
+        assert abs(x[8] - (uu - vv)) <= 1e-12 * (uu + vv)

@@ -110,6 +110,11 @@ class TestSpectrum:
         assert main(["spectrum", cfg, "--out", str(tmp_path)]) == 3
         assert "E1=E2, a=b=0" in capsys.readouterr().err
 
+    def test_qsq_config_exit_2(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "s.json", {"problem": "micz", "micz": {"Z": 1.0, "Qsq": 0.5}})
+        assert main(["spectrum", cfg, "--out", str(tmp_path)]) == 2
+        assert "Qsq" in capsys.readouterr().err
+
 
 class TestQes:
     def test_super2_baseline(self, tmp_path):

@@ -28,7 +28,6 @@ class TestOscillatorOracle:
         spec = fd_eigensolve(prob, Grid(n=4000), 2)
         assert spec.eigenvalues[0] == pytest.approx(4.0, abs=1e-6)
         assert spec.eigenvalues[1] == pytest.approx(6.0, abs=1e-6)
-        assert spec.slot == "Z"
 
     def test_problem_assembly(self):
         prob = build_radial_problem("osc8", potential=Potential8D("sho", omega=1.0), L=0)
@@ -73,7 +72,7 @@ class TestCoulombOracle:
             build_radial_problem("coul9", model=bad, lam=0.0, rmax=100.0)
         ok = _sho_model()
         prob = build_radial_problem("coul9", model=ok, lam=0.0, rmax=260.0)
-        assert prob.meta["Z"] == 1.0
+        assert prob.effective_term(2.0) == pytest.approx(-1.0)
 
 
 class TestThetaOracle:
@@ -85,8 +84,9 @@ class TestThetaOracle:
 
     def test_builder_strengths(self):
         prob = build_radial_problem("theta", micz=MiczParams(Z=1.0, c1=1.0))
-        assert prob.meta["alpha_u"] == pytest.approx(2.0)
-        assert prob.meta["alpha_v"] == 0.0
+        # alpha_u / cos^2(theta/2) + alpha_v / sin^2(theta/2) with (alpha_u, alpha_v) = (2, 0)
+        q = prob.effective_term(np.array([2.0 * math.pi / 3.0, math.pi / 2.0]))
+        np.testing.assert_allclose(q, [8.0, 4.0], rtol=1e-14)
 
     def test_dressed_spectrum_matches_exponent_formula(self):
         # derived oracle: Lambda_n = (n + alpha + gamma)(n + alpha + gamma + 7)
@@ -146,8 +146,13 @@ class TestSolverMechanics:
         prob = build_radial_problem("osc8", potential=pot, L=0, rmax=4.0)
         spec = fd_eigensolve(prob, Grid(n=2000), 1)
         assert spec.eigenvalues[0] == pytest.approx(4.0, rel=1e-8)
-        with pytest.raises(AccuracyError):
-            fd_eigensolve(prob, Grid(n=2000), 1, auto_extend=False)
+
+    def test_extension_limit(self):
+        # a Z = 0.01 Coulomb state decays to e^-20 only near r ~ 1e4; six
+        # extensions of rmax = 10 reach ~114
+        prob = build_radial_problem("coul9", Z=0.01, lam=0.0, rmax=10.0)
+        with pytest.raises(AccuracyError, match="domain extension failed"):
+            fd_eigensolve(prob, Grid(n=64), 1)
 
     def test_nonconvergence_error(self):
         prob = build_radial_problem(
@@ -212,14 +217,12 @@ class TestParaBuilders:
         assert np.allclose(prob.effective_term(u) * u, w_direct, rtol=1e-13)
         assert prob.centrifugal_coeff == pytest.approx((0 + 8 * 0.5) / 4.0)
         assert prob.mass_term(2.0) == pytest.approx(0.5)
-        assert prob.slot == "-P"
 
     def test_para_v_slot(self):
         model = _sho_model()
         prob = build_radial_problem(
             "para_v", model=model, micz=MiczParams(Z=1.0, c2=2.0), energy=-0.5, wmax=50.0
         )
-        assert prob.slot == "P"
         assert prob.centrifugal_coeff == pytest.approx(4.0)
 
 

@@ -10,6 +10,7 @@ from hurwitz_kepler.potentials import (
     eval_potential,
     is_spherically_separable,
     micz_centrifugal_strengths,
+    micz_from_dict,
     model_from_dict,
     model_number,
     parabolic_W,
@@ -152,8 +153,10 @@ class TestParabolicW:
             u8 = rng.normal(size=8)
             v8 = rng.normal(size=8)
             xu, xv = u8 @ u8, v8 @ v8
-            v1 = eval_potential(m.p1, math.sqrt(xu)) - m.p1.c / xu
-            v2 = eval_potential(m.p2, math.sqrt(xv)) - m.p2.c / xv
+            # sub2 and super2 written out, independent of the shared evaluator
+            rho1 = math.sqrt(xu)
+            v1 = 0.5 * m.p1.omega**2 * xu + m.p1.a * rho1 + m.p1.b / rho1
+            v2 = 0.5 * m.p2.omega**2 * xv + m.p2.b * xv**2 + m.p2.a * xv**3
             direct = v1 + v2 - m.Z
             viaw = wu(2.0 * xu) + wv(2.0 * xv)
             assert viaw == pytest.approx(direct, rel=1e-12, abs=1e-12)
@@ -207,3 +210,8 @@ class TestModelPlumbing:
         with pytest.raises(ValueError):
             model_from_dict({"p1": {"variant": "sho", "omega": 1.0},
                              "p2": {"variant": "sho", "omega": 1.0}, "extra": 1})
+
+    def test_qsq_rejected(self):
+        # no solver takes Q^2, so the key is refused rather than ignored
+        with pytest.raises(ValueError, match=r"unknown key\(s\) in micz block: \['Qsq'\]"):
+            micz_from_dict({"Z": 1, "Qsq": 0.5})
