@@ -3,9 +3,12 @@
 Subcommands: ``transform`` (bilinear map sweeps), ``spectrum`` (analytic
 vs finite-difference eigenvalues), ``qes`` (quasi-exactly-solvable
 blocks) and ``duality`` (three-way oscillator / spherical / parabolic
-agreement).  Exit codes are a stable contract, listed in
-:mod:`hurwitz_kepler.errors`.  Numeric fields are serialized with 17
-significant digits and every JSON document carries ``schema_version``.
+agreement).  Each takes a config path, ``--tol`` and ``--out``; ``qes``
+adds ``--verify`` and ``duality`` adds ``--no-verify``.  Each accepts
+exactly the config keys its handler reads; any other flag or key exits 2.
+Exit codes are a stable contract, listed in :mod:`hurwitz_kepler.errors`.
+Numeric fields are serialized with 17 significant digits and every JSON
+document carries ``schema_version``.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +41,7 @@ from .errors import (
     QesClosureError,
     QesPreconditionError,
     SeparabilityError,
+    check_keys,
 )
 from .numeric import (
     Grid,
@@ -108,29 +113,19 @@ def _load_config(path: str, allowed: set, required: set = frozenset()) -> dict:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
-    unknown = set(cfg) - allowed
-    if unknown:
-        raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
-    missing = required - set(cfg)
-    if missing:
-        raise ConfigError(f"missing config key(s): {sorted(missing)}")
-    return cfg
+    return check_keys(cfg, allowed, required)
 
 
-def _grid_from(cfg: dict, default_n: int) -> Grid:
-    g = cfg.get("grid", {})
-    if not isinstance(g, dict):
-        raise ConfigError("grid block must be an object")
-    unknown = set(g) - {"n", "spacing", "stretch", "rmax"}
-    if unknown:
-        raise ConfigError(f"unknown grid key(s): {sorted(unknown)}")
-    return Grid(
+def _grid_from(cfg: dict, default_n: int, with_rmax: bool = True) -> tuple:
+    """The ``grid`` block as (Grid, its ``rmax`` or None); ``with_rmax=False`` rejects that key."""
+    keys = {"n", "spacing", "stretch"} | ({"rmax"} if with_rmax else set())
+    g = check_keys(cfg.get("grid", {}), keys, what="grid block")
+    grid = Grid(
         n=int(g.get("n", default_n)),
         spacing=str(g.get("spacing", "uniform")),
         stretch=float(g.get("stretch", 6.0)),
     )
+    return grid, g.get("rmax")
 
 
 def _out_dir(args) -> Path:
@@ -145,10 +140,8 @@ def _out_dir(args) -> Path:
 
 def cmd_transform(args) -> int:
     cfg = _load_config(args.config, {"u", "v", "count", "seed"})
-    tol = args.tol if args.tol is not None else 1e-10
     if "u" in cfg or "v" in cfg:
-        if not ("u" in cfg and "v" in cfg):
-            raise ConfigError("supply both u and v, or neither")
+        check_keys(cfg, {"u", "v"}, {"u", "v"})
         u = np.asarray(cfg["u"], dtype=float)
         v = np.asarray(cfg["v"], dtype=float)
         if u.shape != (8,) or v.shape != (8,):
@@ -156,7 +149,7 @@ def cmd_transform(args) -> int:
         U, V = u[None, :], v[None, :]
     else:
         count = int(cfg.get("count", 1000))
-        seed = int(args.seed if args.seed is not None else cfg.get("seed", 0))
+        seed = int(cfg.get("seed", 0))
         rng = np.random.default_rng(seed)
         U = rng.normal(size=(count, 8))
         V = rng.normal(size=(count, 8))
@@ -179,19 +172,18 @@ def cmd_transform(args) -> int:
     write_csv(_out_dir(args) / "transform.csv", header, rows)
     worst = float(np.max(resid))
     print(f"transform: {U.shape[0]} rows, max residual {worst:.3e}")
-    return 0 if worst <= tol else 1
+    return 0 if worst <= args.tol else 1
 
 
 # ---------------------------------------------------------------------------
 # spectrum
 
 
-def _spectrum_oscillator(cfg: dict, args) -> tuple:
+def _spectrum_oscillator(cfg: dict) -> tuple:
     pot = potential_from_dict(cfg["potential"])
     n_max = int(cfg.get("n_max", 2))
     l_max = int(cfg.get("l_max", 1))
-    grid = _grid_from(cfg, 4000)
-    rmax = cfg.get("grid", {}).get("rmax")
+    grid, rmax = _grid_from(cfg, 4000)
     rows = []
     worst = 0.0
     for L in range(l_max + 1):
@@ -206,7 +198,7 @@ def _spectrum_oscillator(cfg: dict, args) -> tuple:
     return ["N", "L", "analytic", "fd", "rel_dev"], rows, worst
 
 
-def _spectrum_micz(cfg: dict, args) -> tuple:
+def _spectrum_micz(cfg: dict) -> tuple:
     micz = micz_from_dict(cfg["micz"])
     if "model" in cfg:
         model = model_from_dict(cfg["model"])
@@ -214,9 +206,9 @@ def _spectrum_micz(cfg: dict, args) -> tuple:
         if model.Z != 0.0 and abs(model.Z - micz.Z) > 1e-12 * max(1.0, abs(micz.Z)):
             raise ConfigError("model charge Z1+Z2 disagrees with the micz block Z")
     n_states = int(cfg.get("n_states", 2))
-    grid = _grid_from(cfg, 4000)
+    grid, rmax = _grid_from(cfg, 4000)
     smax = n_states + 5.0
-    rmax = float(cfg.get("grid", {}).get("rmax") or 55.0 * smax / max(abs(micz.Z), 1e-6))
+    rmax = float(rmax or 55.0 * smax / max(abs(micz.Z), 1e-6))
     states = spherical_micz_energies(
         micz,
         n_theta=n_states,
@@ -228,7 +220,7 @@ def _spectrum_micz(cfg: dict, args) -> tuple:
     rows = []
     worst = 0.0
     for E, itheta, N, lam in states[: n_states * 2]:
-        lam_eff = 0.5 * (-7.0 + math.sqrt(49.0 + 4.0 * max(lam, 0.0)))
+        lam_eff = 0.5 * (-7.0 + math.sqrt(49.0 + 4.0 * lam))
         e_closed = -micz.Z**2 / (2.0 * (N + lam_eff + 4.0) ** 2)
         dev = abs(E - e_closed) / abs(e_closed)
         worst = max(worst, dev)
@@ -236,38 +228,37 @@ def _spectrum_micz(cfg: dict, args) -> tuple:
     return ["theta_index", "N", "lambda", "analytic", "fd", "rel_dev"], rows, worst
 
 
+_SPECTRA = {  # problem -> (solver, keys besides "problem" and "grid", required keys)
+    "oscillator": (_spectrum_oscillator, {"potential", "n_max", "l_max"}, {"potential"}),
+    "micz": (_spectrum_micz, {"micz", "model", "n_states"}, {"micz"}),
+}
+
+
 def cmd_spectrum(args) -> int:
-    cfg = _load_config(
-        args.config,
-        {"problem", "potential", "model", "micz", "n_max", "l_max", "n_states", "grid", "tolerance"},
-        {"problem"},
-    )
-    tol = args.tol if args.tol is not None else float(cfg.get("tolerance", 1e-6))
-    problem = cfg["problem"]
-    if problem == "oscillator":
-        header, rows, worst = _spectrum_oscillator(cfg, args)
-    elif problem == "micz":
-        header, rows, worst = _spectrum_micz(cfg, args)
-    else:
+    every_key = {"problem", "grid"}.union(*(keys for _, keys, _ in _SPECTRA.values()))
+    cfg = _load_config(args.config, every_key, {"problem"})
+    problem = str(cfg["problem"])
+    if problem not in _SPECTRA:
         raise ConfigError("problem must be 'oscillator' or 'micz'")
+    solve, keys, required = _SPECTRA[problem]
+    check_keys(cfg, keys | {"problem", "grid"}, required, f"{problem} config")
+    header, rows, worst = solve(cfg)
     out = _out_dir(args)
-    if args.format in ("csv", "both"):
-        write_csv(out / "spectrum.csv", header, rows)
-    if args.format in ("json", "both"):
-        write_json(
-            out / "spectrum.json",
-            {
-                "schema_version": SCHEMA_VERSION,
-                "problem": problem,
-                "columns": header,
-                "rows": rows,
-                "max_rel_dev": worst,
-            },
-        )
+    write_csv(out / "spectrum.csv", header, rows)
+    write_json(
+        out / "spectrum.json",
+        {
+            "schema_version": SCHEMA_VERSION,
+            "problem": problem,
+            "columns": header,
+            "rows": rows,
+            "max_rel_dev": worst,
+        },
+    )
     for row in rows:
         print("  ".join(_fmt(v) if not isinstance(v, str) else v for v in row))
     print(f"spectrum: {len(rows)} rows, max relative deviation {worst:.3e}")
-    return 0 if worst <= tol else 1
+    return 0 if worst <= args.tol else 1
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +271,6 @@ def cmd_qes(args) -> int:
         {"family", "a_prime", "b_prime", "c_prime", "l_prime", "N", "dim", "grid"},
         {"family", "a_prime", "b_prime", "N"},
     )
-    tol = args.tol if args.tol is not None else 1e-5
     family = str(cfg["family"]).lower()
     params = QesPrimedParams(
         a_p=float(cfg["a_prime"]),
@@ -298,17 +288,11 @@ def cmd_qes(args) -> int:
         raise ConfigError("family must be 'sub2' or 'super2'")
     sol = qes_solve(params, family)
 
-    grid = _grid_from(cfg, 3000)
-    rmax = cfg.get("grid", {}).get("rmax")
+    grid, rmax = _grid_from(cfg, 3000)
     rows = []
     worst = 0.0
     for i, energy in enumerate(sol.energies):
-        if sol.charges is not None:
-            pot_i = Potential8D(
-                variant="sub2", omega=pot.omega, a=pot.a, b=float(sol.charges[i]), c=pot.c
-            )
-        else:
-            pot_i = pot
+        pot_i = pot if sol.charges is None else replace(pot, b=float(sol.charges[i]))
         fd_dev = ""
         if args.verify:
             span = float(rmax or (12.0 / math.sqrt(pot_i.omega)))
@@ -326,7 +310,7 @@ def cmd_qes(args) -> int:
                 pot_i.b,
                 pot_i.c,
                 " ".join(_fmt(c) for c in sol.polynomials[i]),
-                fd_dev if fd_dev != "" else "",
+                fd_dev,
             ]
         )
     out = _out_dir(args)
@@ -355,16 +339,15 @@ def cmd_qes(args) -> int:
         "fd_max_rel_dev": worst if args.verify else None,
     }
     write_json(out / "qes.json", doc)
-    if args.format in ("csv", "both"):
-        write_csv(
-            out / "qes.csv",
-            ["state", "energy", "omega", "a", "b", "c", "poly_coeffs", "fd_rel_dev"],
-            rows,
-        )
+    write_csv(
+        out / "qes.csv",
+        ["state", "energy", "omega", "a", "b", "c", "poly_coeffs", "fd_rel_dev"],
+        rows,
+    )
     for row in rows:
         print("  ".join(str(v) for v in row))
     print(f"qes: {len(rows)} state(s), closure residual {sol.closure_residual:.3e}")
-    if args.verify and worst > tol:
+    if args.verify and worst > args.tol:
         return 1
     return 0
 
@@ -437,20 +420,15 @@ def _duality_case(
 
 
 def cmd_duality(args) -> int:
-    cfg = _load_config(
-        args.config, {"omega", "omega2", "cases", "grid", "tolerance"}, {"omega"}
-    )
-    tol = args.tol if args.tol is not None else float(cfg.get("tolerance", 1e-5))
+    cfg = _load_config(args.config, {"omega", "omega2", "cases", "grid"}, {"omega"})
     omega = float(cfg["omega"])
     omega2 = float(cfg.get("omega2", omega))
-    grid = _grid_from(cfg, 2000)
+    grid, _ = _grid_from(cfg, 2000, with_rmax=False)
     cases_cfg = cfg.get("cases", [{"c1": 0.0, "c2": 0.0}])
     z_fixed = 4.0 * omega  # coulomb charge of the undressed (c = 0) ground sector
     cases = []
     for case in cases_cfg:
-        unknown = set(case) - {"c1", "c2"}
-        if unknown:
-            raise ConfigError(f"unknown case key(s): {sorted(unknown)}")
+        check_keys(case, {"c1", "c2"}, what="case")
         cases.append(
             _duality_case(
                 omega,
@@ -488,7 +466,7 @@ def cmd_duality(args) -> int:
     if omega2 != omega:
         print(f"anisotropic cos(theta) dipole coefficient: {0.5 * (e1 - e2):.10g}")
     print(f"duality: {len(cases)} case(s), max deviation {worst:.3e}")
-    return 0 if worst <= tol else 1
+    return 0 if worst <= args.tol else 1
 
 
 # ---------------------------------------------------------------------------
@@ -501,25 +479,20 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, fn, verify_default in (
-        ("transform", cmd_transform, False),
-        ("spectrum", cmd_spectrum, False),
-        ("qes", cmd_qes, False),
-        ("duality", cmd_duality, True),
+    parsers = {}
+    for name, fn, tol in (
+        ("transform", cmd_transform, 1e-10),
+        ("spectrum", cmd_spectrum, 1e-6),
+        ("qes", cmd_qes, 1e-5),
+        ("duality", cmd_duality, 1e-5),
     ):
-        p = sub.add_parser(name)
+        p = parsers[name] = sub.add_parser(name)
         p.add_argument("config", help="path to the JSON run configuration")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None)
+        p.add_argument("--tol", type=float, default=tol, help=f"tolerance (default {tol:g})")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--format", choices=("csv", "json", "both"), default="both")
-        if verify_default:
-            p.add_argument(
-                "--no-verify", dest="verify", action="store_false", default=True
-            )
-        else:
-            p.add_argument("--verify", action="store_true", default=False)
         p.set_defaults(handler=fn)
+    parsers["qes"].add_argument("--verify", action="store_true")
+    parsers["duality"].add_argument("--no-verify", dest="verify", action="store_false")
     return ap
 
 
@@ -550,7 +523,7 @@ def main(argv=None) -> int:
     except AccuracyError as exc:
         print(f"accuracy error: {exc}", file=sys.stderr)
         return 1
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

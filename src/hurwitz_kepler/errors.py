@@ -1,11 +1,14 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and :func:`check_keys`, the
+one strict-key check of every JSON block (config, grid, case, potential,
+model, micz).
 
 The CLI maps outcomes to stable exit codes:
 
 0  success
 1  accuracy or tolerance failure: :class:`AccuracyError`, or a result
    whose deviation from the closed form exceeds ``--tol``
-2  config error: :class:`ConfigError` or a rejected value (``ValueError``)
+2  config error: :class:`ConfigError` (a ``ValueError``), any other
+   rejected value (``ValueError``), or a flag the subcommand does not take
 3  spherical-separability violation: :class:`SeparabilityError`
 4  violated QES precondition: :class:`QesPreconditionError`
 5  bracket failure: :class:`BracketError`
@@ -22,6 +25,7 @@ __all__ = [
     "QesClosureError",
     "BracketError",
     "AccuracyError",
+    "check_keys",
 ]
 
 
@@ -29,7 +33,7 @@ class HurwitzKeplerError(Exception):
     """Base class for package-specific failures."""
 
 
-class ConfigError(HurwitzKeplerError):
+class ConfigError(HurwitzKeplerError, ValueError):
     """Malformed or inconsistent run configuration."""
 
 
@@ -63,3 +67,16 @@ class BracketError(HurwitzKeplerError):
 
 class AccuracyError(HurwitzKeplerError):
     """Grid refinement failed to converge to the requested tolerance."""
+
+
+def check_keys(d, allowed, required=frozenset(), what: str = "config") -> dict:
+    """Return ``d`` if it is an object whose keys lie in ``allowed`` and cover ``required``."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{what} must be a JSON object")
+    unknown = set(d) - set(allowed)
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {what}: {sorted(unknown)}")
+    missing = set(required) - set(d)
+    if missing:
+        raise ConfigError(f"missing key(s) in {what}: {sorted(missing)}")
+    return d

@@ -607,7 +607,7 @@ def spherical_micz_energies(
     theta_spec = fd_eigensolve(build_radial_problem("theta", micz=micz), grid_theta, n_theta)
     out = []
     for it, lam in enumerate(theta_spec.eigenvalues):
-        prob = build_radial_problem("coul9", Z=micz.Z, lam=max(lam, 0.0), rmax=rmax)
+        prob = build_radial_problem("coul9", Z=micz.Z, lam=lam, rmax=rmax)
         spec = fd_eigensolve(prob, grid_radial, n_radial)
         for N in range(n_radial):
             out.append((float(spec.eigenvalues[N]), it, N, float(lam)))

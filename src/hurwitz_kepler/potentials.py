@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SeparabilityError
+from .errors import SeparabilityError, check_keys
 
 __all__ = [
     "Potential8D",
@@ -236,17 +236,8 @@ def micz_centrifugal_strengths(m: MiczParams) -> tuple[float, float]:
 # JSON-facing constructors (strict: unknown keys rejected)
 
 
-def _check_keys(d: dict, allowed: set, required: set, what: str) -> None:
-    unknown = set(d) - allowed
-    if unknown:
-        raise ValueError(f"unknown key(s) in {what}: {sorted(unknown)}")
-    missing = required - set(d)
-    if missing:
-        raise ValueError(f"missing key(s) in {what}: {sorted(missing)}")
-
-
 def potential_from_dict(d: dict) -> Potential8D:
-    _check_keys(d, {"variant", "omega", "c", "a", "b"}, {"variant", "omega"}, "potential")
+    check_keys(d, {"variant", "omega", "c", "a", "b"}, {"variant", "omega"}, "potential")
     return Potential8D(
         variant=d["variant"],
         omega=float(d["omega"]),
@@ -257,7 +248,7 @@ def potential_from_dict(d: dict) -> Potential8D:
 
 
 def model_from_dict(d: dict) -> OscillatorModel:
-    _check_keys(d, {"p1", "p2", "Z1", "Z2", "E1", "E2"}, {"p1", "p2"}, "model")
+    check_keys(d, {"p1", "p2", "Z1", "Z2", "E1", "E2"}, {"p1", "p2"}, "model")
     kwargs = {}
     for name in ("E1", "E2"):
         if name in d:
@@ -272,7 +263,7 @@ def model_from_dict(d: dict) -> OscillatorModel:
 
 
 def micz_from_dict(d: dict) -> MiczParams:
-    _check_keys(d, {"Z", "c1", "c2", "J", "L"}, {"Z"}, "micz block")
+    check_keys(d, {"Z", "c1", "c2", "J", "L"}, {"Z"}, "micz block")
     return MiczParams(
         Z=float(d["Z"]),
         c1=float(d.get("c1", 0.0)),

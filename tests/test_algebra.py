@@ -88,6 +88,28 @@ def test_forward_batch_matches_scalar():
         assert np.allclose(X[i], hurwitz_forward(U[i], V[i]))
 
 
+def test_forward_batch_matches_gamma_loop():
+    # reference: x_k = 2 u^T Gamma_k v one matrix at a time; the batch map sums
+    # in another order, so compare to a few ulps of the |x| = u.u + v.v scale
+    rng = np.random.default_rng(11)
+    U = rng.normal(size=(50, 8))
+    V = rng.normal(size=(50, 8))
+    g = build_gamma_set()
+    ref = np.array([[2.0 * u @ g[k] @ v for k in range(8)] + [u @ u - v @ v] for u, v in zip(U, V)])
+    X = hurwitz_forward_batch(U, V)
+    scale = np.sum(U * U, axis=1) + np.sum(V * V, axis=1)
+    assert np.max(np.abs(X - ref) / scale[:, None]) <= 8 * np.finfo(float).eps
+
+
+def test_forward_batch_rejects_non_finite():
+    U = np.zeros((3, 8))
+    U[1, 4] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        hurwitz_forward_batch(U, np.zeros((3, 8)))
+    with pytest.raises(ValueError, match="non-finite"):
+        hurwitz_forward_batch(np.zeros((3, 8)), np.full((3, 8), np.inf))
+
+
 def test_forward_rejects_bad_input():
     with pytest.raises(ValueError):
         hurwitz_forward(np.zeros(7), np.zeros(8))

@@ -1,8 +1,9 @@
+import argparse
 import json
 
 import pytest
 
-from hurwitz_kepler.cli import main
+from hurwitz_kepler.cli import _build_parser, main
 
 
 def _write(tmp_path, name, payload):
@@ -52,6 +53,14 @@ class TestTransform:
     def test_unknown_key(self, tmp_path):
         cfg = _write(tmp_path, "t.json", {"count": 10, "sneed": 1})
         assert main(["transform", cfg, "--out", str(tmp_path)]) == 2
+
+    def test_non_finite_input_exit_2(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "t.json", {"u": [float("nan")] + [0.0] * 7, "v": [1.0] * 8})
+        assert main(["transform", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "u or v has non-finite entries" in err
+        assert "serialize" not in err
+        assert not (tmp_path / "transform.csv").exists()
 
 
 class TestSpectrum:
@@ -247,3 +256,65 @@ class TestSerialization:
 
     def test_missing_config_file(self, tmp_path):
         assert main(["transform", str(tmp_path / "none.json"), "--out", str(tmp_path)]) == 2
+
+
+_OSC = {
+    "problem": "oscillator",
+    "potential": {"variant": "sho", "omega": 1.0},
+    "n_max": 0,
+    "l_max": 0,
+    "grid": {"n": 400, "rmax": 12.0},
+}
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejects a flag the subcommand does not take
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "sub, cfg, flags",
+    [
+        ("transform", {"count": 5}, ["--format", "json"]),
+        ("spectrum", _OSC, ["--seed", "3"]),
+        ("spectrum", _OSC, ["--verify"]),
+        ("duality", {"omega": 0.25}, ["--format", "csv"]),
+        ("spectrum", {**_OSC, "tolerance": 1.0}, []),
+        ("duality", {"omega": 0.25, "tolerance": 1.0}, []),
+        ("duality", {"omega": 0.25, "grid": {"n": 400, "rmax": 50.0}}, []),
+        ("spectrum", {**_OSC, "micz": {"Z": 1.0}}, []),
+        ("transform", {"u": [1.0] + [0.0] * 7, "v": [0.0] * 8, "count": 5}, []),
+    ],
+    ids=[
+        "transform-format",
+        "spectrum-seed",
+        "spectrum-verify",
+        "duality-format",
+        "spectrum-tolerance-key",
+        "duality-tolerance-key",
+        "duality-grid-rmax",
+        "oscillator-micz-key",
+        "transform-uv-and-count",
+    ],
+)
+def test_unread_input_exit_2(tmp_path, sub, cfg, flags):
+    path = _write(tmp_path, "c.json", cfg)
+    out = tmp_path / "out"
+    assert _exit_code([sub, path, "--out", str(out)] + flags) == 2
+    assert not out.exists()
+
+
+def test_subcommand_flags():
+    (sub,) = (a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {
+        name: sorted(s for a in p._actions for s in a.option_strings if s not in ("-h", "--help"))
+        for name, p in sub.choices.items()
+    }
+    assert flags == {
+        "transform": ["--out", "--tol"],
+        "spectrum": ["--out", "--tol"],
+        "qes": ["--out", "--tol", "--verify"],
+        "duality": ["--no-verify", "--out", "--tol"],
+    }

@@ -237,3 +237,15 @@ def test_spherical_micz_energy_composition():
     s0 = alpha + gamma + 4.0
     assert states[0][0] == pytest.approx(-1.0 / (2.0 * s0**2), rel=1e-7)
     assert states[1][0] == pytest.approx(-1.0 / (2.0 * (s0 + 1.0) ** 2), rel=1e-7)
+
+
+def test_spherical_micz_energies_keeps_polar_eigenvalue():
+    # on Grid(n=64) the c1 = c2 = 0 polar ground eigenvalue comes out slightly
+    # negative; the radial solve must use it as computed, not clamped to 0
+    micz = MiczParams(Z=1.0)
+    lam = fd_eigensolve(build_radial_problem("theta", micz=micz), Grid(n=64), 1).eigenvalues[0]
+    assert lam < 0.0
+    ((E, it, N, lam_out),) = spherical_micz_energies(micz, 1, 1, Grid(n=64), Grid(n=1000), rmax=260.0)
+    assert (it, N, lam_out) == (0, 0, lam)
+    radial = build_radial_problem("coul9", Z=1.0, lam=lam, rmax=260.0)
+    assert E == fd_eigensolve(radial, Grid(n=1000), 1).eigenvalues[0]
