@@ -42,6 +42,7 @@ from .errors import (
     QesPreconditionError,
     SeparabilityError,
     check_keys,
+    int_key,
 )
 from .numeric import (
     Grid,
@@ -99,11 +100,18 @@ def write_json(path: Path, obj: dict) -> None:
     path.write_text(_to_json(obj) + "\n")
 
 
-def write_csv(path: Path, header: list, rows: list) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if not isinstance(v, str) else v for v in row))
-    path.write_text("\n".join(lines) + "\n")
+def write_csv(path: Path, header: list, rows) -> None:
+    """Write ``rows`` under ``header``: a float array one row at a time
+    through a single ``%.17g`` template (the same text as :func:`_fmt`), or
+    a list of mixed rows one value at a time through :func:`_fmt`."""
+    if isinstance(rows, np.ndarray):
+        if not np.isfinite(rows).all():
+            raise ValueError("cannot serialize non-finite float")
+        template = ",".join(["%.17g"] * rows.shape[1])
+        lines = [template % tuple(row) for row in rows.tolist()]
+    else:
+        lines = [",".join(_fmt(v) if not isinstance(v, str) else v for v in row) for row in rows]
+    path.write_text("\n".join([",".join(header)] + lines) + "\n")
 
 
 def _load_config(path: str, allowed: set, required: set = frozenset()) -> dict:
@@ -117,15 +125,23 @@ def _load_config(path: str, allowed: set, required: set = frozenset()) -> dict:
 
 
 def _grid_from(cfg: dict, default_n: int, with_rmax: bool = True) -> tuple:
-    """The ``grid`` block as (Grid, its ``rmax`` or None); ``with_rmax=False`` rejects that key."""
+    """The ``grid`` block as (Grid, its ``rmax`` or None); ``with_rmax=False`` rejects that key.
+
+    Every value is checked here, whether or not the run goes on to solve.
+    """
     keys = {"n", "spacing", "stretch"} | ({"rmax"} if with_rmax else set())
     g = check_keys(cfg.get("grid", {}), keys, what="grid block")
     grid = Grid(
-        n=int(g.get("n", default_n)),
+        n=int_key(g, "n", default_n, what="grid block"),
         spacing=str(g.get("spacing", "uniform")),
         stretch=float(g.get("stretch", 6.0)),
     )
-    return grid, g.get("rmax")
+    rmax = g.get("rmax")
+    if rmax is not None and not (
+        isinstance(rmax, (int, float)) and not isinstance(rmax, bool) and 0.0 < rmax < math.inf
+    ):
+        raise ConfigError(f"grid block key 'rmax' must be a positive finite number, got {rmax!r}")
+    return grid, rmax
 
 
 def _out_dir(args) -> Path:
@@ -148,8 +164,8 @@ def cmd_transform(args) -> int:
             raise ConfigError("u and v must each have exactly 8 components")
         U, V = u[None, :], v[None, :]
     else:
-        count = int(cfg.get("count", 1000))
-        seed = int(cfg.get("seed", 0))
+        count = int_key(cfg, "count", 1000, minimum=1)
+        seed = int_key(cfg, "seed", 0, minimum=0)
         rng = np.random.default_rng(seed)
         U = rng.normal(size=(count, 8))
         V = rng.normal(size=(count, 8))
@@ -164,12 +180,8 @@ def cmd_transform(args) -> int:
         + [f"x{i}" for i in range(1, 10)]
         + ["r", "x9", "residual"]
     )
-    r = np.sqrt(norm2)
-    rows = [
-        list(U[i]) + list(V[i]) + list(X[i]) + [r[i], X[i, 8], resid[i]]
-        for i in range(U.shape[0])
-    ]
-    write_csv(_out_dir(args) / "transform.csv", header, rows)
+    table = np.column_stack([U, V, X, np.sqrt(norm2), X[:, 8], resid])
+    write_csv(_out_dir(args) / "transform.csv", header, table)
     worst = float(np.max(resid))
     print(f"transform: {U.shape[0]} rows, max residual {worst:.3e}")
     return 0 if worst <= args.tol else 1
@@ -181,8 +193,8 @@ def cmd_transform(args) -> int:
 
 def _spectrum_oscillator(cfg: dict) -> tuple:
     pot = potential_from_dict(cfg["potential"])
-    n_max = int(cfg.get("n_max", 2))
-    l_max = int(cfg.get("l_max", 1))
+    n_max = int_key(cfg, "n_max", 2, minimum=0)
+    l_max = int_key(cfg, "l_max", 1, minimum=0)
     grid, rmax = _grid_from(cfg, 4000)
     rows = []
     worst = 0.0
@@ -205,7 +217,7 @@ def _spectrum_micz(cfg: dict) -> tuple:
         require_spherically_separable(model)
         if model.Z != 0.0 and abs(model.Z - micz.Z) > 1e-12 * max(1.0, abs(micz.Z)):
             raise ConfigError("model charge Z1+Z2 disagrees with the micz block Z")
-    n_states = int(cfg.get("n_states", 2))
+    n_states = int_key(cfg, "n_states", 2, minimum=1)
     grid, rmax = _grid_from(cfg, 4000)
     smax = n_states + 5.0
     rmax = float(rmax or 55.0 * smax / max(abs(micz.Z), 1e-6))
@@ -276,8 +288,8 @@ def cmd_qes(args) -> int:
         a_p=float(cfg["a_prime"]),
         b_p=float(cfg["b_prime"]),
         c_p=float(cfg.get("c_prime", 0.0)),
-        N=int(cfg["N"]),
-        dim=int(cfg.get("dim", 8)),
+        N=int_key(cfg, "N", minimum=1),
+        dim=int_key(cfg, "dim", 8, minimum=1),
         l_p=float(cfg.get("l_prime", 0.0)),
     )
     if family == "sub2":

@@ -1,6 +1,6 @@
-"""Exception types shared across the package, and :func:`check_keys`, the
+"""Exception types shared across the package; :func:`check_keys`, the
 one strict-key check of every JSON block (config, grid, case, potential,
-model, micz).
+model, micz); and :func:`int_key`, the one check of an integer config value.
 
 The CLI maps outcomes to stable exit codes:
 
@@ -17,6 +17,8 @@ The CLI maps outcomes to stable exit codes:
 
 from __future__ import annotations
 
+import math
+
 __all__ = [
     "HurwitzKeplerError",
     "ConfigError",
@@ -26,6 +28,7 @@ __all__ = [
     "BracketError",
     "AccuracyError",
     "check_keys",
+    "int_key",
 ]
 
 
@@ -80,3 +83,19 @@ def check_keys(d, allowed, required=frozenset(), what: str = "config") -> dict:
     if missing:
         raise ConfigError(f"missing key(s) in {what}: {sorted(missing)}")
     return d
+
+
+def int_key(d: dict, key: str, default=None, minimum=None, what: str = "config") -> int:
+    """``d[key]`` (``default`` when absent) as an int, never truncated.
+
+    A JSON integer, or a number equal to one (``2.0``), is accepted; a
+    boolean, a non-integral or non-numeric value, or one below ``minimum``
+    is a :class:`ConfigError` that names the key.
+    """
+    v = d.get(key, default)
+    integral = isinstance(v, int) or (isinstance(v, float) and math.isfinite(v) and v.is_integer())
+    if isinstance(v, bool) or not integral:
+        raise ConfigError(f"{what} key {key!r} must be an integer, got {v!r}")
+    if minimum is not None and v < minimum:
+        raise ConfigError(f"{what} key {key!r} must be at least {minimum}, got {v!r}")
+    return int(v)

@@ -36,6 +36,11 @@ with E and their slopes follow from the eigenvectors (Hellmann-Feynman),
 so each matching root is found by safeguarded Newton iteration on both
 grids and the root itself is Richardson-extrapolated, with an error bar.
 
+Every eigensolve goes through :func:`eigh_tridiagonal`, which imports
+scipy's solver on its first call: importing this module (and the
+package, and its CLI) loads numpy only, so work that solves nothing never
+pays scipy's start-up.
+
 Solves share no mutable state; concurrent sector sweeps are safe.
 """
 
@@ -46,7 +51,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import AccuracyError, BracketError
 from .potentials import (
@@ -74,6 +78,13 @@ __all__ = [
 _TAIL_LIMIT = math.exp(-20.0)
 _MAX_EXTENSIONS = 6
 _EPS = float(np.finfo(float).eps)
+
+
+def eigh_tridiagonal(d, e, **kwargs):
+    """``scipy.linalg.eigh_tridiagonal(d, e, **kwargs)``, imported on the first call."""
+    from scipy.linalg import eigh_tridiagonal as solve
+
+    return solve(d, e, **kwargs)
 
 
 @dataclass(frozen=True)

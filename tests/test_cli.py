@@ -1,9 +1,16 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from hurwitz_kepler.cli import _build_parser, main
+import hurwitz_kepler
+from hurwitz_kepler.algebra import build_gamma_set, hurwitz_forward_batch
+from hurwitz_kepler.cli import _build_parser, main, write_csv
 
 
 def _write(tmp_path, name, payload):
@@ -61,6 +68,50 @@ class TestTransform:
         assert "u or v has non-finite entries" in err
         assert "serialize" not in err
         assert not (tmp_path / "transform.csv").exists()
+
+
+def _transform_table(U, V):
+    """The transform.csv values recomputed from the inputs."""
+    X = hurwitz_forward_batch(U, V, build_gamma_set())
+    norm2 = np.einsum("nk,nk->n", X, X)
+    ref = (np.einsum("ns,ns->n", U, U) + np.einsum("ns,ns->n", V, V)) ** 2
+    resid = np.where(ref > 0.0, np.abs(norm2 - ref) / np.where(ref > 0, ref, 1.0), 0.0)
+    return np.column_stack([U, V, X, np.sqrt(norm2), X[:, 8], resid])
+
+
+def _assert_cells_are_17g(path, table):
+    _, rows = _read_csv(path)
+    assert len(rows) == table.shape[0]
+    for row, values in zip(rows, table):
+        assert row == [format(float(v), ".17g") for v in values]
+
+
+class TestTransformFormat:
+    def test_seeded_cells(self, tmp_path):
+        cfg = _write(tmp_path, "t.json", {"count": 40, "seed": 11})
+        assert main(["transform", cfg, "--out", str(tmp_path)]) == 0
+        rng = np.random.default_rng(11)
+        U = rng.normal(size=(40, 8))
+        V = rng.normal(size=(40, 8))
+        _assert_cells_are_17g(tmp_path / "transform.csv", _transform_table(U, V))
+
+    def test_signed_zero_and_extreme_magnitudes(self, tmp_path):
+        u = [-0.0, 1e-30, 1e30, 1.0, 2.0, 3.0, 4.0, 5.0]
+        v = [0.0, -1e-30, 3e-31, -1e30, 0.5, 0.0, 0.0, 1e-300]
+        cfg = _write(tmp_path, "t.json", {"u": u, "v": v})
+        assert main(["transform", cfg, "--out", str(tmp_path)]) == 0
+        table = _transform_table(np.array([u]), np.array([v]))
+        _assert_cells_are_17g(tmp_path / "transform.csv", table)
+        _, rows = _read_csv(tmp_path / "transform.csv")
+        assert rows[0][:3] == ["-0", "1.0000000000000001e-30", "1e+30"]
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_table_rejected(self, tmp_path, bad):
+        table = np.ones((3, 4))
+        table[1, 2] = bad
+        with pytest.raises(ValueError, match="cannot serialize non-finite float"):
+            write_csv(tmp_path / "t.csv", ["a", "b", "c", "d"], table)
+        assert not (tmp_path / "t.csv").exists()
 
 
 class TestSpectrum:
@@ -317,4 +368,101 @@ def test_subcommand_flags():
         "spectrum": ["--out", "--tol"],
         "qes": ["--out", "--tol", "--verify"],
         "duality": ["--no-verify", "--out", "--tol"],
+    }
+
+
+_QES = {"family": "super2", "a_prime": 0.05, "b_prime": 1.0, "N": 1}
+
+
+@pytest.mark.parametrize(
+    "sub, cfg, key",
+    [
+        ("transform", {"count": 2.7}, "count"),
+        ("transform", {"count": True}, "count"),
+        ("transform", {"count": 0}, "count"),
+        ("transform", {"count": "5"}, "count"),
+        ("transform", {"count": 5, "seed": 1.5}, "seed"),
+        ("spectrum", {**_OSC, "n_max": 1.9}, "n_max"),
+        ("spectrum", {**_OSC, "l_max": False}, "l_max"),
+        ("spectrum", {"problem": "micz", "micz": {"Z": 1.0}, "n_states": 1.5}, "n_states"),
+        ("spectrum", {**_OSC, "grid": {"n": 400.5}}, "n"),
+        ("qes", {**_QES, "N": 1.5}, "N"),
+        ("qes", {**_QES, "dim": True}, "dim"),
+    ],
+    ids=[
+        "count-fraction",
+        "count-bool",
+        "count-zero",
+        "count-string",
+        "seed-fraction",
+        "n_max-fraction",
+        "l_max-bool",
+        "n_states-fraction",
+        "grid-n-fraction",
+        "N-fraction",
+        "dim-bool",
+    ],
+)
+def test_integer_key_exit_2(tmp_path, capsys, sub, cfg, key):
+    path = _write(tmp_path, "c.json", cfg)
+    out = tmp_path / "out"
+    assert main([sub, path, "--out", str(out)]) == 2
+    assert f"key {key!r} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_integral_float_count_accepted(tmp_path):
+    cfg = _write(tmp_path, "t.json", {"count": 3.0, "seed": 2.0})
+    assert main(["transform", cfg, "--out", str(tmp_path)]) == 0
+    _, rows = _read_csv(tmp_path / "transform.csv")
+    assert len(rows) == 3
+
+
+@pytest.mark.parametrize("verify", [[], ["--verify"]], ids=["plain", "verify"])
+@pytest.mark.parametrize("rmax", [-1.0, 0.0, float("nan"), float("inf"), "12", True])
+def test_qes_grid_rmax_checked_in_both_modes(tmp_path, capsys, rmax, verify):
+    path = _write(tmp_path, "q.json", {**_QES, "grid": {"rmax": rmax}})
+    out = tmp_path / "out"
+    assert main(["qes", path, "--out", str(out)] + verify) == 2
+    assert "grid block key 'rmax' must be a positive finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_STARTUP = """
+import json, sys
+import hurwitz_kepler, hurwitz_kepler.cli as cli
+cfg, out = json.loads(sys.argv[1]), sys.argv[2]
+loaded = {"import": "scipy" in sys.modules}
+for name, argv in (
+    ("transform", ["transform", cfg["transform"]]),
+    ("duality --no-verify", ["duality", cfg["duality"], "--no-verify"]),
+    ("spectrum", ["spectrum", cfg["spectrum"]]),
+):
+    assert cli.main(argv + ["--out", out]) == 0, name
+    loaded[name] = "scipy" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+def test_scipy_loaded_only_by_a_solve(tmp_path):
+    # a fresh interpreter: this one has scipy loaded by other tests
+    cfg = {
+        "transform": _write(tmp_path, "t.json", {"count": 5}),
+        "duality": _write(tmp_path, "d.json", {"omega": 0.25}),
+        "spectrum": _write(tmp_path, "s.json", {**_OSC, "grid": {"n": 2000, "rmax": 12.0}}),
+    }
+    src = str(Path(hurwitz_kepler.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run(
+        [sys.executable, "-c", _STARTUP, json.dumps(cfg), str(tmp_path / "out")],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout.splitlines()[-1]) == {
+        "import": False,
+        "transform": False,
+        "duality --no-verify": False,
+        "spectrum": True,
     }
