@@ -42,6 +42,7 @@ from .errors import (
     QesPreconditionError,
     SeparabilityError,
     check_keys,
+    float_key,
     int_key,
 )
 from .numeric import (
@@ -127,14 +128,18 @@ def _load_config(path: str, allowed: set, required: set = frozenset()) -> dict:
 def _grid_from(cfg: dict, default_n: int, with_rmax: bool = True) -> tuple:
     """The ``grid`` block as (Grid, its ``rmax`` or None); ``with_rmax=False`` rejects that key.
 
-    Every value is checked here, whether or not the run goes on to solve.
+    Every value is checked here, whether or not the run goes on to solve;
+    ``stretch`` is taken only with ``spacing`` "log", the one grid it shapes.
     """
     keys = {"n", "spacing", "stretch"} | ({"rmax"} if with_rmax else set())
     g = check_keys(cfg.get("grid", {}), keys, what="grid block")
+    spacing = str(g.get("spacing", "uniform"))
+    if "stretch" in g and spacing != "log":
+        raise ConfigError("grid block key 'stretch' needs spacing 'log'")
     grid = Grid(
         n=int_key(g, "n", default_n, what="grid block"),
-        spacing=str(g.get("spacing", "uniform")),
-        stretch=float(g.get("stretch", 6.0)),
+        spacing=spacing,
+        stretch=float_key(g, "stretch", 6.0, what="grid block"),
     )
     rmax = g.get("rmax")
     if rmax is not None and not (
@@ -285,12 +290,12 @@ def cmd_qes(args) -> int:
     )
     family = str(cfg["family"]).lower()
     params = QesPrimedParams(
-        a_p=float(cfg["a_prime"]),
-        b_p=float(cfg["b_prime"]),
-        c_p=float(cfg.get("c_prime", 0.0)),
+        a_p=float_key(cfg, "a_prime"),
+        b_p=float_key(cfg, "b_prime"),
+        c_p=float_key(cfg, "c_prime", 0.0),
         N=int_key(cfg, "N", minimum=1),
         dim=int_key(cfg, "dim", 8, minimum=1),
-        l_p=float(cfg.get("l_prime", 0.0)),
+        l_p=float_key(cfg, "l_prime", 0.0),
     )
     if family == "sub2":
         pot, d_const = qes_map_sub2(params)
@@ -406,6 +411,8 @@ def _duality_case(
         "dev_parabolic": None,
         "P": None,
         "E_fixed_charge": None,
+        "E_parabolic_error": None,
+        "parabolic_solves": None,
     }
     if not verify:
         return case
@@ -426,6 +433,8 @@ def _duality_case(
             "dev_parabolic": abs(st.E - e_dual) / abs(e_dual),
             "P": st.P,
             "E_fixed_charge": e_fixed,
+            "E_parabolic_error": st.E_error,
+            "parabolic_solves": st.solves,
         }
     )
     return case
@@ -433,24 +442,18 @@ def _duality_case(
 
 def cmd_duality(args) -> int:
     cfg = _load_config(args.config, {"omega", "omega2", "cases", "grid"}, {"omega"})
-    omega = float(cfg["omega"])
-    omega2 = float(cfg.get("omega2", omega))
+    omega = float_key(cfg, "omega")
+    omega2 = float_key(cfg, "omega2", omega)
     grid, _ = _grid_from(cfg, 2000, with_rmax=False)
     cases_cfg = cfg.get("cases", [{"c1": 0.0, "c2": 0.0}])
-    z_fixed = 4.0 * omega  # coulomb charge of the undressed (c = 0) ground sector
-    cases = []
+    if not (isinstance(cases_cfg, list) and cases_cfg):
+        raise ConfigError(f"config key 'cases' must be a non-empty list, got {cases_cfg!r}")
+    strengths = []  # every case is checked before the first is solved
     for case in cases_cfg:
         check_keys(case, {"c1", "c2"}, what="case")
-        cases.append(
-            _duality_case(
-                omega,
-                float(case.get("c1", 0.0)),
-                float(case.get("c2", 0.0)),
-                grid,
-                z_fixed,
-                args.verify,
-            )
-        )
+        strengths.append(tuple(float_key(case, c, 0.0, what="case") for c in ("c1", "c2")))
+    z_fixed = 4.0 * omega  # coulomb charge of the undressed (c = 0) ground sector
+    cases = [_duality_case(omega, c1, c2, grid, z_fixed, args.verify) for c1, c2 in strengths]
     if args.verify:
         base = cases[0]["E_fixed_charge"]
         for c in cases:

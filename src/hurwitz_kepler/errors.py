@@ -1,6 +1,7 @@
 """Exception types shared across the package; :func:`check_keys`, the
 one strict-key check of every JSON block (config, grid, case, potential,
-model, micz); and :func:`int_key`, the one check of an integer config value.
+model, micz); and :func:`int_key` and :func:`float_key`, the one check of
+an integer and of a real config value respectively.
 
 The CLI maps outcomes to stable exit codes:
 
@@ -18,6 +19,7 @@ The CLI maps outcomes to stable exit codes:
 from __future__ import annotations
 
 import math
+import sys
 
 __all__ = [
     "HurwitzKeplerError",
@@ -29,6 +31,7 @@ __all__ = [
     "AccuracyError",
     "check_keys",
     "int_key",
+    "float_key",
 ]
 
 
@@ -99,3 +102,16 @@ def int_key(d: dict, key: str, default=None, minimum=None, what: str = "config")
     if minimum is not None and v < minimum:
         raise ConfigError(f"{what} key {key!r} must be at least {minimum}, got {v!r}")
     return int(v)
+
+
+def float_key(d: dict, key: str, default=None, what: str = "config") -> float:
+    """``d[key]`` (``default`` when absent) as a float, never coerced.
+
+    A JSON integer or real is accepted; a boolean, a string or any other
+    type, or a value that is not finite as a float, is a
+    :class:`ConfigError` that names the key.
+    """
+    v = d.get(key, default)
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
+        raise ConfigError(f"{what} key {key!r} must be a finite number, got {v!r}")
+    return float(v)

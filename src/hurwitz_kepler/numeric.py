@@ -35,6 +35,14 @@ shift and one eigensolve per equation; its eigenvalues fall strictly
 with E and their slopes follow from the eigenvectors (Hellmann-Feynman),
 so each matching root is found by safeguarded Newton iteration on both
 grids and the root itself is Richardson-extrapolated, with an error bar.
+The charge enters only as a constant shift of each pencil, so the
+eigenvalues at the bracket's upper end already give the charge each
+branch pair binds there; with sho factors that charge grows as sqrt(-E)
+(the Coulomb Sturmian scaling), which seeds Newton within the
+discretization error of the root.  Any other factor only makes the seed
+a first guess, and a pair without a seed starts from the secant point.
+With sho factors the states also have one shape in sqrt(-2E) w, so a
+search for three or more branches starts on the domain that holds them.
 
 Every eigensolve goes through :func:`eigh_tridiagonal`, which imports
 scipy's solver on its first call: importing this module (and the
@@ -521,14 +529,25 @@ def parabolic_joint_solve(
 
     Both equations are assembled once, at E = 0, on a fine grid (2n+1
     nodes) and a coarse one (n nodes); an energy then costs one diagonal
-    shift and one tridiagonal eigensolve per equation.  The domain is
-    extended (times 1.5 at fixed spacing) until all ``branch_max + 1``
-    states have decayed to e^-20 at the least-bound end of the bracket,
-    and kept for every energy and both grids.  Each pair whose endpoint
-    mismatch changes sign is solved by bracket-safeguarded Newton on the
-    fine grid, polished by Newton on the coarse grid from the fine root,
-    and Richardson-extrapolated: E = (4 E_fine - E_coarse) / 3, likewise P.
-    Of the roots found, the lowest E wins and degenerate pairs (within
+    shift and one tridiagonal eigensolve per equation.  The domain starts
+    at w = 50 / sqrt(-2 E_hi) with node spacing 0.1 or finer, one x1.5
+    rung higher for sho factors and ``branch_max >= 2`` (their two-node
+    state has not decayed to e^-20 on the lower rung), and is extended
+    (times 1.5 at fixed spacing) until all ``branch_max + 1`` states have
+    decayed to e^-20 at the least-bound end of the bracket; it is kept
+    for every energy and both grids.
+
+    Each pair whose endpoint mismatch changes sign is solved by
+    bracket-safeguarded Newton on the fine grid, polished by Newton on the
+    coarse grid from the fine root, and Richardson-extrapolated:
+    E = (4 E_fine - E_coarse) / 3, likewise P.  The charge enters as the
+    constant shift -Z_a of each pencil, so F(E_hi) + Z, with Z = Z1 + Z2,
+    is the charge the pair binds at E_hi.  The fine Newton starts at the
+    Sturmian seed E* = E_hi (Z / (F(E_hi) + Z))^2, which is the root up to
+    discretization error when that charge grows as sqrt(-E) (sho factors)
+    and only a first guess otherwise; it starts at the secant point of
+    the bracket when Z <= 0, F(E_hi) + Z <= 0 or E* lies outside the
+    bracket.  Of the roots found, the lowest E wins and degenerate pairs (within
     1e-8 relative) are broken by the smallest |P|.  Every state of that
     degenerate group must satisfy ``E_error <= conv_tol * |E|`` or
     :class:`AccuracyError` is raised; a bracket without a sign change
@@ -541,7 +560,14 @@ def parabolic_joint_solve(
         raise ValueError("branch_max must be nonnegative")
     kb = branch_max + 1
     hi = 50.0 / math.sqrt(-2.0 * e_hi)
-    n = max(grid.n, int(hi / 0.1))
+    # With sho factors the states at fixed E have one shape in kappa w
+    # (kappa = sqrt(-2E)), and the two-node state still keeps more than
+    # e^-20 of its peak at kappa w = 50 for every centrifugal strength, so
+    # a search for three or more branches starts one rung up the x1.5
+    # ladder of _contain, at the node spacing that rung has there.
+    rung = 1.5 if branch_max >= 2 and model.p1.variant == model.p2.variant == "sho" else 1.0
+    n = int(max(grid.n, int(hi / 0.1)) * rung)
+    hi *= rung
     problems = [
         build_radial_problem(kind, model=model, micz=micz, energy=0.0, wmax=hi)
         for kind in ("para_u", "para_v")
@@ -560,10 +586,17 @@ def parabolic_joint_solve(
     }
 
     states = []
+    z = model.Z
     for (i, j), (f_lo, f_hi) in mismatch.items():
         if not f_lo >= 0.0 >= f_hi:
             continue
-        start = e_lo + (e_hi - e_lo) * f_lo / (f_lo - f_hi) if f_lo else e_lo
+        # Sturmian seed: the pair binds charge F + Z at e_hi, and with sho
+        # factors that charge grows as sqrt(-E); otherwise it is a guess.
+        seed = e_hi * (z / (f_hi + z)) ** 2 if z > 0.0 and f_hi + z > 0.0 else math.nan
+        if e_lo < seed < e_hi:
+            start = seed
+        else:
+            start = e_lo + (e_hi - e_lo) * f_lo / (f_lo - f_hi) if f_lo else e_lo
         e_f, p_f, at, eigenpairs, evals_f = _match_root(fine, i, j, start, e_lo, e_hi)
         e_c, p_c, _, _, evals_c = _match_root(coarse, i, j, e_f, -math.inf, math.inf)
         solves += 2 * (evals_f + evals_c)

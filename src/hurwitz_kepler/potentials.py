@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SeparabilityError, check_keys
+from .errors import SeparabilityError, check_keys, float_key, int_key
 
 __all__ = [
     "Potential8D",
@@ -240,24 +240,21 @@ def potential_from_dict(d: dict) -> Potential8D:
     check_keys(d, {"variant", "omega", "c", "a", "b"}, {"variant", "omega"}, "potential")
     return Potential8D(
         variant=d["variant"],
-        omega=float(d["omega"]),
-        c=float(d.get("c", 0.0)),
-        a=float(d.get("a", 0.0)),
-        b=float(d.get("b", 0.0)),
+        omega=float_key(d, "omega", what="potential"),
+        c=float_key(d, "c", 0.0, what="potential"),
+        a=float_key(d, "a", 0.0, what="potential"),
+        b=float_key(d, "b", 0.0, what="potential"),
     )
 
 
 def model_from_dict(d: dict) -> OscillatorModel:
     check_keys(d, {"p1", "p2", "Z1", "Z2", "E1", "E2"}, {"p1", "p2"}, "model")
-    kwargs = {}
-    for name in ("E1", "E2"):
-        if name in d:
-            kwargs[name] = float(d[name])
+    kwargs = {name: float_key(d, name, what="model") for name in ("E1", "E2") if name in d}
     return OscillatorModel(
         p1=potential_from_dict(d["p1"]),
         p2=potential_from_dict(d["p2"]),
-        Z1=float(d.get("Z1", 0.0)),
-        Z2=float(d.get("Z2", 0.0)),
+        Z1=float_key(d, "Z1", 0.0, what="model"),
+        Z2=float_key(d, "Z2", 0.0, what="model"),
         **kwargs,
     )
 
@@ -265,9 +262,9 @@ def model_from_dict(d: dict) -> OscillatorModel:
 def micz_from_dict(d: dict) -> MiczParams:
     check_keys(d, {"Z", "c1", "c2", "J", "L"}, {"Z"}, "micz block")
     return MiczParams(
-        Z=float(d["Z"]),
-        c1=float(d.get("c1", 0.0)),
-        c2=float(d.get("c2", 0.0)),
-        J=int(d.get("J", 0)),
-        L=int(d.get("L", 0)),
+        Z=float_key(d, "Z", what="micz block"),
+        c1=float_key(d, "c1", 0.0, what="micz block"),
+        c2=float_key(d, "c2", 0.0, what="micz block"),
+        J=int_key(d, "J", 0, minimum=0, what="micz block"),
+        L=int_key(d, "L", 0, minimum=0, what="micz block"),
     )

@@ -248,6 +248,18 @@ class TestDuality:
         dressed = doc["cases"][1]
         assert dressed["micz_shift"] > 0.0
         assert dressed["dev_parabolic"] <= 1e-5
+        for case in doc["cases"]:
+            # the parabolic error bar bounds the deviation; both are ground levels
+            assert 0.0 < case["E_parabolic_error"] <= 1e-5 * abs(case["E_parabolic"])
+            assert abs(case["E_parabolic"] - case["E_dual"]) <= case["E_parabolic_error"]
+            assert case["parabolic_solves"] == 12
+
+    def test_unverified_report_has_null_search_fields(self, tmp_path):
+        cfg = _write(tmp_path, "d.json", {"omega": 0.25})
+        assert main(["duality", cfg, "--out", str(tmp_path), "--no-verify"]) == 0
+        (case,) = json.loads((tmp_path / "duality_report.json").read_text())["cases"]
+        assert case["E_parabolic_error"] is None
+        assert case["parabolic_solves"] is None
 
     def test_anisotropic_dipole_field(self, tmp_path):
         cfg = _write(tmp_path, "d.json", {"omega": 0.25, "omega2": 0.5})
@@ -416,6 +428,93 @@ def test_integral_float_count_accepted(tmp_path):
     assert main(["transform", cfg, "--out", str(tmp_path)]) == 0
     _, rows = _read_csv(tmp_path / "transform.csv")
     assert len(rows) == 3
+
+
+_SHO = {"variant": "sho", "omega": 1.0}
+_MICZ = {"problem": "micz", "micz": {"Z": 1.0}, "n_states": 1}
+_SUPER2 = {"variant": "super2", "omega": 1.0}
+
+
+@pytest.mark.parametrize(
+    "sub, cfg, key",
+    [
+        ("qes", {**_QES, "a_prime": "0.05"}, "a_prime"),
+        ("qes", {**_QES, "b_prime": True}, "b_prime"),
+        ("qes", {**_QES, "c_prime": float("nan")}, "c_prime"),
+        ("qes", {**_QES, "l_prime": "0"}, "l_prime"),
+        ("duality", {"omega": "1.0"}, "omega"),
+        ("duality", {"omega": 0.25, "omega2": True}, "omega2"),
+        ("duality", {"omega": 0.25, "cases": [{"c1": "1"}]}, "c1"),
+        ("duality", {"omega": 0.25, "cases": [{"c1": 0, "c2": float("inf")}]}, "c2"),
+        ("spectrum", {**_OSC, "grid": {"n": 400, "spacing": "log", "stretch": True}}, "stretch"),
+        ("spectrum", {**_OSC, "potential": {**_SHO, "omega": "1.0"}}, "omega"),
+        ("spectrum", {**_OSC, "potential": {**_SHO, "c": 10**400}}, "c"),
+        ("spectrum", {**_OSC, "potential": {**_SUPER2, "a": False}}, "a"),
+        ("spectrum", {**_OSC, "potential": {**_SUPER2, "b": "0.1"}}, "b"),
+        ("spectrum", {**_MICZ, "model": {"p1": _SHO, "p2": _SHO, "Z1": "0.5"}}, "Z1"),
+        ("spectrum", {**_MICZ, "model": {"p1": _SHO, "p2": _SHO, "Z2": True}}, "Z2"),
+        ("spectrum", {**_MICZ, "model": {"p1": _SHO, "p2": _SHO, "E1": "-0.5"}}, "E1"),
+        ("spectrum", {**_MICZ, "model": {"p1": _SHO, "p2": _SHO, "E2": None}}, "E2"),
+        ("spectrum", {**_MICZ, "micz": {"Z": "1"}}, "Z"),
+        ("spectrum", {**_MICZ, "micz": {"Z": 1.0, "c1": [1.0]}}, "c1"),
+        ("spectrum", {**_MICZ, "micz": {"Z": 1.0, "c2": float("-inf")}}, "c2"),
+        ("spectrum", {**_MICZ, "micz": {"Z": 1.0, "J": 1.7}}, "J"),
+        ("spectrum", {**_MICZ, "micz": {"Z": 1.0, "L": True}}, "L"),
+    ],
+    ids=[
+        "a_prime-string",
+        "b_prime-bool",
+        "c_prime-nan",
+        "l_prime-string",
+        "omega-string",
+        "omega2-bool",
+        "case-c1-string",
+        "case-c2-inf",
+        "stretch-bool",
+        "potential-omega-string",
+        "potential-c-overflow",
+        "potential-a-bool",
+        "potential-b-string",
+        "model-Z1-string",
+        "model-Z2-bool",
+        "model-E1-string",
+        "model-E2-null",
+        "micz-Z-string",
+        "micz-c1-list",
+        "micz-c2-inf",
+        "micz-J-fraction",
+        "micz-L-bool",
+    ],
+)
+def test_real_key_exit_2(tmp_path, capsys, sub, cfg, key):
+    path = _write(tmp_path, "c.json", cfg)
+    out = tmp_path / "out"
+    assert main([sub, path, "--out", str(out)]) == 2
+    assert f"key {key!r} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verify", [[], ["--no-verify"]], ids=["verify", "no-verify"])
+@pytest.mark.parametrize("cases", [5, [], {"c1": 1.0}], ids=["number", "empty", "object"])
+def test_duality_cases_must_be_a_list_exit_2(tmp_path, capsys, cases, verify):
+    path = _write(tmp_path, "d.json", {"omega": 0.25, "cases": cases})
+    out = tmp_path / "out"
+    assert main(["duality", path, "--out", str(out)] + verify) == 2
+    assert "config key 'cases' must be a non-empty list" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [{"n": 2000, "rmax": 12.0, "stretch": True}, {"n": 400, "spacing": "uniform", "stretch": 4.0}],
+    ids=["default-spacing", "uniform"],
+)
+def test_stretch_without_log_spacing_exit_2(tmp_path, capsys, grid):
+    path = _write(tmp_path, "s.json", {**_OSC, "grid": grid})
+    out = tmp_path / "out"
+    assert main(["spectrum", path, "--out", str(out)]) == 2
+    assert "'stretch' needs spacing 'log'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("verify", [[], ["--verify"]], ids=["plain", "verify"])
