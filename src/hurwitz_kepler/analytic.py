@@ -284,9 +284,7 @@ class QesSolution:
     polynomials: tuple
     gauge: tuple
     power: float
-    dim: int
     charges: tuple | None
-    energy_offset_d: float | None
     closure_residual: float
 
 
@@ -305,32 +303,35 @@ def _require_real(vals: np.ndarray, what: str) -> np.ndarray:
     return vals.real
 
 
+# Largest coefficient left outside the ansatz span, relative to the
+# largest inside it, that still counts as closure.
+_CLOSURE_TOL = 1e-9
+
+
 def qes_solve(
-    p: QesPrimedParams,
-    family: str,
-    potential: Potential8D | None = None,
-    closure_tol: float = 1e-9,
+    p: QesPrimedParams, family: str, potential: Potential8D | None = None
 ) -> QesSolution:
     """Solve the N-dimensional QES block for the mapped potential.
 
     The reduced Hamiltonian -f'' - (Dim/r) f' + V f is applied to the
     ansatz basis {monomial_k * gauge factor}; the expansion must close on
-    the span (for sub2, closure quantizes the 1/rho coefficient).  A
-    ``potential`` override (super2 only) lets callers probe closure
-    diagnostics; inconsistent coefficients raise :class:`QesClosureError`.
+    the span to ``_CLOSURE_TOL`` relative (for sub2, closure quantizes the
+    1/rho coefficient).  A ``potential`` override (super2 only) lets
+    callers probe closure diagnostics; inconsistent coefficients raise
+    :class:`QesClosureError`.
     """
     family = family.lower()
     if family == "sub2":
         if potential is not None:
             raise ValueError("sub2 closure determines the 1/rho coefficient; no override")
-        return _qes_solve_sub2(p, closure_tol)
+        return _qes_solve_sub2(p)
     if family == "super2":
-        return _qes_solve_super2(p, potential, closure_tol)
+        return _qes_solve_super2(p, potential)
     raise ValueError(f"unknown QES family {family!r}")
 
 
-def _qes_solve_sub2(p: QesPrimedParams, closure_tol: float) -> QesSolution:
-    pot, d = qes_map_sub2(p)
+def _qes_solve_sub2(p: QesPrimedParams) -> QesSolution:
+    pot, _ = qes_map_sub2(p)
     N, dim = p.N, p.dim
     m = _gauge_power(pot.c, dim)
     dphi = {1: p.b_p, 0: p.a_p}
@@ -359,7 +360,7 @@ def _qes_solve_sub2(p: QesPrimedParams, closure_tol: float) -> QesSolution:
                 stray = max(stray, abs(v))
         if k + 1 <= N - 1:
             mat[k + 1, k] -= energy  # -E * (r * r^k) contribution
-    if stray > closure_tol * scale:
+    if stray > _CLOSURE_TOL * scale:
         raise QesClosureError(f"sub2 pencil leaked outside the span (|coef| = {stray:.3g})")
 
     vals, vecs = np.linalg.eig(-mat)
@@ -380,8 +381,8 @@ def _qes_solve_sub2(p: QesPrimedParams, closure_tol: float) -> QesSolution:
         )
         rscale = max(abs(c) for c in y.values()) * max(1.0, abs(energy))
         worst = max(worst, max((abs(v) for v in res.values()), default=0.0) / rscale)
-    if worst > closure_tol:
-        raise QesClosureError(f"sub2 closure residual {worst:.3g} exceeds {closure_tol:.1g}")
+    if worst > _CLOSURE_TOL:
+        raise QesClosureError(f"sub2 closure residual {worst:.3g} exceeds {_CLOSURE_TOL:.1g}")
 
     return QesSolution(
         family="sub2",
@@ -389,16 +390,12 @@ def _qes_solve_sub2(p: QesPrimedParams, closure_tol: float) -> QesSolution:
         polynomials=tuple(tuple(c) for c in polys),
         gauge=(p.a_p, p.b_p, p.l_p - p.c_p),
         power=m,
-        dim=dim,
         charges=tuple(charges),
-        energy_offset_d=d,
         closure_residual=worst,
     )
 
 
-def _qes_solve_super2(
-    p: QesPrimedParams, potential: Potential8D | None, closure_tol: float
-) -> QesSolution:
+def _qes_solve_super2(p: QesPrimedParams, potential: Potential8D | None) -> QesSolution:
     pot = qes_map_super2(p) if potential is None else potential
     N, dim = p.N, p.dim
     if pot.a <= 0.0:
@@ -424,7 +421,7 @@ def _qes_solve_super2(
                 mat[basis.index(jj), k] += v
             else:
                 stray = max(stray, abs(v))
-    if stray > closure_tol * scale:
+    if stray > _CLOSURE_TOL * scale:
         raise QesClosureError(
             f"super2 ansatz space does not close (stray coefficient {stray:.3g}); "
             "the r^2 coefficient is inconsistent with the block size"
@@ -443,9 +440,7 @@ def _qes_solve_super2(
         polynomials=tuple(tuple(c) for c in polys),
         gauge=(p.a_p, p.b_p, p.l_p - p.c_p),
         power=m,
-        dim=dim,
         charges=None,
-        energy_offset_d=None,
         closure_residual=stray / max(scale, 1e-300),
     )
 

@@ -159,15 +159,24 @@ def _out_dir(args) -> Path:
 # transform
 
 
+def _octet(cfg: dict, key: str) -> np.ndarray:
+    """``cfg[key]`` as a (1, 8) array; it must be a list of 8 JSON numbers, never coerced."""
+    vec = cfg[key]
+    if not (
+        isinstance(vec, list)
+        and len(vec) == 8
+        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in vec)
+        and all(abs(x) <= sys.float_info.max for x in vec if isinstance(x, int))
+    ):
+        raise ConfigError(f"config key {key!r} must be a list of 8 numbers, got {vec!r}")
+    return np.array([vec], dtype=float)
+
+
 def cmd_transform(args) -> int:
     cfg = _load_config(args.config, {"u", "v", "count", "seed"})
     if "u" in cfg or "v" in cfg:
         check_keys(cfg, {"u", "v"}, {"u", "v"})
-        u = np.asarray(cfg["u"], dtype=float)
-        v = np.asarray(cfg["v"], dtype=float)
-        if u.shape != (8,) or v.shape != (8,):
-            raise ConfigError("u and v must each have exactly 8 components")
-        U, V = u[None, :], v[None, :]
+        U, V = _octet(cfg, "u"), _octet(cfg, "v")
     else:
         count = int_key(cfg, "count", 1000, minimum=1)
         seed = int_key(cfg, "seed", 0, minimum=0)
@@ -236,9 +245,10 @@ def _spectrum_micz(cfg: dict) -> tuple:
     )
     rows = []
     worst = 0.0
+    # closed-form lambda = n_theta + the regular exponents at the two poles
+    poles = effective_lprime(micz.J, 4.0 * micz.c1) + effective_lprime(micz.L, 4.0 * micz.c2)
     for E, itheta, N, lam in states[: n_states * 2]:
-        lam_eff = 0.5 * (-7.0 + math.sqrt(49.0 + 4.0 * lam))
-        e_closed = -micz.Z**2 / (2.0 * (N + lam_eff + 4.0) ** 2)
+        e_closed = -micz.Z**2 / (2.0 * (N + itheta + 0.5 * poles + 4.0) ** 2)
         dev = abs(E - e_closed) / abs(e_closed)
         worst = max(worst, dev)
         rows.append([itheta, N, lam, e_closed, E, dev])
@@ -308,14 +318,16 @@ def cmd_qes(args) -> int:
     grid, rmax = _grid_from(cfg, 3000)
     rows = []
     worst = 0.0
+    spectra = {}  # one solve per distinct potential: super2 states share theirs
     for i, energy in enumerate(sol.energies):
         pot_i = pot if sol.charges is None else replace(pot, b=float(sol.charges[i]))
         fd_dev = ""
         if args.verify:
-            span = float(rmax or (12.0 / math.sqrt(pot_i.omega)))
-            spec = fd_eigensolve(
-                qes_verification_problem(pot_i, params.dim, span), grid, len(sol.energies) + 2
-            )
+            if pot_i not in spectra:
+                span = float(rmax or (12.0 / math.sqrt(pot_i.omega)))
+                prob = qes_verification_problem(pot_i, params.dim, span)
+                spectra[pot_i] = fd_eigensolve(prob, grid, len(sol.energies) + 2)
+            spec = spectra[pot_i]
             fd_dev = float(np.min(np.abs(spec.eigenvalues - energy)) / abs(energy))
             worst = max(worst, fd_dev)
         rows.append(
@@ -424,7 +436,9 @@ def _duality_case(
     st = parabolic_joint_solve(
         model, micz, grid, bracket=(1.3 * e_dual, 0.8 * e_dual)
     )
-    e_fixed = e_sph if z_fixed == z_charge else _spherical_ground(z_fixed, c1, c2, grid)
+    # The polar equation has no Z in it and the radial domain scales as 1/Z,
+    # so the discrete spherical ground energy scales as Z^2 to rounding.
+    e_fixed = e_sph * (z_fixed / z_charge) ** 2
     case.update(
         {
             "E_spherical": e_sph,

@@ -19,10 +19,10 @@ selected-eigenvalue solve is cheap.  Vanishing endpoint weights make the
 Dirichlet ghost values the natural regular boundary condition at
 coordinate singularities (r = 0, theta in {0, pi}).
 
-Accuracy strategy: the scheme is second order; by default each solve is
-repeated on a doubled grid and Richardson-extrapolated, the difference
-between the two grids serving as the convergence check demanded of every
-reported eigenvalue.  An optional exponentially stretched grid clusters
+Accuracy strategy: the scheme is second order; each solve is repeated on
+a doubled grid and Richardson-extrapolated, the difference between the
+two grids serving as the convergence check demanded of every reported
+eigenvalue.  An optional exponentially stretched grid clusters
 nodes near the origin for Coulomb-like tails.  Every domain except the
 polar (0, pi) is widened until the requested states have decayed; the
 fixed-grid solve and the joint search share that loop.
@@ -41,8 +41,8 @@ branch pair binds there; with sho factors that charge grows as sqrt(-E)
 (the Coulomb Sturmian scaling), which seeds Newton within the
 discretization error of the root.  Any other factor only makes the seed
 a first guess, and a pair without a seed starts from the secant point.
-With sho factors the states also have one shape in sqrt(-2E) w, so a
-search for three or more branches starts on the domain that holds them.
+With sho factors the states also have one shape in sqrt(-2E) w, so the
+search starts on the domain that holds them.
 
 Every eigensolve goes through :func:`eigh_tridiagonal`, which imports
 scipy's solver on its first call: importing this module (and the
@@ -68,7 +68,6 @@ from .potentials import (
     eval_potential,
     factor_potential,
     micz_centrifugal_strengths,
-    require_spherically_separable,
 )
 
 __all__ = [
@@ -86,6 +85,9 @@ __all__ = [
 _TAIL_LIMIT = math.exp(-20.0)
 _MAX_EXTENSIONS = 6
 _EPS = float(np.finfo(float).eps)
+# Largest grid-doubling change accepted, relative to max(1, |mu|) in
+# fd_eigensolve and to |E| in the joint search.
+_CONV_TOL = 1e-5
 
 
 def eigh_tridiagonal(d, e, **kwargs):
@@ -160,7 +162,7 @@ class Spectrum:
     eigenvectors: np.ndarray
     grid: np.ndarray
     residuals: np.ndarray
-    convergence: np.ndarray | None
+    convergence: np.ndarray
     node_counts: tuple
 
 
@@ -277,45 +279,33 @@ def _contain(problems, grid: Grid, n: int, k: int, energy: float = 0.0):
         n = int(n * 1.5)
 
 
-def fd_eigensolve(
-    problem: RadialProblem,
-    grid: Grid,
-    k: int,
-    richardson: bool = True,
-    conv_tol: float = 1e-5,
-) -> Spectrum:
+def fd_eigensolve(problem: RadialProblem, grid: Grid, k: int) -> Spectrum:
     """Lowest ``k`` eigenpairs of ``problem`` on ``grid``.
 
-    With ``richardson`` (default) the solve runs on the grid and on its
-    doubling; each eigenvalue is extrapolated and the residual grid change
-    must stay below ``conv_tol * max(1, |mu|)`` or :class:`AccuracyError`
-    is raised.  The domain is first extended until the requested states
-    have decayed to e^-20 at the upper end (see :func:`_contain`).
+    The solve runs on the grid and on its doubling; each eigenvalue is
+    Richardson-extrapolated and the residual grid change must stay below
+    ``_CONV_TOL * max(1, |mu|)`` or :class:`AccuracyError` is raised.  The
+    eigenvectors and residuals are those of the doubled grid.  The domain
+    is first extended until the requested states have decayed to e^-20 at
+    the upper end (see :func:`_contain`).
     """
     if k < 1:
         raise ValueError("need at least one eigenvalue")
     if k > grid.n // 4:
         raise ValueError(f"k = {k} exceeds n/4 = {grid.n // 4}")
     ((d, e, x_f, mass),), ((vals_f, chi_f),), hi, n, _ = _contain([problem], grid, grid.n, k)
-    if richardson:
-        d_c, e_c, _, _ = _assemble(problem, grid, problem.domain[0], hi, n)
-        vals_c = eigh_tridiagonal(
-            d_c, e_c, select="i", select_range=(0, k - 1), eigvals_only=True
+    d_c, e_c, _, _ = _assemble(problem, grid, problem.domain[0], hi, n)
+    vals_c = eigh_tridiagonal(d_c, e_c, select="i", select_range=(0, k - 1), eigvals_only=True)
+    values = (4.0 * vals_f - vals_c) / 3.0
+    conv = np.abs(vals_f - vals_c) / 3.0
+    rel = conv / np.maximum(1.0, np.abs(values))
+    if np.any(rel > _CONV_TOL):
+        worst = int(np.argmax(rel))
+        raise AccuracyError(
+            "grid doubling did not converge: state "
+            f"{worst} changed by {conv[worst]:.3g} "
+            f"(n = {n} vs {2 * n + 1}, tol = {_CONV_TOL:.1g})"
         )
-        extrap = (4.0 * vals_f - vals_c) / 3.0
-        conv = np.abs(vals_f - vals_c) / 3.0
-        rel = conv / np.maximum(1.0, np.abs(extrap))
-        if np.any(rel > conv_tol):
-            worst = int(np.argmax(rel))
-            raise AccuracyError(
-                "grid doubling did not converge: state "
-                f"{worst} changed by {conv[worst]:.3g} "
-                f"(n = {n} vs {2 * n + 1}, tol = {conv_tol:.1g})"
-            )
-        values = extrap
-    else:
-        values = vals_f
-        conv = None
     vecs_f = _physical_vectors(chi_f, mass)
     res_f = _defects(d, e, vals_f, chi_f)
     scale = problem.eigenvalue_scale
@@ -324,7 +314,7 @@ def fd_eigensolve(
         eigenvectors=vecs_f,
         grid=x_f,
         residuals=res_f * scale,
-        convergence=None if conv is None else conv * scale,
+        convergence=conv * scale,
         node_counts=tuple(_count_nodes(vecs_f[:, j]) for j in range(k)),
     )
 
@@ -338,9 +328,9 @@ def build_radial_problem(kind: str, **params) -> RadialProblem:
 
     kind = 'osc8'   : 8-D radial oscillator; needs potential, optional L,
                       rmax.  Eigenvalue Z (weight r^7, raw eigenvalue 2Z).
-    kind = 'coul9'  : spherical-chart radial equation; needs Z (or a
-                      separable model), lam (the angular eigenvalue) and
-                      rmax.  Eigenvalue E (weight r^8, raw 2E).
+    kind = 'coul9'  : spherical-chart radial equation; needs Z, lam (the
+                      angular eigenvalue) and rmax.  Eigenvalue E (weight
+                      r^8, raw 2E).
     kind = 'theta'  : polar equation; needs micz.  Eigenvalue Lambda.
     kind = 'para_u' : parabolic u-equation; needs model, micz, energy,
                       wmax.  Eigenvalue -P.
@@ -360,12 +350,7 @@ def build_radial_problem(kind: str, **params) -> RadialProblem:
             eigenvalue_scale=0.5,
         )
     if kind == "coul9":
-        model: OscillatorModel | None = params.get("model")
-        if model is not None:
-            require_spherically_separable(model)
-            Z = model.Z
-        else:
-            Z = float(params["Z"])
+        Z = float(params["Z"])
         lam = float(params["lam"])
         rmax = float(params["rmax"])
         return RadialProblem(
@@ -430,6 +415,8 @@ def qes_verification_problem(potential: Potential8D, dim: int, rmax: float) -> R
 
 # Newton steps allowed per root; bisection alone would need about 60.
 _MAX_NEWTON = 100
+# Branches (node counts 0, 1, 2) searched per equation.
+_BRANCHES = 3
 
 
 @dataclass(frozen=True)
@@ -438,8 +425,8 @@ class JointState:
 
     ``E`` and ``P`` are Richardson-extrapolated from the roots on the two
     grids and ``E_error = |E_fine - E_coarse| / 3`` bounds the error of E.
-    ``mismatch``, the node counts and the eigenpair residuals belong to the
-    fine-grid root.  ``solves`` counts the tridiagonal eigensolves of the
+    The node counts and the eigenpair residuals belong to the fine-grid
+    root.  ``solves`` counts the tridiagonal eigensolves of the
     whole search that returned this state.
     """
 
@@ -447,7 +434,6 @@ class JointState:
     P: float
     node_u: int
     node_v: int
-    mismatch: float
     residual_u: float
     residual_v: float
     E_error: float
@@ -513,8 +499,6 @@ def parabolic_joint_solve(
     micz: MiczParams,
     grid: Grid,
     bracket: tuple,
-    branch_max: int = 2,
-    conv_tol: float = 1e-5,
 ) -> JointState:
     """Find E in ``bracket`` where the u- and v-equations share a P.
 
@@ -529,13 +513,13 @@ def parabolic_joint_solve(
 
     Both equations are assembled once, at E = 0, on a fine grid (2n+1
     nodes) and a coarse one (n nodes); an energy then costs one diagonal
-    shift and one tridiagonal eigensolve per equation.  The domain starts
-    at w = 50 / sqrt(-2 E_hi) with node spacing 0.1 or finer, one x1.5
-    rung higher for sho factors and ``branch_max >= 2`` (their two-node
-    state has not decayed to e^-20 on the lower rung), and is extended
-    (times 1.5 at fixed spacing) until all ``branch_max + 1`` states have
-    decayed to e^-20 at the least-bound end of the bracket; it is kept
-    for every energy and both grids.
+    shift and one tridiagonal eigensolve per equation.  The branches are
+    node counts 0, 1 and 2 of each equation.  The domain starts at
+    w = 50 / sqrt(-2 E_hi) with node spacing 0.1 or finer, one x1.5 rung
+    higher for sho factors (their two-node state has not decayed to e^-20
+    on the lower rung), and is extended (times 1.5 at fixed spacing) until
+    all three states have decayed to e^-20 at the least-bound end of the
+    bracket; it is kept for every energy and both grids.
 
     Each pair whose endpoint mismatch changes sign is solved by
     bracket-safeguarded Newton on the fine grid, polished by Newton on the
@@ -549,40 +533,37 @@ def parabolic_joint_solve(
     the bracket when Z <= 0, F(E_hi) + Z <= 0 or E* lies outside the
     bracket.  Of the roots found, the lowest E wins and degenerate pairs (within
     1e-8 relative) are broken by the smallest |P|.  Every state of that
-    degenerate group must satisfy ``E_error <= conv_tol * |E|`` or
+    degenerate group must satisfy ``E_error <= _CONV_TOL * |E|`` or
     :class:`AccuracyError` is raised; a bracket without a sign change
     raises :class:`BracketError` carrying the endpoint mismatches.
     """
     e_lo, e_hi = bracket
     if not (e_lo < e_hi < 0.0):
         raise ValueError("bracket must satisfy E_lo < E_hi < 0")
-    if branch_max < 0:
-        raise ValueError("branch_max must be nonnegative")
-    kb = branch_max + 1
     hi = 50.0 / math.sqrt(-2.0 * e_hi)
     # With sho factors the states at fixed E have one shape in kappa w
     # (kappa = sqrt(-2E)), and the two-node state still keeps more than
     # e^-20 of its peak at kappa w = 50 for every centrifugal strength, so
-    # a search for three or more branches starts one rung up the x1.5
-    # ladder of _contain, at the node spacing that rung has there.
-    rung = 1.5 if branch_max >= 2 and model.p1.variant == model.p2.variant == "sho" else 1.0
+    # the search starts one rung up the x1.5 ladder of _contain, at the
+    # node spacing that rung has there.
+    rung = 1.5 if model.p1.variant == model.p2.variant == "sho" else 1.0
     n = int(max(grid.n, int(hi / 0.1)) * rung)
     hi *= rung
     problems = [
         build_radial_problem(kind, model=model, micz=micz, energy=0.0, wmax=hi)
         for kind in ("para_u", "para_v")
     ]
-    fine, top, hi, n, solves = _contain(problems, grid, n, kb, energy=e_hi)
+    fine, top, hi, n, solves = _contain(problems, grid, n, _BRANCHES, energy=e_hi)
     coarse = [_assemble(p, grid, 0.0, hi, n) for p in problems]
-    (mu_u_lo, _, _), (mu_v_lo, _, _) = (_shifted(pencil, e_lo, 0, kb - 1) for pencil in fine)
+    (mu_u_lo, _, _), (mu_v_lo, _, _) = (_shifted(pencil, e_lo, 0, _BRANCHES - 1) for pencil in fine)
     mu_u_hi, mu_v_hi = (
         _rayleigh(d0 - 0.5 * e_hi * x, e, chi) for (d0, e, x, _), (_, chi) in zip(fine, top)
     )
     solves += 2
     mismatch = {
         (i, j): (float(mu_u_lo[i] + mu_v_lo[j]), float(mu_u_hi[i] + mu_v_hi[j]))
-        for i in range(kb)
-        for j in range(kb - i)
+        for i in range(_BRANCHES)
+        for j in range(_BRANCHES - i)
     }
 
     states = []
@@ -604,14 +585,12 @@ def parabolic_joint_solve(
         for (d0, e, x, mass), (mu, chi) in zip(fine, eigenpairs):
             nodes.append(_count_nodes(chi[:, 0] / np.sqrt(mass)))
             residuals.append(float(_defects(d0 - 0.5 * at * x, e, mu, chi)[0]))
-        (mu_u, _), (mu_v, _) = eigenpairs
         states.append(
             JointState(
                 E=float(4.0 * e_f - e_c) / 3.0,
                 P=float(4.0 * p_f - p_c) / 3.0,
                 node_u=nodes[0],
                 node_v=nodes[1],
-                mismatch=float(abs(mu_u[0] + mu_v[0])),
                 residual_u=residuals[0],
                 residual_v=residuals[1],
                 E_error=float(abs(e_f - e_c)) / 3.0,
@@ -627,11 +606,11 @@ def parabolic_joint_solve(
     best_e = min(s.E for s in states)
     group = [s for s in states if abs(s.E - best_e) <= 1e-8 * abs(best_e)]
     for s in group:
-        if s.E_error > conv_tol * abs(s.E):
+        if s.E_error > _CONV_TOL * abs(s.E):
             raise AccuracyError(
                 f"grid doubling did not converge: state ({s.node_u}, {s.node_v}) "
                 f"E changed by {3.0 * s.E_error:.3g} (n = {n} vs {2 * n + 1}, "
-                f"tol = {conv_tol:.1g})"
+                f"tol = {_CONV_TOL:.1g})"
             )
     return replace(min(group, key=lambda s: abs(s.P)), solves=solves)
 

@@ -69,6 +69,15 @@ class TestTransform:
         assert "serialize" not in err
         assert not (tmp_path / "transform.csv").exists()
 
+    @pytest.mark.parametrize(
+        "bad", ["1", True, None, [1.0], 10**400], ids=["string", "bool", "null", "list", "huge-int"]
+    )
+    def test_non_number_entry_exit_2(self, tmp_path, capsys, bad):
+        cfg = _write(tmp_path, "t.json", {"u": [1.0] * 8, "v": [0.0] * 7 + [bad]})
+        assert main(["transform", cfg, "--out", str(tmp_path)]) == 2
+        assert "key 'v' must be a list of 8 numbers" in capsys.readouterr().err
+        assert not (tmp_path / "transform.csv").exists()
+
 
 def _transform_table(U, V):
     """The transform.csv values recomputed from the inputs."""
@@ -152,6 +161,19 @@ class TestSpectrum:
         ground = doc["rows"][0]
         assert ground[4] == pytest.approx(-0.03125, abs=1e-6)
 
+    def test_micz_analytic_column_is_closed_form(self, tmp_path):
+        micz = {"Z": 2.0, "c1": 1.0, "c2": 0.5, "J": 1}
+        cfg = _write(tmp_path, "s.json", {"problem": "micz", "micz": micz, "n_states": 2})
+        assert main(["spectrum", cfg, "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "spectrum.json").read_text())
+        # regular exponents at the two poles of the polar equation
+        gamma = 0.5 * (-3.0 + np.sqrt((1 + 3.0) ** 2 + 8.0 * 1.0))
+        alpha = 0.5 * (-3.0 + np.sqrt((0 + 3.0) ** 2 + 8.0 * 0.5))
+        assert len(doc["rows"]) == 4
+        for n_theta, N, _, analytic, _, _ in doc["rows"]:
+            exact = -(2.0**2) / (2.0 * (N + n_theta + alpha + gamma + 4.0) ** 2)
+            assert analytic == pytest.approx(exact, rel=1e-13, abs=0.0)
+
     def test_nonseparable_exit_3(self, tmp_path, capsys):
         cfg = _write(
             tmp_path,
@@ -228,6 +250,25 @@ class TestQes:
         assert doc["charges"][0] == pytest.approx(0.0, abs=1e-12)
         assert doc["energy_offset_d"] == pytest.approx(-9.0)
 
+    @pytest.mark.parametrize("family, a_prime, solves", [("super2", 0.05, 1), ("sub2", 0.5, 2)])
+    def test_one_verification_solve_per_potential(self, tmp_path, monkeypatch, family, a_prime, solves):
+        # super2 states share one potential; each sub2 state has its own charge
+        import hurwitz_kepler.cli as climod
+
+        calls = []
+        solve = climod.fd_eigensolve
+
+        def count(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(climod, "fd_eigensolve", count)
+        cfg = _write(tmp_path, "q.json", {"family": family, "a_prime": a_prime, "b_prime": 1.0, "N": 2})
+        assert main(["qes", cfg, "--out", str(tmp_path), "--verify"]) == 0
+        assert len(calls) == solves
+        doc = json.loads((tmp_path / "qes.json").read_text())
+        assert doc["fd_max_rel_dev"] <= 1e-5
+
 
 class TestDuality:
     def test_three_way_agreement(self, tmp_path):
@@ -253,6 +294,19 @@ class TestDuality:
             assert 0.0 < case["E_parabolic_error"] <= 1e-5 * abs(case["E_parabolic"])
             assert abs(case["E_parabolic"] - case["E_dual"]) <= case["E_parabolic_error"]
             assert case["parabolic_solves"] == 12
+
+    def test_fixed_charge_energy_scales_as_charge_squared(self):
+        # the dressed case's fixed-charge energy is its spherical energy at
+        # Z = 4 omega, obtained by Z^2 scaling instead of a second solve
+        import hurwitz_kepler.cli as climod
+        from hurwitz_kepler.numeric import Grid
+
+        omega, c1, c2, grid = 0.25, 1.0, 2.0, Grid(n=2000)
+        case = climod._duality_case(omega, c1, c2, grid, 4.0 * omega, verify=True)
+        scaled = case["E_spherical"] * (4.0 * omega / case["Z_charge"]) ** 2
+        assert case["E_fixed_charge"] == pytest.approx(scaled, rel=1e-14, abs=0.0)
+        direct = climod._spherical_ground(4.0 * omega, c1, c2, grid)
+        assert case["E_fixed_charge"] == pytest.approx(direct, rel=1e-10, abs=0.0)
 
     def test_unverified_report_has_null_search_fields(self, tmp_path):
         cfg = _write(tmp_path, "d.json", {"omega": 0.25})

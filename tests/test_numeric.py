@@ -12,7 +12,12 @@ from hurwitz_kepler.numeric import (
     fd_eigensolve,
     spherical_micz_energies,
 )
-from hurwitz_kepler.potentials import MiczParams, OscillatorModel, Potential8D
+from hurwitz_kepler.potentials import (
+    MiczParams,
+    OscillatorModel,
+    Potential8D,
+    require_spherically_separable,
+)
 
 
 def _sho_model(w1=1.0, w2=1.0, Z1=0.5, Z2=0.5):
@@ -69,10 +74,8 @@ class TestCoulombOracle:
             Z2=0.5,
         )
         with pytest.raises(SeparabilityError):
-            build_radial_problem("coul9", model=bad, lam=0.0, rmax=100.0)
-        ok = _sho_model()
-        prob = build_radial_problem("coul9", model=ok, lam=0.0, rmax=260.0)
-        assert prob.effective_term(2.0) == pytest.approx(-1.0)
+            require_spherically_separable(bad)
+        require_spherically_separable(_sho_model())
 
 
 class TestThetaOracle:
@@ -158,8 +161,8 @@ class TestSolverMechanics:
         prob = build_radial_problem(
             "osc8", potential=Potential8D("sub2", omega=1.0, b=-4.0), L=0, rmax=12.0
         )
-        with pytest.raises(AccuracyError):
-            fd_eigensolve(prob, Grid(n=64), 1, conv_tol=1e-12)
+        with pytest.raises(AccuracyError, match="grid doubling did not converge"):
+            fd_eigensolve(prob, Grid(n=64), 1)
 
     def test_k_validation(self):
         prob = build_radial_problem("osc8", potential=Potential8D("sho", omega=1.0), L=0)
@@ -192,7 +195,7 @@ class TestSolverMechanics:
             "para_u", model=model, micz=MiczParams(Z=1.0, c1=0.5), energy=-0.03, wmax=200.0
         )
         grid = Grid(n=1600)
-        spec = fd_eigensolve(prob, grid, 3, richardson=False)
+        spec = fd_eigensolve(prob, grid, 3)
         n = len(spec.grid)
         x, g, _, _, _ = _mapped_nodes(grid, 0.0, prob.domain[1], n)
         mass = prob.weight(x) * g * prob.mass_term(x)
@@ -249,3 +252,28 @@ def test_spherical_micz_energies_keeps_polar_eigenvalue():
     assert (it, N, lam_out) == (0, 0, lam)
     radial = build_radial_problem("coul9", Z=1.0, lam=lam, rmax=260.0)
     assert E == fd_eigensolve(radial, Grid(n=1000), 1).eigenvalues[0]
+
+
+def test_solver_inputs_and_result_fields():
+    # every parameter has a caller outside the tests and every field a reader
+    import dataclasses
+    import inspect
+
+    from hurwitz_kepler.analytic import QesSolution, qes_solve
+    from hurwitz_kepler.numeric import JointState, parabolic_joint_solve
+
+    def params(fn):
+        return list(inspect.signature(fn).parameters)
+
+    def fields(cls):
+        return [f.name for f in dataclasses.fields(cls)]
+
+    assert params(fd_eigensolve) == ["problem", "grid", "k"]
+    assert params(parabolic_joint_solve) == ["model", "micz", "grid", "bracket"]
+    assert params(qes_solve) == ["p", "family", "potential"]
+    assert fields(JointState) == [
+        "E", "P", "node_u", "node_v", "residual_u", "residual_v", "E_error", "solves"
+    ]
+    assert fields(QesSolution) == [
+        "family", "energies", "polynomials", "gauge", "power", "charges", "closure_residual"
+    ]

@@ -66,19 +66,11 @@ class TestPureCoulomb:
         assert st.solves == {(-0.045, -0.024): 12, (-0.024, -0.017): 20}[bracket]
 
     def test_first_domain_holds_for_three_branches(self, monkeypatch):
-        # the default search (branch_max = 2) starts one rung up the x1.5
+        # the search over three branches starts one rung up the x1.5
         # ladder and keeps that domain: one solve per equation
         calls = _record_contain(monkeypatch)
         parabolic_joint_solve(_coulomb_model(), MiczParams(Z=1.0), Grid(n=1500), bracket=(-0.045, -0.024))
         assert [solves for *_, solves in calls] == [2]
-
-    def test_two_branch_search_keeps_first_domain(self, monkeypatch):
-        calls = _record_contain(monkeypatch)
-        parabolic_joint_solve(
-            _coulomb_model(), MiczParams(Z=1.0), Grid(n=1500), bracket=(-0.045, -0.024), branch_max=1
-        )
-        hi = 50.0 / math.sqrt(2.0 * 0.024)
-        assert [c[2:] for c in calls] == [(hi, int(hi / 0.1), 2)]
 
 
 def _record_contain(monkeypatch):
@@ -301,8 +293,8 @@ class TestPerturbativeOracle:
         micz = MiczParams(Z=1.0)
         grid = Grid(n=1500)
 
-        e0 = parabolic_joint_solve(base, micz, grid, bracket=(-0.045, -0.024), branch_max=1).E
-        e1 = parabolic_joint_solve(pert, micz, grid, bracket=(-0.045, -0.005), branch_max=1).E
+        e0 = parabolic_joint_solve(base, micz, grid, bracket=(-0.045, -0.024)).E
+        e1 = parabolic_joint_solve(pert, micz, grid, bracket=(-0.045, -0.005)).E
         shift = e1 - e0
 
         # first-order estimate: delta q = (b w^2 / 4) / w on each equation;
