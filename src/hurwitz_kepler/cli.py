@@ -210,13 +210,19 @@ def _spectrum_oscillator(cfg: dict) -> tuple:
     n_max = int_key(cfg, "n_max", 2, minimum=0)
     l_max = int_key(cfg, "l_max", 1, minimum=0)
     grid, rmax = _grid_from(cfg, 4000)
+    # closed forms before the first solve: a complex L' is a config error
+    exact = {
+        (N, L): singular_oscillator_energy(QuantumNumbers(N=N, L=L), pot.omega, pot.c)
+        for L in range(l_max + 1)
+        for N in range(n_max + 1)
+    }
     rows = []
     worst = 0.0
     for L in range(l_max + 1):
         prob = build_radial_problem("osc8", potential=pot, L=L, rmax=rmax)
         spec = fd_eigensolve(prob, grid, n_max + 1)
         for N in range(n_max + 1):
-            z_exact = singular_oscillator_energy(QuantumNumbers(N=N, L=L), pot.omega, pot.c)
+            z_exact = exact[N, L]
             z_fd = float(spec.eigenvalues[N])
             dev = abs(z_fd - z_exact) / abs(z_exact)
             worst = max(worst, dev)
@@ -226,6 +232,8 @@ def _spectrum_oscillator(cfg: dict) -> tuple:
 
 def _spectrum_micz(cfg: dict) -> tuple:
     micz = micz_from_dict(cfg["micz"])
+    if micz.Z <= 0.0:
+        raise ConfigError(f"micz block key 'Z' must be positive, got {micz.Z!r}")
     if "model" in cfg:
         model = model_from_dict(cfg["model"])
         require_spherically_separable(model)
@@ -234,7 +242,7 @@ def _spectrum_micz(cfg: dict) -> tuple:
     n_states = int_key(cfg, "n_states", 2, minimum=1)
     grid, rmax = _grid_from(cfg, 4000)
     smax = n_states + 5.0
-    rmax = float(rmax or 55.0 * smax / max(abs(micz.Z), 1e-6))
+    rmax = float(rmax or 55.0 * smax / micz.Z)
     states = spherical_micz_energies(
         micz,
         n_theta=n_states,
@@ -458,6 +466,9 @@ def cmd_duality(args) -> int:
     cfg = _load_config(args.config, {"omega", "omega2", "cases", "grid"}, {"omega"})
     omega = float_key(cfg, "omega")
     omega2 = float_key(cfg, "omega2", omega)
+    for key, value in (("omega", omega), ("omega2", omega2)):
+        if value <= 0.0:
+            raise ConfigError(f"config key {key!r} must be positive, got {value!r}")
     grid, _ = _grid_from(cfg, 2000, with_rmax=False)
     cases_cfg = cfg.get("cases", [{"c1": 0.0, "c2": 0.0}])
     if not (isinstance(cases_cfg, list) and cases_cfg):
@@ -465,7 +476,11 @@ def cmd_duality(args) -> int:
     strengths = []  # every case is checked before the first is solved
     for case in cases_cfg:
         check_keys(case, {"c1", "c2"}, what="case")
-        strengths.append(tuple(float_key(case, c, 0.0, what="case") for c in ("c1", "c2")))
+        pair = tuple(float_key(case, c, 0.0, what="case") for c in ("c1", "c2"))
+        for key, value in zip(("c1", "c2"), pair):
+            if value < 0.0:
+                raise ConfigError(f"case key {key!r} must be nonnegative, got {value!r}")
+        strengths.append(pair)
     z_fixed = 4.0 * omega  # coulomb charge of the undressed (c = 0) ground sector
     cases = [_duality_case(omega, c1, c2, grid, z_fixed, args.verify) for c1, c2 in strengths]
     if args.verify:

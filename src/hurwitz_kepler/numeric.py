@@ -22,8 +22,11 @@ coordinate singularities (r = 0, theta in {0, pi}).
 Accuracy strategy: the scheme is second order; each solve is repeated on
 a doubled grid and Richardson-extrapolated, the difference between the
 two grids serving as the convergence check demanded of every reported
-eigenvalue.  An optional exponentially stretched grid clusters
-nodes near the origin for Coulomb-like tails.  Every domain except the
+eigenvalue.  On both grids every eigenvalue is the Rayleigh quotient of
+its eigenvector, accurate to rounding where the state lives; a bisection
+value is only good to eps |T| over the whole domain, which sets a floor
+under the extrapolation on the optional log-stretched grid, which
+clusters nodes near the origin for Coulomb-like tails.  Every domain except the
 polar (0, pi) is widened until the requested states have decayed; the
 fixed-grid solve and the joint search share that loop.
 
@@ -44,10 +47,10 @@ a first guess, and a pair without a seed starts from the secant point.
 With sho factors the states also have one shape in sqrt(-2E) w, so the
 search starts on the domain that holds them.
 
-Every eigensolve goes through :func:`eigh_tridiagonal`, which imports
-scipy's solver on its first call: importing this module (and the
-package, and its CLI) loads numpy only, so work that solves nothing never
-pays scipy's start-up.
+Every eigensolve goes through :func:`_shifted`, the one caller of
+:func:`eigh_tridiagonal`, which imports scipy's solver on its first call:
+importing this module (and the package, and its CLI) loads numpy only, so
+work that solves nothing never pays scipy's start-up.
 
 Solves share no mutable state; concurrent sector sweeps are safe.
 """
@@ -152,16 +155,16 @@ class RadialProblem:
 class Spectrum:
     """Lowest eigenpairs of a radial problem, ascending.
 
-    ``eigenvalues`` are scaled by the problem's ``eigenvalue_scale``,
+    ``eigenvalues`` are Richardson-extrapolated from the Rayleigh quotients
+    on the two grids and scaled by the problem's ``eigenvalue_scale``;
     ``convergence`` holds the estimated remaining error per state (from
-    grid doubling) and ``residuals`` the discrete eigenpair defect, both
-    in the same units.
+    grid doubling) in the same units.  ``eigenvectors`` and their node
+    counts belong to the fine grid, whose nodes ``grid`` holds.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     grid: np.ndarray
-    residuals: np.ndarray
     convergence: np.ndarray
     node_counts: tuple
 
@@ -208,25 +211,22 @@ def _assemble(problem: RadialProblem, grid: Grid, lo: float, hi: float, n: int):
     return d, e, x, mass
 
 
-def _tridiag_times(d: np.ndarray, e: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """T v for the symmetric tridiagonal T = (d, e) and the columns of v."""
-    tv = d[:, None] * v
-    tv[:-1] += e[:, None] * v[1:]
-    tv[1:] += e[:, None] * v[:-1]
-    return tv
+def _shifted(pencil, energy: float, first: int, last: int):
+    """Eigenpairs first..last of T(E) = T0 - (E/2) diag(x), and dmu/dE.
 
-
-def _rayleigh(d: np.ndarray, e: np.ndarray, chi: np.ndarray) -> np.ndarray:
-    """Rayleigh quotients of the orthonormal columns of chi under T = (d, e)."""
-    return np.einsum("kj,kj->j", chi, _tridiag_times(d, e, chi))
-
-
-def _defects(d: np.ndarray, e: np.ndarray, vals: np.ndarray, chi: np.ndarray) -> np.ndarray:
-    """Scale-normalized defect of symmetric tridiagonal eigenpairs."""
-    defect = _tridiag_times(d, e, chi) - vals * chi
-    return np.array(
-        [np.linalg.norm(defect[:, j]) / (1.0 + abs(vals[j])) for j in range(len(vals))]
-    )
+    ``pencil`` is ``(d0, e, x, mass)`` assembled at E = 0.  Each eigenvalue
+    is the Rayleigh quotient of its orthonormal eigenvector chi, which is
+    accurate to rounding on the nodes the state occupies; the bisection
+    value is only accurate to eps |T| over the whole domain.  The slope is
+    the Hellmann-Feynman derivative -1/2 sum_k chi_k^2 x_k.
+    """
+    d0, e, x, _ = pencil
+    d = d0 - 0.5 * energy * x
+    _, chi = eigh_tridiagonal(d, e, select="i", select_range=(first, last))
+    t_chi = d[:, None] * chi
+    t_chi[:-1] += e[:, None] * chi[1:]
+    t_chi[1:] += e[:, None] * chi[:-1]
+    return np.einsum("kj,kj->j", chi, t_chi), chi, -0.5 * (x @ chi**2)
 
 
 def _physical_vectors(chi: np.ndarray, mass: np.ndarray) -> np.ndarray:
@@ -253,26 +253,26 @@ def _count_nodes(vec: np.ndarray) -> int:
 
 
 def _contain(problems, grid: Grid, n: int, k: int, energy: float = 0.0):
-    """Fine-grid pencils whose lowest ``k`` states at ``energy`` have decayed.
+    """Fine and coarse pencils of a domain that holds the lowest ``k`` states at ``energy``.
 
-    Each problem is assembled at E = 0 on 2n+1 nodes of its domain and
-    solved for its lowest ``k`` eigenpairs of T0 - (energy/2) diag(x).
-    While some state keeps more than e^-20 of its peak at the upper end,
-    the domain is extended times 1.5 at fixed node spacing, at most
-    ``_MAX_EXTENSIONS`` times (the sin^7 polar domain is never extended).
-    Returns the pencils (d0, e, x, mass), the eigenpairs, the final upper
-    end and n, and the number of eigensolves made.
+    Each problem is assembled at E = 0 on 2n+1 nodes of its domain and its
+    lowest ``k`` eigenpairs of T0 - (energy/2) diag(x) are solved through
+    :func:`_shifted`.  While some state keeps more than e^-20 of its peak
+    at the upper end, the domain is extended times 1.5 at fixed node
+    spacing, at most ``_MAX_EXTENSIONS`` times (the sin^7 polar domain is
+    never extended).  Returns the fine pencils (d0, e, x, mass), the
+    coarse pencils on n nodes of the final domain, the fine
+    ``(mu, chi, slope)`` of each problem, the final n and the number of
+    eigensolves made.
     """
     lo, hi = problems[0].domain
     fixed = any(p.weight_kind == "sin7" for p in problems)
     for attempt in range(_MAX_EXTENSIONS + 1):
-        pencils = [_assemble(p, grid, lo, hi, 2 * n + 1) for p in problems]
-        eigenpairs = [
-            eigh_tridiagonal(d0 - 0.5 * energy * x, e, select="i", select_range=(0, k - 1))
-            for d0, e, x, _ in pencils
-        ]
-        if fixed or max(_tail_fraction(chi) for _, chi in eigenpairs) <= _TAIL_LIMIT:
-            return pencils, eigenpairs, hi, n, len(problems) * (attempt + 1)
+        fine = [_assemble(p, grid, lo, hi, 2 * n + 1) for p in problems]
+        solved = [_shifted(pencil, energy, 0, k - 1) for pencil in fine]
+        if fixed or max(_tail_fraction(chi) for _, chi, _ in solved) <= _TAIL_LIMIT:
+            coarse = [_assemble(p, grid, lo, hi, n) for p in problems]
+            return fine, coarse, solved, n, len(problems) * (attempt + 1)
         if attempt == _MAX_EXTENSIONS:
             raise AccuracyError(f"domain extension failed to contain the states (hi = {hi:.6g})")
         hi = lo + (hi - lo) * 1.5
@@ -282,20 +282,22 @@ def _contain(problems, grid: Grid, n: int, k: int, energy: float = 0.0):
 def fd_eigensolve(problem: RadialProblem, grid: Grid, k: int) -> Spectrum:
     """Lowest ``k`` eigenpairs of ``problem`` on ``grid``.
 
-    The solve runs on the grid and on its doubling; each eigenvalue is
-    Richardson-extrapolated and the residual grid change must stay below
+    The solve runs on the grid and on its doubling; on each the eigenvalues
+    are the Rayleigh quotients from :func:`_shifted`, Richardson-extrapolated
+    across the two, and the residual grid change must stay below
     ``_CONV_TOL * max(1, |mu|)`` or :class:`AccuracyError` is raised.  The
-    eigenvectors and residuals are those of the doubled grid.  The domain
-    is first extended until the requested states have decayed to e^-20 at
-    the upper end (see :func:`_contain`).
+    eigenvectors are those of the doubled grid.  The domain is first
+    extended until the requested states have decayed to e^-20 at the upper
+    end (see :func:`_contain`).
     """
     if k < 1:
         raise ValueError("need at least one eigenvalue")
     if k > grid.n // 4:
         raise ValueError(f"k = {k} exceeds n/4 = {grid.n // 4}")
-    ((d, e, x_f, mass),), ((vals_f, chi_f),), hi, n, _ = _contain([problem], grid, grid.n, k)
-    d_c, e_c, _, _ = _assemble(problem, grid, problem.domain[0], hi, n)
-    vals_c = eigh_tridiagonal(d_c, e_c, select="i", select_range=(0, k - 1), eigvals_only=True)
+    ((_, _, x_f, mass),), (coarse,), ((vals_f, chi_f, _),), n, _ = _contain(
+        [problem], grid, grid.n, k
+    )
+    vals_c, _, _ = _shifted(coarse, 0.0, 0, k - 1)
     values = (4.0 * vals_f - vals_c) / 3.0
     conv = np.abs(vals_f - vals_c) / 3.0
     rel = conv / np.maximum(1.0, np.abs(values))
@@ -307,13 +309,11 @@ def fd_eigensolve(problem: RadialProblem, grid: Grid, k: int) -> Spectrum:
             f"(n = {n} vs {2 * n + 1}, tol = {_CONV_TOL:.1g})"
         )
     vecs_f = _physical_vectors(chi_f, mass)
-    res_f = _defects(d, e, vals_f, chi_f)
     scale = problem.eigenvalue_scale
     return Spectrum(
         eigenvalues=values * scale,
         eigenvectors=vecs_f,
         grid=x_f,
-        residuals=res_f * scale,
         convergence=conv * scale,
         node_counts=tuple(_count_nodes(vecs_f[:, j]) for j in range(k)),
     )
@@ -340,7 +340,8 @@ def build_radial_problem(kind: str, **params) -> RadialProblem:
     if kind == "osc8":
         potential: Potential8D = params["potential"]
         L = int(params.get("L", 0))
-        rmax = params.get("rmax") or 14.0 / math.sqrt(potential.omega)
+        rmax = params.get("rmax")
+        rmax = 14.0 / math.sqrt(potential.omega) if rmax is None else rmax
         E = -0.5 * potential.omega**2
         return RadialProblem(
             weight_exponent=7,
@@ -425,34 +426,16 @@ class JointState:
 
     ``E`` and ``P`` are Richardson-extrapolated from the roots on the two
     grids and ``E_error = |E_fine - E_coarse| / 3`` bounds the error of E.
-    The node counts and the eigenpair residuals belong to the fine-grid
-    root.  ``solves`` counts the tridiagonal eigensolves of the
-    whole search that returned this state.
+    The node counts belong to the fine-grid root.  ``solves`` counts the
+    tridiagonal eigensolves of the whole search that returned this state.
     """
 
     E: float
     P: float
     node_u: int
     node_v: int
-    residual_u: float
-    residual_v: float
     E_error: float
     solves: int
-
-
-def _shifted(pencil, energy: float, first: int, last: int):
-    """Eigenpairs first..last of T(E) = T0 - (E/2) diag(x), and dmu/dE.
-
-    ``pencil`` is ``(d0, e, x, mass)`` assembled at E = 0.  Each eigenvalue
-    is the Rayleigh quotient of its orthonormal eigenvector chi, which is
-    accurate to rounding on the nodes the state occupies; the bisection
-    value is only accurate to eps |T| over the whole domain.  The slope is
-    the Hellmann-Feynman derivative -1/2 sum_k chi_k^2 x_k.
-    """
-    d0, e, x, _ = pencil
-    d = d0 - 0.5 * energy * x
-    _, chi = eigh_tridiagonal(d, e, select="i", select_range=(first, last))
-    return _rayleigh(d, e, chi), chi, -0.5 * (x @ chi**2)
 
 
 def _match_root(pencils, i: int, j: int, energy: float, lo: float, hi: float):
@@ -463,9 +446,8 @@ def _match_root(pencils, i: int, j: int, energy: float, lo: float, hi: float):
     is replaced by bisection.  Newton stops once its step falls below the
     rounding floor eps (|T_u| + |T_v|) / |F'|, below which it would cycle;
     that last step is applied without a further solve.  Returns the root,
-    P = mu_v[j] there (carried along the slope), the last energy solved
-    at, the (mu, chi) of both branches at that energy and the number of
-    evaluations.
+    P = mu_v[j] there (carried along the slope), the eigenvectors
+    (chi_u, chi_v) of the last evaluation and the number of evaluations.
     """
     norm = sum(
         np.max(np.abs(d0 - 0.5 * energy * x)) + 2.0 * np.max(np.abs(e))
@@ -484,8 +466,7 @@ def _match_root(pencils, i: int, j: int, energy: float, lo: float, hi: float):
         step = -f / slope
         floor = _EPS * norm / abs(slope)
         if abs(step) <= floor or hi - lo <= floor:
-            eigenpairs = ((mu_u, chi_u), (mu_v, chi_v))
-            return energy + step, mu_v[0] + s_v[0] * step, energy, eigenpairs, evals
+            return energy + step, mu_v[0] + s_v[0] * step, (chi_u, chi_v), evals
         energy += step
         if not lo < energy < hi:
             energy = 0.5 * (lo + hi)
@@ -553,12 +534,10 @@ def parabolic_joint_solve(
         build_radial_problem(kind, model=model, micz=micz, energy=0.0, wmax=hi)
         for kind in ("para_u", "para_v")
     ]
-    fine, top, hi, n, solves = _contain(problems, grid, n, _BRANCHES, energy=e_hi)
-    coarse = [_assemble(p, grid, 0.0, hi, n) for p in problems]
-    (mu_u_lo, _, _), (mu_v_lo, _, _) = (_shifted(pencil, e_lo, 0, _BRANCHES - 1) for pencil in fine)
-    mu_u_hi, mu_v_hi = (
-        _rayleigh(d0 - 0.5 * e_hi * x, e, chi) for (d0, e, x, _), (_, chi) in zip(fine, top)
+    fine, coarse, ((mu_u_hi, _, _), (mu_v_hi, _, _)), n, solves = _contain(
+        problems, grid, n, _BRANCHES, energy=e_hi
     )
+    (mu_u_lo, _, _), (mu_v_lo, _, _) = (_shifted(pencil, e_lo, 0, _BRANCHES - 1) for pencil in fine)
     solves += 2
     mismatch = {
         (i, j): (float(mu_u_lo[i] + mu_v_lo[j]), float(mu_u_hi[i] + mu_v_hi[j]))
@@ -578,21 +557,18 @@ def parabolic_joint_solve(
             start = seed
         else:
             start = e_lo + (e_hi - e_lo) * f_lo / (f_lo - f_hi) if f_lo else e_lo
-        e_f, p_f, at, eigenpairs, evals_f = _match_root(fine, i, j, start, e_lo, e_hi)
-        e_c, p_c, _, _, evals_c = _match_root(coarse, i, j, e_f, -math.inf, math.inf)
+        e_f, p_f, chis, evals_f = _match_root(fine, i, j, start, e_lo, e_hi)
+        e_c, p_c, _, evals_c = _match_root(coarse, i, j, e_f, -math.inf, math.inf)
         solves += 2 * (evals_f + evals_c)
-        nodes, residuals = [], []
-        for (d0, e, x, mass), (mu, chi) in zip(fine, eigenpairs):
-            nodes.append(_count_nodes(chi[:, 0] / np.sqrt(mass)))
-            residuals.append(float(_defects(d0 - 0.5 * at * x, e, mu, chi)[0]))
+        node_u, node_v = (
+            _count_nodes(chi[:, 0] / np.sqrt(mass)) for (_, _, _, mass), chi in zip(fine, chis)
+        )
         states.append(
             JointState(
                 E=float(4.0 * e_f - e_c) / 3.0,
                 P=float(4.0 * p_f - p_c) / 3.0,
-                node_u=nodes[0],
-                node_v=nodes[1],
-                residual_u=residuals[0],
-                residual_v=residuals[1],
+                node_u=node_u,
+                node_v=node_v,
                 E_error=float(abs(e_f - e_c)) / 3.0,
                 solves=0,
             )

@@ -558,6 +558,43 @@ def test_duality_cases_must_be_a_list_exit_2(tmp_path, capsys, cases, verify):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("verify", [[], ["--no-verify"]], ids=["verify", "no-verify"])
+@pytest.mark.parametrize(
+    "cfg, message",
+    [
+        ({"omega": 0.25, "cases": [{"c1": -1}]}, "case key 'c1' must be nonnegative"),
+        ({"omega": 0.25, "cases": [{"c1": 1, "c2": -0.5}]}, "case key 'c2' must be nonnegative"),
+        ({"omega": 0.25, "omega2": -1}, "config key 'omega2' must be positive"),
+        ({"omega": 0.25, "omega2": 0}, "config key 'omega2' must be positive"),
+        ({"omega": 0}, "config key 'omega' must be positive"),
+    ],
+    ids=["c1-negative", "c2-negative", "omega2-negative", "omega2-zero", "omega-zero"],
+)
+def test_duality_strength_and_frequency_exit_2(tmp_path, capsys, cfg, message, verify):
+    path = _write(tmp_path, "d.json", cfg)
+    out = tmp_path / "out"
+    assert main(["duality", path, "--out", str(out)] + verify) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("Z", [0.0, -1.0])
+def test_micz_spectrum_nonpositive_charge_exit_2(tmp_path, capsys, Z):
+    path = _write(tmp_path, "m.json", {"problem": "micz", "micz": {"Z": Z}})
+    out = tmp_path / "out"
+    assert main(["spectrum", path, "--out", str(out)]) == 2
+    assert "micz block key 'Z' must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_oscillator_spectrum_complex_lprime_exit_2(tmp_path, capsys):
+    path = _write(tmp_path, "o.json", {**_OSC, "potential": {**_SHO, "c": -20.0}})
+    out = tmp_path / "out"
+    assert main(["spectrum", path, "--out", str(out)]) == 2
+    assert "effective angular exponent is complex" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "grid",
     [{"n": 2000, "rmax": 12.0, "stretch": True}, {"n": 400, "spacing": "uniform", "stretch": 4.0}],
