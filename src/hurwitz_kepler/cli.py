@@ -205,11 +205,27 @@ def cmd_transform(args) -> int:
 # spectrum
 
 
+def _check_states(key: str, states: int, grid: Grid) -> None:
+    """A solve for ``states`` states, set by config key ``key``, needs grid ``n >= 4 states``."""
+    if states > grid.n // 4:
+        raise ConfigError(
+            f"config key {key!r} asks for {states} states per solve, "
+            f"which needs grid block key 'n' >= {4 * states}, got {grid.n}"
+        )
+
+
 def _spectrum_oscillator(cfg: dict) -> tuple:
     pot = potential_from_dict(cfg["potential"])
+    if pot.variant != "sho":
+        # the closed form below is the sho one; sub2/super2 levels come from qes
+        raise ConfigError(
+            f"potential key 'variant' must be 'sho' for an oscillator spectrum, "
+            f"got {pot.variant!r}"
+        )
     n_max = int_key(cfg, "n_max", 2, minimum=0)
     l_max = int_key(cfg, "l_max", 1, minimum=0)
     grid, rmax = _grid_from(cfg, 4000)
+    _check_states("n_max", n_max + 1, grid)
     # closed forms before the first solve: a complex L' is a config error
     exact = {
         (N, L): singular_oscillator_energy(QuantumNumbers(N=N, L=L), pot.omega, pot.c)
@@ -241,6 +257,7 @@ def _spectrum_micz(cfg: dict) -> tuple:
             raise ConfigError("model charge Z1+Z2 disagrees with the micz block Z")
     n_states = int_key(cfg, "n_states", 2, minimum=1)
     grid, rmax = _grid_from(cfg, 4000)
+    _check_states("n_states", n_states, grid)
     smax = n_states + 5.0
     rmax = float(rmax or 55.0 * smax / micz.Z)
     states = spherical_micz_energies(

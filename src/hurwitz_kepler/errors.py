@@ -6,8 +6,9 @@ an integer and of a real config value respectively.
 The CLI maps outcomes to stable exit codes:
 
 0  success
-1  accuracy or tolerance failure: :class:`AccuracyError`, or a result
-   whose deviation from the closed form exceeds ``--tol``
+1  accuracy or tolerance failure: :class:`AccuracyError` (a LAPACK
+   eigensolver failure included), or a result whose deviation from the
+   closed form exceeds ``--tol``
 2  config error: :class:`ConfigError` (a ``ValueError``), any other
    rejected value (``ValueError``), or a flag the subcommand does not take
 3  spherical-separability violation: :class:`SeparabilityError`
@@ -72,7 +73,7 @@ class BracketError(HurwitzKeplerError):
 
 
 class AccuracyError(HurwitzKeplerError):
-    """Grid refinement failed to converge to the requested tolerance."""
+    """Grid refinement failed to converge to the requested tolerance, or the eigensolver failed."""
 
 
 def check_keys(d, allowed, required=frozenset(), what: str = "config") -> dict:

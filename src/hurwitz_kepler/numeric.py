@@ -48,9 +48,18 @@ With sho factors the states also have one shape in sqrt(-2E) w, so the
 search starts on the domain that holds them.
 
 Every eigensolve goes through :func:`_shifted`, the one caller of
-:func:`eigh_tridiagonal`, which imports scipy's solver on its first call:
-importing this module (and the package, and its CLI) loads numpy only, so
-work that solves nothing never pays scipy's start-up.
+:func:`eigh_tridiagonal`, the one call into LAPACK, which imports scipy on
+its first call: importing this module (and the package, and its CLI)
+loads numpy only, so work that solves nothing never pays scipy's
+start-up.  Only the first solve of each problem (the fine grid of the
+first domain) bisects.  Every later solve already has eigenvalue
+estimates in hand: the coarse grid takes the fine quotients, a widened
+domain the previous domain's, the joint search's lower bracket end and
+each Newton evaluation the linear extrapolation along the Hellmann-Feynman
+slopes of the previous solve.  From those, inverse iteration alone gives
+the eigenpairs, certified by the discrete Sturm oscillation theorem (the
+j-th vector changes sign exactly j times) and a residual at rounding
+level; a solve that fails either check bisects after all.
 
 Solves share no mutable state; concurrent sector sweeps are safe.
 """
@@ -91,13 +100,61 @@ _EPS = float(np.finfo(float).eps)
 # Largest grid-doubling change accepted, relative to max(1, |mu|) in
 # fd_eigensolve and to |E| in the joint search.
 _CONV_TOL = 1e-5
+# Largest residual |T chi - mu chi| accepted from an eigensolve that skipped
+# bisection, relative to sum_k |d_k| chi_k^2, the scale of T where the state
+# lives (|T| itself is set by the smallest cells of a log-stretched grid).
+# Converged vectors stay below 2e-15 on every solve of the tests and the
+# benchmark; one with 1e-5 of a neighbour mixed in sits near 1e-11.
+_WARM_TOL = 1e-13
 
 
-def eigh_tridiagonal(d, e, **kwargs):
-    """``scipy.linalg.eigh_tridiagonal(d, e, **kwargs)``, imported on the first call."""
-    from scipy.linalg import eigh_tridiagonal as solve
+def _quotients(d, e, chi):
+    """Rayleigh quotients of the unit columns of ``chi`` for T = tridiag(e, d, e), and T chi."""
+    t_chi = d[:, None] * chi
+    t_chi[:-1] += e[:, None] * chi[1:]
+    t_chi[1:] += e[:, None] * chi[:-1]
+    return np.einsum("kj,kj->j", chi, t_chi), t_chi
 
-    return solve(d, e, **kwargs)
+
+def eigh_tridiagonal(d, e, first: int, last: int, estimates=None):
+    """Eigenpairs ``first..last`` of T = tridiag(e, d, e): Rayleigh quotients, unit vectors.
+
+    This is the one call into LAPACK, and scipy is imported on its first
+    call.  Without ``estimates`` it is ``scipy.linalg.eigh_tridiagonal``
+    with ``select="i"``: bisection (stebz) to full precision, then inverse
+    iteration (stein).  With ``estimates`` (one per wanted eigenvalue)
+    bisection is skipped: stein runs from the estimates, then once more
+    from the quotients of its vectors.  That result is kept only if stein
+    converged, every column j has exactly ``first + j`` sign changes (the
+    discrete Sturm oscillation theorem, valid because every assembled
+    ``e`` is strictly negative, certifies the index) and its residual
+    ``|T chi - mu chi|`` is at most ``_WARM_TOL sum_k |d_k| chi_k^2``
+    (2-norms); otherwise the same call falls back to bisection.  A LAPACK
+    failure on either path is an :class:`AccuracyError`.
+    """
+    from scipy.linalg import LinAlgError, get_lapack_funcs
+    from scipy.linalg import eigh_tridiagonal as bisect
+
+    try:
+        if estimates is not None:
+            (stein,) = get_lapack_funcs(("stein",), (d, e))
+            n = len(d)
+            blocks = np.ones(n, np.int32), np.full(n, n, np.int32)
+            # stein rejects shifts that are not ascending
+            chi, info = stein(d, e, np.sort(estimates), *blocks)
+            if info == 0:
+                chi, info = stein(d, e, np.sort(_quotients(d, e, chi)[0]), *blocks)
+            if info == 0:
+                mu, t_chi = _quotients(d, e, chi)
+                residual = np.linalg.norm(t_chi - mu * chi, axis=0)
+                if np.all(residual <= _WARM_TOL * (np.abs(d) @ chi**2)) and all(
+                    _count_nodes(chi[:, j]) == first + j for j in range(chi.shape[1])
+                ):
+                    return mu, chi
+        _, chi = bisect(d, e, select="i", select_range=(first, last))
+        return _quotients(d, e, chi)[0], chi
+    except LinAlgError as exc:
+        raise AccuracyError(f"tridiagonal eigensolve failed: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -211,22 +268,19 @@ def _assemble(problem: RadialProblem, grid: Grid, lo: float, hi: float, n: int):
     return d, e, x, mass
 
 
-def _shifted(pencil, energy: float, first: int, last: int):
+def _shifted(pencil, energy: float, first: int, last: int, estimates=None):
     """Eigenpairs first..last of T(E) = T0 - (E/2) diag(x), and dmu/dE.
 
     ``pencil`` is ``(d0, e, x, mass)`` assembled at E = 0.  Each eigenvalue
     is the Rayleigh quotient of its orthonormal eigenvector chi, which is
-    accurate to rounding on the nodes the state occupies; the bisection
-    value is only accurate to eps |T| over the whole domain.  The slope is
-    the Hellmann-Feynman derivative -1/2 sum_k chi_k^2 x_k.
+    accurate to rounding on the nodes the state occupies; with
+    ``estimates`` of the eigenvalues the solve skips bisection (see
+    :func:`eigh_tridiagonal`).  The slope is the Hellmann-Feynman
+    derivative -1/2 sum_k chi_k^2 x_k.
     """
     d0, e, x, _ = pencil
-    d = d0 - 0.5 * energy * x
-    _, chi = eigh_tridiagonal(d, e, select="i", select_range=(first, last))
-    t_chi = d[:, None] * chi
-    t_chi[:-1] += e[:, None] * chi[1:]
-    t_chi[1:] += e[:, None] * chi[:-1]
-    return np.einsum("kj,kj->j", chi, t_chi), chi, -0.5 * (x @ chi**2)
+    mu, chi = eigh_tridiagonal(d0 - 0.5 * energy * x, e, first, last, estimates)
+    return mu, chi, -0.5 * (x @ chi**2)
 
 
 def _physical_vectors(chi: np.ndarray, mass: np.ndarray) -> np.ndarray:
@@ -260,16 +314,18 @@ def _contain(problems, grid: Grid, n: int, k: int, energy: float = 0.0):
     :func:`_shifted`.  While some state keeps more than e^-20 of its peak
     at the upper end, the domain is extended times 1.5 at fixed node
     spacing, at most ``_MAX_EXTENSIONS`` times (the sin^7 polar domain is
-    never extended).  Returns the fine pencils (d0, e, x, mass), the
-    coarse pencils on n nodes of the final domain, the fine
-    ``(mu, chi, slope)`` of each problem, the final n and the number of
-    eigensolves made.
+    never extended).  The first domain's solve bisects; each wider one
+    starts inverse iteration from the previous domain's eigenvalues.
+    Returns the fine pencils (d0, e, x, mass), the coarse pencils on n
+    nodes of the final domain, the fine ``(mu, chi, slope)`` of each
+    problem, the final n and the number of eigensolves made.
     """
     lo, hi = problems[0].domain
     fixed = any(p.weight_kind == "sin7" for p in problems)
+    estimates = [None] * len(problems)
     for attempt in range(_MAX_EXTENSIONS + 1):
         fine = [_assemble(p, grid, lo, hi, 2 * n + 1) for p in problems]
-        solved = [_shifted(pencil, energy, 0, k - 1) for pencil in fine]
+        solved = [_shifted(pencil, energy, 0, k - 1, mu) for pencil, mu in zip(fine, estimates)]
         if fixed or max(_tail_fraction(chi) for _, chi, _ in solved) <= _TAIL_LIMIT:
             coarse = [_assemble(p, grid, lo, hi, n) for p in problems]
             return fine, coarse, solved, n, len(problems) * (attempt + 1)
@@ -277,13 +333,15 @@ def _contain(problems, grid: Grid, n: int, k: int, energy: float = 0.0):
             raise AccuracyError(f"domain extension failed to contain the states (hi = {hi:.6g})")
         hi = lo + (hi - lo) * 1.5
         n = int(n * 1.5)
+        estimates = [mu for mu, _, _ in solved]
 
 
 def fd_eigensolve(problem: RadialProblem, grid: Grid, k: int) -> Spectrum:
     """Lowest ``k`` eigenpairs of ``problem`` on ``grid``.
 
     The solve runs on the grid and on its doubling; on each the eigenvalues
-    are the Rayleigh quotients from :func:`_shifted`, Richardson-extrapolated
+    are the Rayleigh quotients from :func:`_shifted` (the coarse grid's
+    from inverse iteration started at the fine ones), Richardson-extrapolated
     across the two, and the residual grid change must stay below
     ``_CONV_TOL * max(1, |mu|)`` or :class:`AccuracyError` is raised.  The
     eigenvectors are those of the doubled grid.  The domain is first
@@ -297,7 +355,7 @@ def fd_eigensolve(problem: RadialProblem, grid: Grid, k: int) -> Spectrum:
     ((_, _, x_f, mass),), (coarse,), ((vals_f, chi_f, _),), n, _ = _contain(
         [problem], grid, grid.n, k
     )
-    vals_c, _, _ = _shifted(coarse, 0.0, 0, k - 1)
+    vals_c, _, _ = _shifted(coarse, 0.0, 0, k - 1, vals_f)
     values = (4.0 * vals_f - vals_c) / 3.0
     conv = np.abs(vals_f - vals_c) / 3.0
     rel = conv / np.maximum(1.0, np.abs(values))
@@ -438,25 +496,34 @@ class JointState:
     solves: int
 
 
-def _match_root(pencils, i: int, j: int, energy: float, lo: float, hi: float):
+def _match_root(pencils, i: int, j: int, energy: float, lo: float, hi: float, known):
     """Root of F(E) = mu_u[i](E) + mu_v[j](E) by Newton steps from ``energy``.
 
     F is strictly decreasing, so every evaluation moves one end of the known
     bracket (lo, hi), which may start unbounded; a step that would leave it
     is replaced by bisection.  Newton stops once its step falls below the
     rounding floor eps (|T_u| + |T_v|) / |F'|, below which it would cycle;
-    that last step is applied without a further solve.  Returns the root,
-    P = mu_v[j] there (carried along the slope), the eigenvectors
-    (chi_u, chi_v) of the last evaluation and the number of evaluations.
+    that last step is applied without a further solve.  ``known`` is
+    ``(E0, ((mu_u, slope_u), (mu_v, slope_v)))``, the two branches'
+    eigenvalues and slopes at an earlier energy E0; each evaluation passes
+    the linear extrapolation from the previous one as its eigenvalue
+    estimates, so an evaluation bisects only if its inverse iteration
+    fails the checks of :func:`eigh_tridiagonal`.  Returns the root, P = mu_v[j]
+    there (carried along the slope), the eigenvectors (chi_u, chi_v) of the
+    last evaluation, the number of evaluations and the last evaluation in
+    the form of ``known``.
     """
     norm = sum(
         np.max(np.abs(d0 - 0.5 * energy * x)) + 2.0 * np.max(np.abs(e))
         for d0, e, x, _ in pencils
     )
+    at, known = known
     for evals in range(1, _MAX_NEWTON + 1):
         (mu_u, chi_u, s_u), (mu_v, chi_v, s_v) = (
-            _shifted(p, energy, b, b) for p, b in zip(pencils, (i, j))
+            _shifted(p, energy, b, b, mu + s * (energy - at))
+            for p, b, (mu, s) in zip(pencils, (i, j), known)
         )
+        at, known = energy, ((mu_u, s_u), (mu_v, s_v))
         f = mu_u[0] + mu_v[0]
         slope = s_u[0] + s_v[0]
         if f > 0.0:
@@ -466,7 +533,7 @@ def _match_root(pencils, i: int, j: int, energy: float, lo: float, hi: float):
         step = -f / slope
         floor = _EPS * norm / abs(slope)
         if abs(step) <= floor or hi - lo <= floor:
-            return energy + step, mu_v[0] + s_v[0] * step, (chi_u, chi_v), evals
+            return energy + step, mu_v[0] + s_v[0] * step, (chi_u, chi_v), evals, (at, known)
         energy += step
         if not lo < energy < hi:
             energy = 0.5 * (lo + hi)
@@ -494,7 +561,11 @@ def parabolic_joint_solve(
 
     Both equations are assembled once, at E = 0, on a fine grid (2n+1
     nodes) and a coarse one (n nodes); an energy then costs one diagonal
-    shift and one tridiagonal eigensolve per equation.  The branches are
+    shift and one tridiagonal eigensolve per equation.  Only the solves
+    at E_hi on the first domain bisect; every later one starts inverse
+    iteration from the previous solve's eigenvalues, extrapolated along
+    their slopes (the fine Newton from E_hi, the coarse one from the last
+    fine evaluation).  The branches are
     node counts 0, 1 and 2 of each equation.  The domain starts at
     w = 50 / sqrt(-2 E_hi) with node spacing 0.1 or finer, one x1.5 rung
     higher for sho factors (their two-node state has not decayed to e^-20
@@ -534,10 +605,12 @@ def parabolic_joint_solve(
         build_radial_problem(kind, model=model, micz=micz, energy=0.0, wmax=hi)
         for kind in ("para_u", "para_v")
     ]
-    fine, coarse, ((mu_u_hi, _, _), (mu_v_hi, _, _)), n, solves = _contain(
-        problems, grid, n, _BRANCHES, energy=e_hi
+    fine, coarse, at_hi, n, solves = _contain(problems, grid, n, _BRANCHES, energy=e_hi)
+    (mu_u_hi, _, s_u_hi), (mu_v_hi, _, s_v_hi) = at_hi
+    (mu_u_lo, _, _), (mu_v_lo, _, _) = (
+        _shifted(pencil, e_lo, 0, _BRANCHES - 1, mu + s * (e_lo - e_hi))
+        for pencil, (mu, _, s) in zip(fine, at_hi)
     )
-    (mu_u_lo, _, _), (mu_v_lo, _, _) = (_shifted(pencil, e_lo, 0, _BRANCHES - 1) for pencil in fine)
     solves += 2
     mismatch = {
         (i, j): (float(mu_u_lo[i] + mu_v_lo[j]), float(mu_u_hi[i] + mu_v_hi[j]))
@@ -557,8 +630,10 @@ def parabolic_joint_solve(
             start = seed
         else:
             start = e_lo + (e_hi - e_lo) * f_lo / (f_lo - f_hi) if f_lo else e_lo
-        e_f, p_f, chis, evals_f = _match_root(fine, i, j, start, e_lo, e_hi)
-        e_c, p_c, _, evals_c = _match_root(coarse, i, j, e_f, -math.inf, math.inf)
+        u, v = slice(i, i + 1), slice(j, j + 1)
+        known = (e_hi, ((mu_u_hi[u], s_u_hi[u]), (mu_v_hi[v], s_v_hi[v])))
+        e_f, p_f, chis, evals_f, known = _match_root(fine, i, j, start, e_lo, e_hi, known)
+        e_c, p_c, _, evals_c, _ = _match_root(coarse, i, j, e_f, -math.inf, math.inf, known)
         solves += 2 * (evals_f + evals_c)
         node_u, node_v = (
             _count_nodes(chi[:, 0] / np.sqrt(mass)) for (_, _, _, mass), chi in zip(fine, chis)

@@ -596,6 +596,53 @@ def test_oscillator_spectrum_complex_lprime_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "potential",
+    [{"variant": "sub2", "omega": 1.0, "a": 0.3, "b": 0.2}, {**_SUPER2, "a": 0.3, "b": 0.2}],
+    ids=["sub2", "super2"],
+)
+def test_oscillator_spectrum_needs_sho_exit_2(tmp_path, capsys, potential):
+    # its closed form is the sho one; the anharmonic levels belong to qes
+    path = _write(tmp_path, "o.json", {**_OSC, "potential": potential})
+    out = tmp_path / "out"
+    assert main(["spectrum", path, "--out", str(out)]) == 2
+    assert "potential key 'variant' must be 'sho'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "cfg, key, states",
+    [
+        ({**_OSC, "n_max": 10, "grid": {"n": 40}}, "n_max", 11),
+        ({**_MICZ, "n_states": 11, "grid": {"n": 40}}, "n_states", 11),
+    ],
+    ids=["oscillator", "micz"],
+)
+def test_more_states_than_a_quarter_of_the_grid_exit_2(tmp_path, capsys, cfg, key, states):
+    path = _write(tmp_path, "s.json", cfg)
+    out = tmp_path / "out"
+    assert main(["spectrum", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"config key {key!r} asks for {states} states per solve" in err
+    assert f"grid block key 'n' >= {4 * states}, got 40" in err
+    assert not out.exists()
+
+
+def test_lapack_failure_exit_1(tmp_path, capsys, monkeypatch):
+    # numpy's LinAlgError is a ValueError, which would print as a config error
+    import scipy.linalg
+
+    def fail(*args, **kwargs):
+        raise scipy.linalg.LinAlgError("stebz (eigh_tridiagonal) did not converge")
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", fail)
+    path = _write(tmp_path, "s.json", {**_OSC, "grid": {"n": 2000, "rmax": 12.0}})
+    out = tmp_path / "out"
+    assert main(["spectrum", path, "--out", str(out)]) == 1
+    assert "accuracy error: tridiagonal eigensolve failed: stebz" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "grid",
     [{"n": 2000, "rmax": 12.0, "stretch": True}, {"n": 400, "spacing": "uniform", "stretch": 4.0}],
     ids=["default-spacing", "uniform"],

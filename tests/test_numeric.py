@@ -1,15 +1,24 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st_
 
+from hurwitz_kepler import numeric
 from hurwitz_kepler.analytic import QuantumNumbers, singular_oscillator_energy
 from hurwitz_kepler.errors import AccuracyError, SeparabilityError
 from hurwitz_kepler.numeric import (
     Grid,
     RadialProblem,
+    _assemble,
+    _count_nodes,
     build_radial_problem,
+    eigh_tridiagonal,
     fd_eigensolve,
+    parabolic_joint_solve,
     spherical_micz_energies,
 )
 from hurwitz_kepler.potentials import (
@@ -287,3 +296,138 @@ def test_solver_inputs_and_result_fields():
     assert fields(QesSolution) == [
         "family", "energies", "polynomials", "gauge", "power", "charges", "closure_residual"
     ]
+
+
+# ---------------------------------------------------------------------------
+# The eigensolver kernel: bisection without estimates, inverse iteration with
+
+
+def _matrix(problem, grid, n, energy=0.0):
+    """(d, e) of ``problem`` on ``n`` nodes of its domain, shifted to ``energy``."""
+    d0, e, x, _ = _assemble(problem, grid, *problem.domain, n)
+    return d0 - 0.5 * energy * x, e
+
+
+_PARA_MICZ = MiczParams(Z=1.0, c1=1.0, c2=2.0)
+_COUL9 = build_radial_problem("coul9", Z=1.0, lam=0.0, rmax=260.0)
+_KERNEL_CASES = {  # (problem, grid, states, energy of the pencil shift)
+    "osc8": (
+        build_radial_problem("osc8", potential=Potential8D("sho", omega=1.0, c=1.0), L=1),
+        Grid(n=2000),
+        3,
+        0.0,
+    ),
+    "coul9-uniform": (_COUL9, Grid(n=4000), 2, 0.0),
+    "coul9-log": (_COUL9, Grid(n=4000, spacing="log", stretch=4.0), 2, 0.0),
+    "theta": (build_radial_problem("theta", micz=_PARA_MICZ), Grid(n=3000), 3, 0.0),
+    **{
+        kind: (
+            build_radial_problem(kind, model=_sho_model(), micz=_PARA_MICZ, energy=0.0, wmax=250.0),
+            Grid(n=1500),
+            3,
+            -0.02,
+        )
+        for kind in ("para_u", "para_v")
+    },
+}
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Counts of kernel calls, of those without estimates and of bisections run."""
+    counts = {"calls": 0, "cold": 0, "bisections": 0}
+    kernel, bisect = numeric.eigh_tridiagonal, scipy.linalg.eigh_tridiagonal
+
+    def counted_kernel(d, e, first, last, estimates=None):
+        counts["calls"] += 1
+        counts["cold"] += estimates is None
+        return kernel(d, e, first, last, estimates)
+
+    def counted_bisect(*args, **kwargs):
+        counts["bisections"] += 1
+        return bisect(*args, **kwargs)
+
+    monkeypatch.setattr(numeric, "eigh_tridiagonal", counted_kernel)
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counted_bisect)
+    return counts
+
+
+def _assert_same_eigenpairs(warm, cold, d):
+    # a quotient chi . T chi sums n products whose rounding errors of
+    # eps |d_k| chi_k^2 add up like a random walk: that floor, not 1e-12
+    # relative, bounds the agreement where |mu| is small against d
+    (mu_w, chi_w), (mu, chi) = warm, cold
+    floor = np.finfo(float).eps * np.linalg.norm(d[:, None] * chi**2, axis=0)
+    np.testing.assert_allclose(mu_w, mu, rtol=1e-12, atol=4.0 * np.max(floor))
+    signs = np.sign(np.sum(chi_w * chi, axis=0))
+    np.testing.assert_allclose(chi_w * signs, chi, rtol=0.0, atol=1e-8)
+
+
+@functools.lru_cache(maxsize=None)
+def _fine(case):
+    problem, grid, _, energy = _KERNEL_CASES[case]
+    return _matrix(problem, grid, 2 * grid.n + 1, energy)
+
+
+@functools.lru_cache(maxsize=None)
+def _cold(case, first, last):
+    return eigh_tridiagonal(*_fine(case), first, last)
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("case", list(_KERNEL_CASES))
+    def test_warm_matches_cold(self, solves, case):
+        # the coarse grid's quotients start inverse iteration on the fine
+        # grid, as in fd_eigensolve, and no bisection follows
+        problem, grid, k, energy = _KERNEL_CASES[case]
+        fine = _fine(case)
+        estimates, _ = numeric.eigh_tridiagonal(*_matrix(problem, grid, grid.n, energy), 0, k - 1)
+        cold = numeric.eigh_tridiagonal(*fine, 0, k - 1)
+        warm = numeric.eigh_tridiagonal(*fine, 0, k - 1, estimates)
+        assert solves == {"calls": 3, "cold": 2, "bisections": 2}
+        _assert_same_eigenpairs(warm, cold, fine[0])
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        case=st_.sampled_from(["osc8", "coul9-log", "para_v"]),
+        first=st_.integers(0, 2),
+        shifts=st_.lists(st_.floats(-0.5, 0.5), min_size=1, max_size=3),
+    )
+    # midway between two log-grid eigenvalues, two passes of inverse
+    # iteration leave 9e-6 of the neighbour in the vector and its quotient
+    # 2.8e-11 off: the residual is 1e-15 of |T| but 1.5e-11 of the
+    # diagonal's scale where the state lives, so the call bisects
+    @example(case="coul9-log", first=1, shifts=[0.5])
+    def test_estimates_within_half_a_gap(self, case, first, shifts):
+        # whether it keeps inverse iteration or falls back to bisection, the
+        # kernel returns the requested eigenpairs
+        last = first + len(shifts) - 1
+        mu, _ = _cold(case, 0, last + 1)
+        gaps = np.diff(mu)[first : last + 1]
+        estimates = mu[first : last + 1] + np.array(shifts) * gaps
+        warm = eigh_tridiagonal(*_fine(case), first, last, estimates)
+        _assert_same_eigenpairs(warm, _cold(case, first, last), _fine(case)[0])
+
+    @pytest.mark.parametrize("index, neighbour", [(0, 1), (1, 0), (1, 2)])
+    def test_neighbour_estimate_falls_back(self, solves, index, neighbour):
+        # inverse iteration from another state's eigenvalue finds that state;
+        # its sign changes give it away and the call bisects instead
+        mu, _ = _cold("osc8", 0, 2)
+        solves.update(dict.fromkeys(solves, 0))  # count the call under test only
+        estimate = mu[neighbour : neighbour + 1]
+        mu_w, chi_w = numeric.eigh_tridiagonal(*_fine("osc8"), index, index, estimate)
+        assert solves == {"calls": 1, "cold": 0, "bisections": 1}
+        assert _count_nodes(chi_w[:, 0]) == index
+        assert mu_w[0] == pytest.approx(mu[index], rel=1e-12)
+
+    def test_fd_eigensolve_bisects_the_fine_grid_only(self, solves):
+        prob = build_radial_problem("osc8", potential=Potential8D("sho", omega=1.0))
+        fd_eigensolve(prob, Grid(n=1000), 1)
+        assert solves == {"calls": 2, "cold": 1, "bisections": 1}
+
+    @pytest.mark.parametrize("bracket, calls", [((-0.045, -0.024), 12), ((-0.024, -0.017), 20)])
+    def test_joint_search_bisects_at_e_hi_only(self, solves, bracket, calls):
+        # one bisection per equation on the first domain; no warm solve
+        # of the Coulomb levels falls back
+        parabolic_joint_solve(_sho_model(), MiczParams(Z=1.0), Grid(n=1500), bracket)
+        assert solves == {"calls": calls, "cold": 2, "bisections": 2}

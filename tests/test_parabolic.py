@@ -203,8 +203,8 @@ def _recorded_search(monkeypatch, model, grid, bracket):
     roots = {}
     match = numeric._match_root
 
-    def record(pencils, i, j, energy, lo, hi):
-        out = match(pencils, i, j, energy, lo, hi)
+    def record(pencils, i, j, energy, *args):
+        out = match(pencils, i, j, energy, *args)
         roots.setdefault((i, j), []).append((pencils, energy, out[0]))
         return out
 
