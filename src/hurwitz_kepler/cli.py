@@ -341,6 +341,8 @@ def cmd_qes(args) -> int:
     sol = qes_solve(params, family)
 
     grid, rmax = _grid_from(cfg, 3000)
+    if args.verify:
+        _check_states("N", len(sol.energies) + 2, grid)
     rows = []
     worst = 0.0
     spectra = {}  # one solve per distinct potential: super2 states share theirs

@@ -22,12 +22,15 @@ coordinate singularities (r = 0, theta in {0, pi}).
 Accuracy strategy: the scheme is second order; each solve is repeated on
 a doubled grid and Richardson-extrapolated, the difference between the
 two grids serving as the convergence check demanded of every reported
-eigenvalue.  On both grids every eigenvalue is the Rayleigh quotient of
-its eigenvector, accurate to rounding where the state lives; a bisection
-value is only good to eps |T| over the whole domain, which sets a floor
-under the extrapolation on the optional log-stretched grid, which
-clusters nodes near the origin for Coulomb-like tails.  Every domain except the
-polar (0, pi) is widened until the requested states have decayed; the
+eigenvalue.  The grid itself (n nodes) does all the exploring: the cold
+first solve, the domain extension and the root search; the doubled grid
+(2n+1 nodes) is solved once more, started from the grid's answer.  On
+both grids every eigenvalue is the Rayleigh quotient of its eigenvector,
+accurate to rounding where the state lives; a bisection value is only
+good to eps |T| over the whole domain, which sets a floor under the
+extrapolation on the optional log-stretched grid, which clusters nodes
+near the origin for Coulomb-like tails.  Every domain except the polar
+(0, pi) is widened until the requested states have decayed; the
 fixed-grid solve and the joint search share that loop.
 
 The two parabolic equations depend on the energy only through -E w/2, so
@@ -36,8 +39,9 @@ right-definite two-parameter Sturm-Liouville problem.  The joint search
 assembles T0 once per grid and evaluates an energy with one diagonal
 shift and one eigensolve per equation; its eigenvalues fall strictly
 with E and their slopes follow from the eigenvectors (Hellmann-Feynman),
-so each matching root is found by safeguarded Newton iteration on both
-grids and the root itself is Richardson-extrapolated, with an error bar.
+so each matching root is found by safeguarded Newton iteration on the
+coarse grid, polished by Newton on the fine one, and the root itself is
+Richardson-extrapolated, with an error bar.
 The charge enters only as a constant shift of each pencil, so the
 eigenvalues at the bracket's upper end already give the charge each
 branch pair binds there; with sho factors that charge grows as sqrt(-E)
@@ -51,15 +55,17 @@ Every eigensolve goes through :func:`_shifted`, the one caller of
 :func:`eigh_tridiagonal`, the one call into LAPACK, which imports scipy on
 its first call: importing this module (and the package, and its CLI)
 loads numpy only, so work that solves nothing never pays scipy's
-start-up.  Only the first solve of each problem (the fine grid of the
+start-up.  Only the first solve of each problem (the coarse grid of the
 first domain) bisects.  Every later solve already has eigenvalue
-estimates in hand: the coarse grid takes the fine quotients, a widened
-domain the previous domain's, the joint search's lower bracket end and
-each Newton evaluation the linear extrapolation along the Hellmann-Feynman
-slopes of the previous solve.  From those, inverse iteration alone gives
-the eigenpairs, certified by the discrete Sturm oscillation theorem (the
-j-th vector changes sign exactly j times) and a residual at rounding
-level; a solve that fails either check bisects after all.
+estimates in hand: a widened domain takes the previous domain's
+quotients, the fine grid the coarse ones, the joint search's lower
+bracket end their Sturmian scaling (sho factors) or their linear
+extrapolation along the Hellmann-Feynman slopes, and each Newton
+evaluation the linear extrapolation from the previous one.  From those,
+inverse iteration alone gives the eigenpairs, certified by the discrete
+Sturm oscillation theorem (the j-th vector changes sign exactly j times)
+and a residual at rounding level; a solve that fails either check
+bisects after all.
 
 Solves share no mutable state; concurrent sector sweeps are safe.
 """
@@ -296,8 +302,8 @@ def _physical_vectors(chi: np.ndarray, mass: np.ndarray) -> np.ndarray:
 
 
 def _tail_fraction(chi: np.ndarray) -> float:
-    """Largest share of its peak that any state keeps at the upper end."""
-    return float(np.max(np.max(np.abs(chi[-2:]), axis=0) / np.max(np.abs(chi), axis=0)))
+    """Largest share of its peak that any state keeps at the last node."""
+    return float(np.max(np.abs(chi[-1]) / np.max(np.abs(chi), axis=0)))
 
 
 def _count_nodes(vec: np.ndarray) -> int:
@@ -309,25 +315,27 @@ def _count_nodes(vec: np.ndarray) -> int:
 def _contain(problems, grid: Grid, n: int, k: int, energy: float = 0.0):
     """Fine and coarse pencils of a domain that holds the lowest ``k`` states at ``energy``.
 
-    Each problem is assembled at E = 0 on 2n+1 nodes of its domain and its
-    lowest ``k`` eigenpairs of T0 - (energy/2) diag(x) are solved through
-    :func:`_shifted`.  While some state keeps more than e^-20 of its peak
-    at the upper end, the domain is extended times 1.5 at fixed node
+    Each problem is assembled at E = 0 on the coarse grid, n nodes of its
+    domain, and its lowest ``k`` eigenpairs of T0 - (energy/2) diag(x) are
+    solved through :func:`_shifted`.  While some state keeps more than
+    e^-20 of its peak at the last node (one coarse cell, two fine cells,
+    from the upper end), the domain is extended times 1.5 at fixed node
     spacing, at most ``_MAX_EXTENSIONS`` times (the sin^7 polar domain is
     never extended).  The first domain's solve bisects; each wider one
-    starts inverse iteration from the previous domain's eigenvalues.
-    Returns the fine pencils (d0, e, x, mass), the coarse pencils on n
-    nodes of the final domain, the fine ``(mu, chi, slope)`` of each
-    problem, the final n and the number of eigensolves made.
+    starts inverse iteration from the previous domain's eigenvalues.  The
+    fine grid, 2n+1 nodes, is assembled only for the domain that holds,
+    and nothing is solved on it here.  Returns the fine pencils
+    (d0, e, x, mass), the coarse pencils, the coarse ``(mu, chi, slope)``
+    of each problem, the final n and the number of eigensolves made.
     """
     lo, hi = problems[0].domain
     fixed = any(p.weight_kind == "sin7" for p in problems)
     estimates = [None] * len(problems)
     for attempt in range(_MAX_EXTENSIONS + 1):
-        fine = [_assemble(p, grid, lo, hi, 2 * n + 1) for p in problems]
-        solved = [_shifted(pencil, energy, 0, k - 1, mu) for pencil, mu in zip(fine, estimates)]
+        coarse = [_assemble(p, grid, lo, hi, n) for p in problems]
+        solved = [_shifted(pencil, energy, 0, k - 1, mu) for pencil, mu in zip(coarse, estimates)]
         if fixed or max(_tail_fraction(chi) for _, chi, _ in solved) <= _TAIL_LIMIT:
-            coarse = [_assemble(p, grid, lo, hi, n) for p in problems]
+            fine = [_assemble(p, grid, lo, hi, 2 * n + 1) for p in problems]
             return fine, coarse, solved, n, len(problems) * (attempt + 1)
         if attempt == _MAX_EXTENSIONS:
             raise AccuracyError(f"domain extension failed to contain the states (hi = {hi:.6g})")
@@ -340,22 +348,22 @@ def fd_eigensolve(problem: RadialProblem, grid: Grid, k: int) -> Spectrum:
     """Lowest ``k`` eigenpairs of ``problem`` on ``grid``.
 
     The solve runs on the grid and on its doubling; on each the eigenvalues
-    are the Rayleigh quotients from :func:`_shifted` (the coarse grid's
-    from inverse iteration started at the fine ones), Richardson-extrapolated
+    are the Rayleigh quotients from :func:`_shifted`, Richardson-extrapolated
     across the two, and the residual grid change must stay below
     ``_CONV_TOL * max(1, |mu|)`` or :class:`AccuracyError` is raised.  The
-    eigenvectors are those of the doubled grid.  The domain is first
-    extended until the requested states have decayed to e^-20 at the upper
-    end (see :func:`_contain`).
+    grid itself does the search: :func:`_contain` solves it while
+    extending the domain until the requested states have decayed to e^-20
+    at the upper end.  The doubled grid is then solved once, by inverse
+    iteration started at the grid's quotients, and the eigenvectors are
+    its own.
     """
     if k < 1:
         raise ValueError("need at least one eigenvalue")
     if k > grid.n // 4:
         raise ValueError(f"k = {k} exceeds n/4 = {grid.n // 4}")
-    ((_, _, x_f, mass),), (coarse,), ((vals_f, chi_f, _),), n, _ = _contain(
-        [problem], grid, grid.n, k
-    )
-    vals_c, _, _ = _shifted(coarse, 0.0, 0, k - 1, vals_f)
+    (fine,), _, ((vals_c, _, _),), n, _ = _contain([problem], grid, grid.n, k)
+    vals_f, chi_f, _ = _shifted(fine, 0.0, 0, k - 1, vals_c)
+    _, _, x_f, mass = fine
     values = (4.0 * vals_f - vals_c) / 3.0
     conv = np.abs(vals_f - vals_c) / 3.0
     rel = conv / np.maximum(1.0, np.abs(values))
@@ -559,33 +567,37 @@ def parabolic_joint_solve(
     E, F has at most one root per pair, and dF/dE comes exactly from the
     eigenvectors (Hellmann-Feynman).
 
-    Both equations are assembled once, at E = 0, on a fine grid (2n+1
-    nodes) and a coarse one (n nodes); an energy then costs one diagonal
-    shift and one tridiagonal eigensolve per equation.  Only the solves
-    at E_hi on the first domain bisect; every later one starts inverse
-    iteration from the previous solve's eigenvalues, extrapolated along
-    their slopes (the fine Newton from E_hi, the coarse one from the last
-    fine evaluation).  The branches are
-    node counts 0, 1 and 2 of each equation.  The domain starts at
-    w = 50 / sqrt(-2 E_hi) with node spacing 0.1 or finer, one x1.5 rung
-    higher for sho factors (their two-node state has not decayed to e^-20
-    on the lower rung), and is extended (times 1.5 at fixed spacing) until
-    all three states have decayed to e^-20 at the least-bound end of the
-    bracket; it is kept for every energy and both grids.
+    Both equations are assembled once, at E = 0, on a coarse grid (n
+    nodes) and a fine one (2n+1 nodes); an energy then costs one diagonal
+    shift and one tridiagonal eigensolve per equation.  The coarse grid
+    does the search and the fine grid only polishes its roots.  Only the
+    coarse solves at E_hi on the first domain bisect; every later one
+    starts inverse iteration from eigenvalues already in hand: at E_lo
+    from those at E_hi, scaled as the Sturmian charge below for sho
+    factors and extrapolated along their slopes otherwise, and at each
+    Newton evaluation from the previous one, extrapolated along the slopes
+    (the coarse Newton from E_hi, the fine one from the last coarse
+    evaluation).  The branches are node counts 0, 1 and 2 of each
+    equation.  The domain starts at w = 50 / sqrt(-2 E_hi) with node
+    spacing 0.1 or finer, one x1.5 rung higher for sho factors (their
+    two-node state has not decayed to e^-20 on the lower rung), and is
+    extended (times 1.5 at fixed spacing) until all three states have
+    decayed to e^-20 at the least-bound end of the bracket; it is kept
+    for every energy and both grids.
 
     Each pair whose endpoint mismatch changes sign is solved by
-    bracket-safeguarded Newton on the fine grid, polished by Newton on the
-    coarse grid from the fine root, and Richardson-extrapolated:
+    bracket-safeguarded Newton on the coarse grid, polished by Newton on
+    the fine grid from the coarse root, and Richardson-extrapolated:
     E = (4 E_fine - E_coarse) / 3, likewise P.  The charge enters as the
     constant shift -Z_a of each pencil, so F(E_hi) + Z, with Z = Z1 + Z2,
-    is the charge the pair binds at E_hi.  The fine Newton starts at the
+    is the charge the pair binds at E_hi.  The coarse Newton starts at the
     Sturmian seed E* = E_hi (Z / (F(E_hi) + Z))^2, which is the root up to
     discretization error when that charge grows as sqrt(-E) (sho factors)
     and only a first guess otherwise; it starts at the secant point of
     the bracket when Z <= 0, F(E_hi) + Z <= 0 or E* lies outside the
-    bracket.  Of the roots found, the lowest E wins and degenerate pairs (within
-    1e-8 relative) are broken by the smallest |P|.  Every state of that
-    degenerate group must satisfy ``E_error <= _CONV_TOL * |E|`` or
+    bracket.  Of the roots found, the lowest E wins and degenerate pairs
+    (within 1e-8 relative) are broken by the smallest |P|.  Every state of
+    that degenerate group must satisfy ``E_error <= _CONV_TOL * |E|`` or
     :class:`AccuracyError` is raised; a bracket without a sign change
     raises :class:`BracketError` carrying the endpoint mismatches.
     """
@@ -598,7 +610,8 @@ def parabolic_joint_solve(
     # e^-20 of its peak at kappa w = 50 for every centrifugal strength, so
     # the search starts one rung up the x1.5 ladder of _contain, at the
     # node spacing that rung has there.
-    rung = 1.5 if model.p1.variant == model.p2.variant == "sho" else 1.0
+    sho = model.p1.variant == model.p2.variant == "sho"
+    rung = 1.5 if sho else 1.0
     n = int(max(grid.n, int(hi / 0.1)) * rung)
     hi *= rung
     problems = [
@@ -607,9 +620,17 @@ def parabolic_joint_solve(
     ]
     fine, coarse, at_hi, n, solves = _contain(problems, grid, n, _BRANCHES, energy=e_hi)
     (mu_u_hi, _, s_u_hi), (mu_v_hi, _, s_v_hi) = at_hi
+    # with sho factors the charge mu + Z_a of each equation grows as
+    # sqrt(-E), as for the seed below; otherwise follow the slopes
+    if sho:
+        estimates = [
+            (mu + za) * math.sqrt(e_lo / e_hi) - za
+            for (mu, _, _), za in zip(at_hi, (model.Z1, model.Z2))
+        ]
+    else:
+        estimates = [mu + s * (e_lo - e_hi) for mu, _, s in at_hi]
     (mu_u_lo, _, _), (mu_v_lo, _, _) = (
-        _shifted(pencil, e_lo, 0, _BRANCHES - 1, mu + s * (e_lo - e_hi))
-        for pencil, (mu, _, s) in zip(fine, at_hi)
+        _shifted(pencil, e_lo, 0, _BRANCHES - 1, mu) for pencil, mu in zip(coarse, estimates)
     )
     solves += 2
     mismatch = {
@@ -632,8 +653,8 @@ def parabolic_joint_solve(
             start = e_lo + (e_hi - e_lo) * f_lo / (f_lo - f_hi) if f_lo else e_lo
         u, v = slice(i, i + 1), slice(j, j + 1)
         known = (e_hi, ((mu_u_hi[u], s_u_hi[u]), (mu_v_hi[v], s_v_hi[v])))
-        e_f, p_f, chis, evals_f, known = _match_root(fine, i, j, start, e_lo, e_hi, known)
-        e_c, p_c, _, evals_c, _ = _match_root(coarse, i, j, e_f, -math.inf, math.inf, known)
+        e_c, p_c, _, evals_c, known = _match_root(coarse, i, j, start, e_lo, e_hi, known)
+        e_f, p_f, chis, evals_f, _ = _match_root(fine, i, j, e_c, -math.inf, math.inf, known)
         solves += 2 * (evals_f + evals_c)
         node_u, node_v = (
             _count_nodes(chi[:, 0] / np.sqrt(mass)) for (_, _, _, mass), chi in zip(fine, chis)

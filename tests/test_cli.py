@@ -627,6 +627,18 @@ def test_more_states_than_a_quarter_of_the_grid_exit_2(tmp_path, capsys, cfg, ke
     assert not out.exists()
 
 
+def test_qes_verify_states_beyond_a_quarter_of_the_grid_exit_2(tmp_path, capsys):
+    # --verify solves for the N levels of the block and two more
+    cfg = {"family": "super2", "a_prime": 0.01, "b_prime": 1.0, "N": 4, "grid": {"n": 16}}
+    path = _write(tmp_path, "q.json", cfg)
+    out = tmp_path / "out"
+    assert main(["qes", path, "--out", str(out), "--verify"]) == 2
+    err = capsys.readouterr().err
+    assert "config key 'N' asks for 6 states per solve" in err
+    assert "grid block key 'n' >= 24, got 16" in err
+    assert not out.exists()
+
+
 def test_lapack_failure_exit_1(tmp_path, capsys, monkeypatch):
     # numpy's LinAlgError is a ValueError, which would print as a config error
     import scipy.linalg

@@ -274,6 +274,53 @@ def test_spherical_micz_energies_keeps_polar_eigenvalue():
     assert E == fd_eigensolve(radial, Grid(n=1000), 1).eigenvalues[0]
 
 
+def _bisected_richardson(problem, grid, spec, k):
+    """The Richardson pair of ``spec``'s final domain with both grids bisected, and node counts."""
+    from hurwitz_kepler.numeric import _mapped_nodes
+
+    n = (len(spec.grid) - 1) // 2
+    hi = spec.grid[-1] / _mapped_nodes(grid, 0.0, 1.0, 2 * n + 1)[0][-1]
+    (vals_f, chi_f, mass), (vals_c, _, _) = (
+        (*eigh_tridiagonal(d, e, 0, k - 1), mass)
+        for d, e, _, mass in (_assemble(problem, grid, 0.0, hi, m) for m in (2 * n + 1, n))
+    )
+    nodes = tuple(_count_nodes(chi_f[:, j] / np.sqrt(mass)) for j in range(k))
+    return (4.0 * vals_f - vals_c) / 3.0 * problem.eigenvalue_scale, nodes
+
+
+class TestCoarseGridSearch:
+    # fd_eigensolve bisects only the grid and starts its doubling from those
+    # quotients; the result must be the pair that bisecting both would give
+
+    def _check(self, problem, grid, k):
+        spec = fd_eigensolve(problem, grid, k)
+        values, nodes = _bisected_richardson(problem, grid, spec, k)
+        np.testing.assert_allclose(
+            spec.eigenvalues, values, rtol=0.0, atol=1e-10 * max(1.0, np.max(np.abs(values)))
+        )
+        assert spec.node_counts == nodes
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        omega=st_.floats(0.5, 2.0),
+        c=st_.floats(0.0, 8.0),
+        L=st_.integers(0, 3),
+    )
+    def test_osc8(self, omega, c, L):
+        pot = Potential8D("sho", omega=omega, c=c)
+        self._check(build_radial_problem("osc8", potential=pot, L=L), Grid(n=800), 3)
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        Z=st_.floats(0.5, 2.0),
+        lam=st_.floats(0.0, 30.0),
+        spacing=st_.sampled_from(["uniform", "log"]),
+    )
+    def test_coul9(self, Z, lam, spacing):
+        prob = build_radial_problem("coul9", Z=Z, lam=lam, rmax=260.0 / Z)
+        self._check(prob, Grid(n=2000, spacing=spacing, stretch=4.0), 2)
+
+
 def test_solver_inputs_and_result_fields():
     # every parameter has a caller outside the tests and every field a reader
     import dataclasses
@@ -333,7 +380,13 @@ _KERNEL_CASES = {  # (problem, grid, states, energy of the pencil shift)
 
 
 @pytest.fixture
-def solves(monkeypatch):
+def rows():
+    """Row counts of the matrices bisected and of those solved from estimates."""
+    return {"bisected": [], "warm": []}
+
+
+@pytest.fixture
+def solves(monkeypatch, rows):
     """Counts of kernel calls, of those without estimates and of bisections run."""
     counts = {"calls": 0, "cold": 0, "bisections": 0}
     kernel, bisect = numeric.eigh_tridiagonal, scipy.linalg.eigh_tridiagonal
@@ -341,11 +394,14 @@ def solves(monkeypatch):
     def counted_kernel(d, e, first, last, estimates=None):
         counts["calls"] += 1
         counts["cold"] += estimates is None
+        if estimates is not None:
+            rows["warm"].append(len(d))
         return kernel(d, e, first, last, estimates)
 
-    def counted_bisect(*args, **kwargs):
+    def counted_bisect(d, *args, **kwargs):
         counts["bisections"] += 1
-        return bisect(*args, **kwargs)
+        rows["bisected"].append(len(d))
+        return bisect(d, *args, **kwargs)
 
     monkeypatch.setattr(numeric, "eigh_tridiagonal", counted_kernel)
     monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counted_bisect)
@@ -420,14 +476,27 @@ class TestWarmStart:
         assert _count_nodes(chi_w[:, 0]) == index
         assert mu_w[0] == pytest.approx(mu[index], rel=1e-12)
 
-    def test_fd_eigensolve_bisects_the_fine_grid_only(self, solves):
+    def test_fd_eigensolve_bisects_the_coarse_grid_only(self, solves, rows):
+        # the grid bisects; its doubling is solved once from the quotients
         prob = build_radial_problem("osc8", potential=Potential8D("sho", omega=1.0))
         fd_eigensolve(prob, Grid(n=1000), 1)
         assert solves == {"calls": 2, "cold": 1, "bisections": 1}
+        assert rows == {"bisected": [1000], "warm": [2001]}
 
     @pytest.mark.parametrize("bracket, calls", [((-0.045, -0.024), 12), ((-0.024, -0.017), 20)])
-    def test_joint_search_bisects_at_e_hi_only(self, solves, bracket, calls):
-        # one bisection per equation on the first domain; no warm solve
-        # of the Coulomb levels falls back
+    def test_joint_search_bisects_at_e_hi_only(self, solves, rows, bracket, calls):
+        # one bisection per equation on the coarse grid of the first domain;
+        # no warm solve of the Coulomb levels falls back
         parabolic_joint_solve(_sho_model(), MiczParams(Z=1.0), Grid(n=1500), bracket)
         assert solves == {"calls": calls, "cold": 2, "bisections": 2}
+        coarse = {-0.024: 3423, -0.017: 4066}[bracket[1]]
+        assert rows["bisected"] == [coarse, coarse]
+
+    def test_joint_search_lower_end_estimates_hold(self, solves, rows):
+        # with sho factors the charge each equation binds grows as sqrt(-E),
+        # which places the E_lo eigenvalues of (c1, c2) = (1, 2) well enough
+        # for inverse iteration; the slopes alone miss them by up to 70%
+        micz = MiczParams(Z=1.0, c1=1.0, c2=2.0)
+        parabolic_joint_solve(_sho_model(), micz, Grid(n=1500), (-0.05, -0.015))
+        assert solves == {"calls": 12, "cold": 2, "bisections": 2}
+        assert rows["bisected"] == [4329, 4329]

@@ -199,18 +199,19 @@ def _rounding_floor(pencils, i, j, energy):
 
 
 def _recorded_search(monkeypatch, model, grid, bracket):
-    """The search and, for the returned pair, (pencils, start, root) on each grid."""
+    """The search and, for the returned pair, (pencils, start, root) on the fine and coarse grid."""
     roots = {}
     match = numeric._match_root
 
     def record(pencils, i, j, energy, *args):
         out = match(pencils, i, j, energy, *args)
-        roots.setdefault((i, j), []).append((pencils, energy, out[0]))
+        roots.setdefault((i, j), {})[len(pencils[0][0])] = (pencils, energy, out[0])
         return out
 
     monkeypatch.setattr(numeric, "_match_root", record)
     st = parabolic_joint_solve(model, MiczParams(Z=model.Z), grid, bracket=bracket)
-    return st, roots[st.node_u, st.node_v]
+    by_rows = roots[st.node_u, st.node_v]
+    return st, tuple(by_rows[rows] for rows in sorted(by_rows, reverse=True))
 
 
 def _assert_roots_of_the_pencils(st, fine, coarse, bracket):
@@ -253,11 +254,11 @@ class TestSturmianSeed:
         model = OscillatorModel(p1=p, p2=p, Z1=0.5 * Z, Z2=0.5 * Z)
         st, (fine, coarse) = _recorded_search(monkeypatch, model, Grid(n=n), bracket)
         e_hi = bracket[1]
-        f_hi = _mismatch(fine[0], st.node_u, st.node_v, e_hi)[0]
+        f_hi = _mismatch(coarse[0], st.node_u, st.node_v, e_hi)[0]
         seed = e_hi * (Z / (f_hi + Z)) ** 2
-        # Newton started from the Sturmian seed, which is well off the root
-        assert fine[1] == pytest.approx(seed, rel=1e-10)
-        assert abs(seed - fine[2]) > 1e-3 * abs(fine[2])
+        # the coarse Newton started from the Sturmian seed, well off the root
+        assert coarse[1] == pytest.approx(seed, rel=1e-10)
+        assert abs(seed - coarse[2]) > 1e-3 * abs(coarse[2])
         _assert_roots_of_the_pencils(st, fine, coarse, bracket)
 
     @pytest.mark.parametrize(
@@ -267,16 +268,16 @@ class TestSturmianSeed:
     )
     def test_secant_start_without_a_seed(self, monkeypatch, Z, bracket):
         # an attractive linear term binds the sub2 factors without the charge.
-        # Newton starts at the bracket's secant point when Z <= 0, when the
-        # pair binds a nonpositive charge at E_hi (Z = 0.08: the seed formula
-        # would give -0.084, inside the bracket) or when the seed falls
-        # outside the bracket (Z = 0.1: -0.109)
+        # The coarse Newton starts at the bracket's secant point when Z <= 0,
+        # when the pair binds a nonpositive charge at E_hi (Z = 0.08: the seed
+        # formula would give -0.084, inside the bracket) or when the seed
+        # falls outside the bracket (Z = 0.1: -0.109)
         p = Potential8D("sub2", omega=1.0, a=-0.2)
         model = OscillatorModel(p1=p, p2=p, Z1=0.5 * Z, Z2=0.5 * Z)
         st, (fine, coarse) = _recorded_search(monkeypatch, model, Grid(n=1500), bracket)
-        f_lo, f_hi = (_mismatch(fine[0], st.node_u, st.node_v, e)[0] for e in bracket)
+        f_lo, f_hi = (_mismatch(coarse[0], st.node_u, st.node_v, e)[0] for e in bracket)
         e_lo, e_hi = bracket
-        assert fine[1] == pytest.approx(e_lo + (e_hi - e_lo) * f_lo / (f_lo - f_hi), rel=1e-10)
+        assert coarse[1] == pytest.approx(e_lo + (e_hi - e_lo) * f_lo / (f_lo - f_hi), rel=1e-10)
         _assert_roots_of_the_pencils(st, fine, coarse, bracket)
 
 
