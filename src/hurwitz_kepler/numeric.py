@@ -55,16 +55,19 @@ Every eigensolve goes through :func:`_shifted`, the one caller of
 :func:`eigh_tridiagonal`, the one call into LAPACK, which imports scipy on
 its first call: importing this module (and the package, and its CLI)
 loads numpy only, so work that solves nothing never pays scipy's
-start-up.  Only the first solve of each problem (the coarse grid of the
-first domain) bisects.  Every later solve already has eigenvalue
-estimates in hand: a widened domain takes the previous domain's
-quotients, the fine grid the coarse ones, the joint search's lower
-bracket end their Sturmian scaling (sho factors) or their linear
-extrapolation along the Hellmann-Feynman slopes, and each Newton
-evaluation the linear extrapolation from the previous one.  From those,
-inverse iteration alone gives the eigenpairs, certified by the discrete
-Sturm oscillation theorem (the j-th vector changes sign exactly j times)
-and a residual at rounding level; a solve that fails either check
+start-up.  Only a pilot grid of each problem bisects: about a sixteenth
+of the coarse grid's nodes on the first domain, a nested-iteration start
+(Brandt 1977).  Every other solve already has eigenvalue estimates in
+hand: the first domain's coarse grid takes the pilot's quotients, a
+widened domain the previous domain's, the fine grid the coarse ones,
+the joint search's lower bracket end their Sturmian scaling (sho
+factors) or their linear extrapolation along the Hellmann-Feynman
+slopes, and each Newton evaluation the linear extrapolation from the
+previous one.  From those, inverse iteration alone gives the eigenpairs,
+certified by the discrete Sturm oscillation theorem (the j-th vector
+changes sign exactly j times) and a residual at rounding level.  One
+pass of inverse iteration is kept when it certifies; one that does not
+is repeated once from its own quotients, and a solve that fails twice
 bisects after all.
 
 Solves share no mutable state; concurrent sector sweeps are safe.
@@ -101,6 +104,8 @@ __all__ = [
 ]
 
 _TAIL_LIMIT = math.exp(-20.0)
+# Coarse nodes per pilot node: only the pilot grid of each problem bisects.
+_PILOT_RATIO = 16
 _MAX_EXTENSIONS = 6
 _EPS = float(np.finfo(float).eps)
 # Largest grid-doubling change accepted, relative to max(1, |mu|) in
@@ -129,14 +134,16 @@ def eigh_tridiagonal(d, e, first: int, last: int, estimates=None):
     call.  Without ``estimates`` it is ``scipy.linalg.eigh_tridiagonal``
     with ``select="i"``: bisection (stebz) to full precision, then inverse
     iteration (stein).  With ``estimates`` (one per wanted eigenvalue)
-    bisection is skipped: stein runs from the estimates, then once more
-    from the quotients of its vectors.  That result is kept only if stein
-    converged, every column j has exactly ``first + j`` sign changes (the
-    discrete Sturm oscillation theorem, valid because every assembled
-    ``e`` is strictly negative, certifies the index) and its residual
-    ``|T chi - mu chi|`` is at most ``_WARM_TOL sum_k |d_k| chi_k^2``
-    (2-norms); otherwise the same call falls back to bisection.  A LAPACK
-    failure on either path is an :class:`AccuracyError`.
+    bisection is skipped: stein runs from the estimates, and its result is
+    kept if stein converged, every column j has exactly ``first + j`` sign
+    changes (the discrete Sturm oscillation theorem, valid because every
+    assembled ``e`` is strictly negative, certifies the index) and its
+    residual ``|T chi - mu chi|`` is at most ``_WARM_TOL sum_k |d_k|
+    chi_k^2`` (2-norms).  A pass that converged but fails the checks is
+    repeated once, from the quotients of its vectors; if that one fails
+    too (or stein did not converge), the same call falls back to
+    bisection.  A LAPACK failure on either path is an
+    :class:`AccuracyError`.
     """
     from scipy.linalg import LinAlgError, get_lapack_funcs
     from scipy.linalg import eigh_tridiagonal as bisect
@@ -146,11 +153,12 @@ def eigh_tridiagonal(d, e, first: int, last: int, estimates=None):
             (stein,) = get_lapack_funcs(("stein",), (d, e))
             n = len(d)
             blocks = np.ones(n, np.int32), np.full(n, n, np.int32)
-            # stein rejects shifts that are not ascending
-            chi, info = stein(d, e, np.sort(estimates), *blocks)
-            if info == 0:
-                chi, info = stein(d, e, np.sort(_quotients(d, e, chi)[0]), *blocks)
-            if info == 0:
+            mu = estimates
+            for _ in range(2):
+                # stein rejects shifts that are not ascending
+                chi, info = stein(d, e, np.sort(mu), *blocks)
+                if info != 0:
+                    break
                 mu, t_chi = _quotients(d, e, chi)
                 residual = np.linalg.norm(t_chi - mu * chi, axis=0)
                 if np.all(residual <= _WARM_TOL * (np.abs(d) @ chi**2)) and all(
@@ -220,9 +228,10 @@ class Spectrum:
 
     ``eigenvalues`` are Richardson-extrapolated from the Rayleigh quotients
     on the two grids and scaled by the problem's ``eigenvalue_scale``;
-    ``convergence`` holds the estimated remaining error per state (from
-    grid doubling) in the same units.  ``eigenvectors`` and their node
-    counts belong to the fine grid, whose nodes ``grid`` holds.
+    ``convergence`` holds the estimated remaining error per state (the
+    grid-doubling change plus the rounding of both quotients) in the same
+    units.  ``eigenvectors`` and their node counts belong to the fine
+    grid, whose nodes ``grid`` holds.
     """
 
     eigenvalues: np.ndarray
@@ -321,22 +330,31 @@ def _contain(problems, grid: Grid, n: int, k: int, energy: float = 0.0):
     e^-20 of its peak at the last node (one coarse cell, two fine cells,
     from the upper end), the domain is extended times 1.5 at fixed node
     spacing, at most ``_MAX_EXTENSIONS`` times (the sin^7 polar domain is
-    never extended).  The first domain's solve bisects; each wider one
-    starts inverse iteration from the previous domain's eigenvalues.  The
-    fine grid, 2n+1 nodes, is assembled only for the domain that holds,
-    and nothing is solved on it here.  Returns the fine pencils
-    (d0, e, x, mass), the coarse pencils, the coarse ``(mu, chi, slope)``
-    of each problem, the final n and the number of eigensolves made.
+    never extended).  Only a pilot grid bisects: max(n / ``_PILOT_RATIO``,
+    16 k, 64) nodes of the first domain (skipped when that is not fewer
+    than n), whose quotients start inverse iteration on the first
+    domain's coarse grid; each wider domain starts from the previous
+    domain's quotients.  The fine grid, 2n+1 nodes, is assembled only for
+    the domain that holds, and nothing is solved on it here.  Returns the
+    fine pencils (d0, e, x, mass), the coarse pencils, the coarse ``(mu,
+    chi, slope)`` of each problem, the final n and the number of
+    eigensolves made, pilots included.
     """
     lo, hi = problems[0].domain
     fixed = any(p.weight_kind == "sin7" for p in problems)
-    estimates = [None] * len(problems)
+    pilot = max(n // _PILOT_RATIO, 16 * k, 64)
+    estimates, solves = [None] * len(problems), 0
+    if pilot < n:
+        pilots = [_assemble(p, grid, lo, hi, pilot) for p in problems]
+        estimates = [_shifted(pencil, energy, 0, k - 1)[0] for pencil in pilots]
+        solves = len(problems)
     for attempt in range(_MAX_EXTENSIONS + 1):
         coarse = [_assemble(p, grid, lo, hi, n) for p in problems]
         solved = [_shifted(pencil, energy, 0, k - 1, mu) for pencil, mu in zip(coarse, estimates)]
+        solves += len(problems)
         if fixed or max(_tail_fraction(chi) for _, chi, _ in solved) <= _TAIL_LIMIT:
             fine = [_assemble(p, grid, lo, hi, 2 * n + 1) for p in problems]
-            return fine, coarse, solved, n, len(problems) * (attempt + 1)
+            return fine, coarse, solved, n, solves
         if attempt == _MAX_EXTENSIONS:
             raise AccuracyError(f"domain extension failed to contain the states (hi = {hi:.6g})")
         hi = lo + (hi - lo) * 1.5
@@ -349,7 +367,7 @@ def fd_eigensolve(problem: RadialProblem, grid: Grid, k: int) -> Spectrum:
 
     The solve runs on the grid and on its doubling; on each the eigenvalues
     are the Rayleigh quotients from :func:`_shifted`, Richardson-extrapolated
-    across the two, and the residual grid change must stay below
+    across the two, and the error bar must stay below
     ``_CONV_TOL * max(1, |mu|)`` or :class:`AccuracyError` is raised.  The
     grid itself does the search: :func:`_contain` solves it while
     extending the domain until the requested states have decayed to e^-20
@@ -361,11 +379,14 @@ def fd_eigensolve(problem: RadialProblem, grid: Grid, k: int) -> Spectrum:
         raise ValueError("need at least one eigenvalue")
     if k > grid.n // 4:
         raise ValueError(f"k = {k} exceeds n/4 = {grid.n // 4}")
-    (fine,), _, ((vals_c, _, _),), n, _ = _contain([problem], grid, grid.n, k)
+    (fine,), (coarse,), ((vals_c, chi_c, _),), n, _ = _contain([problem], grid, grid.n, k)
     vals_f, chi_f, _ = _shifted(fine, 0.0, 0, k - 1, vals_c)
-    _, _, x_f, mass = fine
+    d_f, _, x_f, mass = fine
     values = (4.0 * vals_f - vals_c) / 3.0
-    conv = np.abs(vals_f - vals_c) / 3.0
+    # grid change plus the rounding of both quotients, eps sum_k |d_k| chi_k^2
+    # each, weighted as in the extrapolation
+    rounding = _EPS * (4.0 * (np.abs(d_f) @ chi_f**2) + np.abs(coarse[0]) @ chi_c**2) / 3.0
+    conv = np.abs(vals_f - vals_c) / 3.0 + rounding
     rel = conv / np.maximum(1.0, np.abs(values))
     if np.any(rel > _CONV_TOL):
         worst = int(np.argmax(rel))
@@ -493,7 +514,8 @@ class JointState:
     ``E`` and ``P`` are Richardson-extrapolated from the roots on the two
     grids and ``E_error = |E_fine - E_coarse| / 3`` bounds the error of E.
     The node counts belong to the fine-grid root.  ``solves`` counts the
-    tridiagonal eigensolves of the whole search that returned this state.
+    tridiagonal eigensolves of the whole search that returned this state,
+    the two pilot solves of :func:`_contain` included.
     """
 
     E: float
@@ -571,11 +593,12 @@ def parabolic_joint_solve(
     nodes) and a fine one (2n+1 nodes); an energy then costs one diagonal
     shift and one tridiagonal eigensolve per equation.  The coarse grid
     does the search and the fine grid only polishes its roots.  Only the
-    coarse solves at E_hi on the first domain bisect; every later one
-    starts inverse iteration from eigenvalues already in hand: at E_lo
-    from those at E_hi, scaled as the Sturmian charge below for sho
-    factors and extrapolated along their slopes otherwise, and at each
-    Newton evaluation from the previous one, extrapolated along the slopes
+    pilots at E_hi bisect (see :func:`_contain`); the coarse solves at
+    E_hi start inverse iteration from the pilots' eigenvalues, and every
+    later solve from eigenvalues already in hand: at E_lo from those at
+    E_hi, scaled as the Sturmian charge below for sho factors and
+    extrapolated along their slopes otherwise, and at each Newton
+    evaluation from the previous one, extrapolated along the slopes
     (the coarse Newton from E_hi, the fine one from the last coarse
     evaluation).  The branches are node counts 0, 1 and 2 of each
     equation.  The domain starts at w = 50 / sqrt(-2 E_hi) with node

@@ -293,7 +293,7 @@ class TestDuality:
             # the parabolic error bar bounds the deviation; both are ground levels
             assert 0.0 < case["E_parabolic_error"] <= 1e-5 * abs(case["E_parabolic"])
             assert abs(case["E_parabolic"] - case["E_dual"]) <= case["E_parabolic_error"]
-            assert case["parabolic_solves"] == 12
+            assert case["parabolic_solves"] == 14
 
     def test_fixed_charge_energy_scales_as_charge_squared(self):
         # the dressed case's fixed-charge energy is its spherical energy at

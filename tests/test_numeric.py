@@ -8,7 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st_
 
 from hurwitz_kepler import numeric
-from hurwitz_kepler.analytic import QuantumNumbers, singular_oscillator_energy
+from hurwitz_kepler.analytic import (
+    QesPrimedParams,
+    QuantumNumbers,
+    qes_map_sub2,
+    qes_map_super2,
+    singular_oscillator_energy,
+)
 from hurwitz_kepler.errors import AccuracyError, SeparabilityError
 from hurwitz_kepler.numeric import (
     Grid,
@@ -19,6 +25,7 @@ from hurwitz_kepler.numeric import (
     eigh_tridiagonal,
     fd_eigensolve,
     parabolic_joint_solve,
+    qes_verification_problem,
     spherical_micz_energies,
 )
 from hurwitz_kepler.potentials import (
@@ -33,6 +40,14 @@ def _sho_model(w1=1.0, w2=1.0, Z1=0.5, Z2=0.5):
     return OscillatorModel(
         p1=Potential8D("sho", omega=w1), p2=Potential8D("sho", omega=w2), Z1=Z1, Z2=Z2
     )
+
+
+def _qes_problem(family, N, a_p):
+    """The QES cross-check problem of ``family`` for primed constants (a', 1, 0), N."""
+    params = QesPrimedParams(a_p=a_p, b_p=1.0, c_p=0.0, N=N, dim=8)
+    if family == "super2":
+        return qes_verification_problem(qes_map_super2(params), 8, 9.0)
+    return qes_verification_problem(qes_map_sub2(params)[0], 8, 12.0)
 
 
 class TestOscillatorOracle:
@@ -105,6 +120,14 @@ class TestThetaOracle:
         spec = fd_eigensolve(prob, Grid(n=3000), 3)
         for lam, expect in zip(spec.eigenvalues, (0.0, 8.0, 18.0)):
             assert lam == pytest.approx(expect, abs=1e-6)
+
+    def test_zero_eigenvalue_within_its_bar(self):
+        # the c1 = c2 = 0 ground eigenvalue is exactly 0; the grids agree on
+        # it to 1.8e-11, closer than the quotients' rounding of 6e-11, which
+        # the bar must therefore include
+        prob = build_radial_problem("theta", micz=MiczParams(Z=1.0))
+        spec = fd_eigensolve(prob, Grid(n=4000), 1)
+        assert abs(spec.eigenvalues[0]) <= spec.convergence[0] <= 1e-8
 
     def test_builder_strengths(self):
         prob = build_radial_problem("theta", micz=MiczParams(Z=1.0, c1=1.0))
@@ -289,8 +312,9 @@ def _bisected_richardson(problem, grid, spec, k):
 
 
 class TestCoarseGridSearch:
-    # fd_eigensolve bisects only the grid and starts its doubling from those
-    # quotients; the result must be the pair that bisecting both would give
+    # fd_eigensolve bisects only a pilot grid, starts the grid from its
+    # quotients and the doubling from the grid's; the result must be the
+    # pair that bisecting both grids would give
 
     def _check(self, problem, grid, k):
         spec = fd_eigensolve(problem, grid, k)
@@ -319,6 +343,22 @@ class TestCoarseGridSearch:
     def test_coul9(self, Z, lam, spacing):
         prob = build_radial_problem("coul9", Z=Z, lam=lam, rmax=260.0 / Z)
         self._check(prob, Grid(n=2000, spacing=spacing, stretch=4.0), 2)
+
+    @settings(max_examples=15, deadline=None)
+    @given(c1=st_.floats(0.0, 4.0), c2=st_.floats(0.0, 4.0))
+    def test_theta(self, c1, c2):
+        prob = build_radial_problem("theta", micz=MiczParams(Z=1.0, c1=c1, c2=c2))
+        self._check(prob, Grid(n=3000), 3)
+
+    @settings(max_examples=15, deadline=None)
+    @given(N=st_.integers(1, 3), a_p=st_.floats(0.01, 0.04))
+    def test_qes_super2(self, N, a_p):
+        self._check(_qes_problem("super2", N, a_p), Grid(n=3000), N + 2)
+
+    @settings(max_examples=15, deadline=None)
+    @given(N=st_.integers(1, 2), a_p=st_.floats(0.5, 1.5))
+    def test_qes_sub2(self, N, a_p):
+        self._check(_qes_problem("sub2", N, a_p), Grid(n=3000), N + 2)
 
 
 def test_solver_inputs_and_result_fields():
@@ -379,6 +419,14 @@ _KERNEL_CASES = {  # (problem, grid, states, energy of the pencil shift)
 }
 
 
+# fd_eigensolve cases of the first-pass guard: (problem, grid, states)
+_FD_CASES = {
+    **{case: _KERNEL_CASES[case][:3] for case in ("osc8", "coul9-uniform", "coul9-log", "theta")},
+    "qes-super2": (_qes_problem("super2", 2, 0.05), Grid(n=3000), 4),
+    "qes-sub2": (_qes_problem("sub2", 2, 1.0), Grid(n=3000), 4),
+}
+
+
 @pytest.fixture
 def rows():
     """Row counts of the matrices bisected and of those solved from estimates."""
@@ -406,6 +454,31 @@ def solves(monkeypatch, rows):
     monkeypatch.setattr(numeric, "eigh_tridiagonal", counted_kernel)
     monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counted_bisect)
     return counts
+
+
+@pytest.fixture
+def passes(monkeypatch, solves):
+    """The stein passes run by each kernel call made with estimates, in call order."""
+    record = []
+    lookup, kernel = scipy.linalg.get_lapack_funcs, numeric.eigh_tridiagonal
+
+    def counted_lookup(names, arrays=()):
+        (stein,) = lookup(names, arrays)
+
+        def counted_stein(*args):
+            record[-1] += 1
+            return stein(*args)
+
+        return (counted_stein,)
+
+    def recorded_kernel(d, e, first, last, estimates=None):
+        if estimates is not None:
+            record.append(0)
+        return kernel(d, e, first, last, estimates)
+
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", counted_lookup)
+    monkeypatch.setattr(numeric, "eigh_tridiagonal", recorded_kernel)
+    return record
 
 
 def _assert_same_eigenpairs(warm, cold, d):
@@ -476,21 +549,39 @@ class TestWarmStart:
         assert _count_nodes(chi_w[:, 0]) == index
         assert mu_w[0] == pytest.approx(mu[index], rel=1e-12)
 
-    def test_fd_eigensolve_bisects_the_coarse_grid_only(self, solves, rows):
-        # the grid bisects; its doubling is solved once from the quotients
+    def test_fd_eigensolve_bisects_the_pilot_grid_only(self, solves, rows):
+        # a pilot of max(n / 16, 16 k, 64) nodes bisects; the grid starts from
+        # its quotients and the doubling from the grid's
         prob = build_radial_problem("osc8", potential=Potential8D("sho", omega=1.0))
         fd_eigensolve(prob, Grid(n=1000), 1)
-        assert solves == {"calls": 2, "cold": 1, "bisections": 1}
-        assert rows == {"bisected": [1000], "warm": [2001]}
+        assert solves == {"calls": 3, "cold": 1, "bisections": 1}
+        assert rows == {"bisected": [64], "warm": [1000, 2001]}
 
-    @pytest.mark.parametrize("bracket, calls", [((-0.045, -0.024), 12), ((-0.024, -0.017), 20)])
-    def test_joint_search_bisects_at_e_hi_only(self, solves, rows, bracket, calls):
-        # one bisection per equation on the coarse grid of the first domain;
-        # no warm solve of the Coulomb levels falls back
+    @pytest.mark.parametrize("case", list(_FD_CASES))
+    def test_fd_eigensolve_keeps_the_first_certified_pass(self, solves, rows, passes, case):
+        # the doubled grid certifies on its first stein pass; the grid, whose
+        # estimates carry the pilot's (n / m)^2-fold discretization error,
+        # may need the second, and nothing but the pilot bisects
+        problem, grid, k = _FD_CASES[case]
+        fd_eigensolve(problem, grid, k)
+        assert rows["bisected"] == [max(grid.n // 16, 16 * k, 64)]
+        assert len(passes) == solves["calls"] - solves["cold"] == 2
+        assert passes[0] <= 2 and passes[1] == 1
+
+    @pytest.mark.parametrize("bracket, calls", [((-0.045, -0.024), 14), ((-0.024, -0.017), 22)])
+    def test_joint_search_bisects_at_e_hi_only(self, solves, rows, passes, bracket, calls):
+        # one bisection per equation, on the pilot of the first domain's
+        # coarse grid (3423 or 4066 rows), and no warm solve of the Coulomb
+        # levels falls back.  Every fine-grid solve certifies on its first
+        # stein pass; on the coarse grid the solves from the pilot and the
+        # first Newton evaluation of each pair (1 and 2 pairs here) take two
         parabolic_joint_solve(_sho_model(), MiczParams(Z=1.0), Grid(n=1500), bracket)
         assert solves == {"calls": calls, "cold": 2, "bisections": 2}
-        coarse = {-0.024: 3423, -0.017: 4066}[bracket[1]]
-        assert rows["bisected"] == [coarse, coarse]
+        coarse, pilot, pairs = {-0.024: (3423, 213, 1), -0.017: (4066, 254, 2)}[bracket[1]]
+        assert rows["bisected"] == [pilot, pilot]
+        assert len(passes) == len(rows["warm"]) == calls - 2
+        assert all(p == 1 for p, n in zip(passes, rows["warm"]) if n > coarse)
+        assert passes[:2] == [2, 2] and sum(passes) == len(passes) + 2 + 2 * pairs
 
     def test_joint_search_lower_end_estimates_hold(self, solves, rows):
         # with sho factors the charge each equation binds grows as sqrt(-E),
@@ -498,5 +589,5 @@ class TestWarmStart:
         # for inverse iteration; the slopes alone miss them by up to 70%
         micz = MiczParams(Z=1.0, c1=1.0, c2=2.0)
         parabolic_joint_solve(_sho_model(), micz, Grid(n=1500), (-0.05, -0.015))
-        assert solves == {"calls": 12, "cold": 2, "bisections": 2}
-        assert rows["bisected"] == [4329, 4329]
+        assert solves == {"calls": 14, "cold": 2, "bisections": 2}
+        assert rows["bisected"] == [270, 270]  # pilots of the 4329-row coarse grid

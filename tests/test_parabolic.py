@@ -62,14 +62,15 @@ class TestPureCoulomb:
         st = parabolic_joint_solve(_coulomb_model(), MiczParams(Z=1.0), Grid(n=1500), bracket=bracket)
         assert abs(st.E - exact) <= st.E_error
         assert st.E_error <= 1e-5 * abs(st.E)
-        assert st.solves == {(-0.045, -0.024): 12, (-0.024, -0.017): 20}[bracket]
+        assert st.solves == {(-0.045, -0.024): 14, (-0.024, -0.017): 22}[bracket]
 
     def test_first_domain_holds_for_three_branches(self, monkeypatch):
         # the search over three branches starts one rung up the x1.5
-        # ladder and keeps that domain: one solve per equation
+        # ladder and keeps that domain: one pilot and one coarse solve per
+        # equation
         calls = _record_contain(monkeypatch)
         parabolic_joint_solve(_coulomb_model(), MiczParams(Z=1.0), Grid(n=1500), bracket=(-0.045, -0.024))
-        assert [solves for *_, solves in calls] == [2]
+        assert [solves for *_, solves in calls] == [4]
 
 
 def _record_contain(monkeypatch):
