@@ -19,19 +19,25 @@ selected-eigenvalue solve is cheap.  Vanishing endpoint weights make the
 Dirichlet ghost values the natural regular boundary condition at
 coordinate singularities (r = 0, theta in {0, pi}).
 
-Accuracy strategy: the scheme is second order; each solve is repeated on
-a doubled grid and Richardson-extrapolated, the difference between the
-two grids serving as the convergence check demanded of every reported
-eigenvalue.  The grid itself (n nodes) does all the exploring: the cold
-first solve, the domain extension and the root search; the doubled grid
-(2n+1 nodes) is solved once more, started from the grid's answer.  On
-both grids every eigenvalue is the Rayleigh quotient of its eigenvector,
-accurate to rounding where the state lives; a bisection value is only
-good to eps |T| over the whole domain, which sets a floor under the
-extrapolation on the optional log-stretched grid, which clusters nodes
-near the origin for Coulomb-like tails.  Every domain except the polar
-(0, pi) is widened until the requested states have decayed; the
-fixed-grid solve and the joint search share that loop.
+Accuracy strategy: the scheme is second order.  A fixed-grid solve climbs
+a ladder of grids on one domain, each rung of 2m+1 nodes after one of m,
+so h halves exactly (nested iteration, Brandt 1977).  From the third rung
+on, two Richardson steps give the value R2 = (4 v_top - v_below)/3 and
+its error bar |R2 - R2'|/15, R2' being the same value one rung down
+(Paine, de Hoog & Anderssen 1981), plus the rounding of the quotients;
+the climb stops at a target accuracy, at rounding level, or at 2n+1
+nodes, so the grid's n caps the resolution instead of fixing it.  The
+joint search keeps two grids: n nodes do all the exploring (the cold
+first solve, the domain extension and the root search) and 2n+1 nodes
+are solved once more, started from the answer on n, and Richardson-
+extrapolated.  On every grid each eigenvalue is the Rayleigh quotient of
+its eigenvector, accurate to rounding where the state lives; a bisection
+value is only good to eps |T| over the whole domain, which sets a floor
+under the extrapolation on the optional log-stretched grid, which
+clusters nodes near the origin for Coulomb-like tails.  Every domain
+except the polar (0, pi) is widened until the requested states have
+decayed; the fixed-grid solve and the joint search share that loop,
+which the ladder runs on its bottom rung.
 
 The two parabolic equations depend on the energy only through -E w/2, so
 on a fixed grid each is the linear pencil T(E) = T0 - (E/2) diag(w) of a
@@ -56,14 +62,17 @@ Every eigensolve goes through :func:`_shifted`, the one caller of
 its first call: importing this module (and the package, and its CLI)
 loads numpy only, so work that solves nothing never pays scipy's
 start-up.  Only a pilot grid of each problem bisects: about a sixteenth
-of the coarse grid's nodes on the first domain, a nested-iteration start
-(Brandt 1977).  Every other solve already has eigenvalue estimates in
-hand: the first domain's coarse grid takes the pilot's quotients, a
-widened domain the previous domain's, the fine grid the coarse ones,
-the joint search's lower bracket end their Sturmian scaling (sho
-factors) or their linear extrapolation along the Hellmann-Feynman
-slopes, and each Newton evaluation the linear extrapolation from the
-previous one.  From those, inverse iteration alone gives the eigenpairs,
+of the grid's nodes on the first domain, which for a fixed-grid solve is
+the ladder's bottom rung.  Every other solve already has eigenvalue
+estimates in hand: the joint search's coarse grid takes the pilot's
+quotients, a widened domain the previous domain's, the first rung above
+the bottom one its quotients and every later rung the Richardson
+prediction from the two rungs below it, the joint search's fine grid
+the coarse quotients, its lower bracket end and the first Newton
+evaluation of each pair their Sturmian scaling (sho factors) or their
+linear extrapolation along the Hellmann-Feynman slopes, and each later
+Newton evaluation the linear extrapolation from the previous one.  From
+those, inverse iteration alone gives the eigenpairs,
 certified by the discrete Sturm oscillation theorem (the j-th vector
 changes sign exactly j times) and a residual at rounding level.  One
 pass of inverse iteration is kept when it certifies; one that does not
@@ -106,6 +115,9 @@ __all__ = [
 _TAIL_LIMIT = math.exp(-20.0)
 # Coarse nodes per pilot node: only the pilot grid of each problem bisects.
 _PILOT_RATIO = 16
+# Error bar, relative to |value|, at which fd_eigensolve stops climbing: the
+# tightest accuracy asked of a fixed-grid value (coul9 on a log grid).
+_TARGET = 1e-10
 _MAX_EXTENSIONS = 6
 _EPS = float(np.finfo(float).eps)
 # Largest grid-doubling change accepted, relative to max(1, |mu|) in
@@ -120,11 +132,16 @@ _WARM_TOL = 1e-13
 
 
 def _quotients(d, e, chi):
-    """Rayleigh quotients of the unit columns of ``chi`` for T = tridiag(e, d, e), and T chi."""
-    t_chi = d[:, None] * chi
-    t_chi[:-1] += e[:, None] * chi[1:]
-    t_chi[1:] += e[:, None] * chi[:-1]
-    return np.einsum("kj,kj->j", chi, t_chi), t_chi
+    """Rayleigh quotients of the unit columns of ``chi`` for T = tridiag(e, d, e), and (T chi)^T.
+
+    The work runs along the rows of chi^T, which are contiguous for the
+    column-major vectors LAPACK returns.
+    """
+    c = chi.T
+    t_c = d * c
+    t_c[:, :-1] += e * c[:, 1:]
+    t_c[:, 1:] += e * c[:, :-1]
+    return np.einsum("jk,jk->j", c, t_c), t_c
 
 
 def eigh_tridiagonal(d, e, first: int, last: int, estimates=None):
@@ -159,10 +176,11 @@ def eigh_tridiagonal(d, e, first: int, last: int, estimates=None):
                 chi, info = stein(d, e, np.sort(mu), *blocks)
                 if info != 0:
                     break
-                mu, t_chi = _quotients(d, e, chi)
-                residual = np.linalg.norm(t_chi - mu * chi, axis=0)
-                if np.all(residual <= _WARM_TOL * (np.abs(d) @ chi**2)) and all(
-                    _count_nodes(chi[:, j]) == first + j for j in range(chi.shape[1])
+                mu, t_c = _quotients(d, e, chi)
+                t_c -= mu[:, None] * chi.T
+                residual = np.sqrt(np.einsum("jk,jk->j", t_c, t_c))
+                if np.all(residual <= _WARM_TOL * (chi.T**2 @ np.abs(d))) and all(
+                    _count_nodes(vec) == first + j for j, vec in enumerate(chi.T)
                 ):
                     return mu, chi
         _, chi = bisect(d, e, select="i", select_range=(first, last))
@@ -173,7 +191,11 @@ def eigh_tridiagonal(d, e, first: int, last: int, estimates=None):
 
 @dataclass(frozen=True)
 class Grid:
-    """Interior point count and node placement (uniform or log-stretched)."""
+    """Node count and placement (uniform or log-stretched).
+
+    :func:`fd_eigensolve` climbs to at most 2n+1 nodes (n widened with the
+    domain); the joint search solves on n and 2n+1 nodes.
+    """
 
     n: int = 2000
     spacing: str = "uniform"
@@ -226,12 +248,13 @@ class RadialProblem:
 class Spectrum:
     """Lowest eigenpairs of a radial problem, ascending.
 
-    ``eigenvalues`` are Richardson-extrapolated from the Rayleigh quotients
-    on the two grids and scaled by the problem's ``eigenvalue_scale``;
-    ``convergence`` holds the estimated remaining error per state (the
-    grid-doubling change plus the rounding of both quotients) in the same
-    units.  ``eigenvectors`` and their node counts belong to the fine
-    grid, whose nodes ``grid`` holds.
+    ``eigenvalues`` are R2, Richardson-extrapolated from the Rayleigh
+    quotients on the top two rungs of the ladder, and scaled by the
+    problem's ``eigenvalue_scale``; ``convergence`` holds the estimated
+    remaining error per state (|R2 - R2'| / 15 with R2' from one rung
+    down, plus the rounding of both quotients) in the same units.
+    ``eigenvectors`` and their node counts belong to the top rung, whose
+    nodes ``grid`` holds.
     """
 
     eigenvalues: np.ndarray
@@ -316,35 +339,41 @@ def _tail_fraction(chi: np.ndarray) -> float:
 
 
 def _count_nodes(vec: np.ndarray) -> int:
-    scale = np.max(np.abs(vec))
-    sig = vec[np.abs(vec) > 1e-8 * scale]
-    return int(np.count_nonzero(np.sign(sig[1:]) != np.sign(sig[:-1])))
+    mag = np.abs(vec)
+    negative = np.signbit(vec[mag > 1e-8 * mag.max()])
+    return int(np.count_nonzero(negative[1:] != negative[:-1]))
+
+
+def _min_nodes(k: int) -> int:
+    """Fewest nodes any grid of ``k`` states is solved on."""
+    return max(16 * k, 64)
 
 
 def _contain(problems, grid: Grid, n: int, k: int, energy: float = 0.0):
-    """Fine and coarse pencils of a domain that holds the lowest ``k`` states at ``energy``.
+    """Next and current pencils of a domain that holds the lowest ``k`` states at ``energy``.
 
-    Each problem is assembled at E = 0 on the coarse grid, n nodes of its
-    domain, and its lowest ``k`` eigenpairs of T0 - (energy/2) diag(x) are
-    solved through :func:`_shifted`.  While some state keeps more than
-    e^-20 of its peak at the last node (one coarse cell, two fine cells,
-    from the upper end), the domain is extended times 1.5 at fixed node
+    Each problem is assembled at E = 0 on n nodes of its domain, and its
+    lowest ``k`` eigenpairs of T0 - (energy/2) diag(x) are solved through
+    :func:`_shifted`.  While some state keeps more than e^-20 of its peak
+    at the last node, the domain is extended times 1.5 at fixed node
     spacing, at most ``_MAX_EXTENSIONS`` times (the sin^7 polar domain is
-    never extended).  Only a pilot grid bisects: max(n / ``_PILOT_RATIO``,
-    16 k, 64) nodes of the first domain (skipped when that is not fewer
-    than n), whose quotients start inverse iteration on the first
-    domain's coarse grid; each wider domain starts from the previous
-    domain's quotients.  The fine grid, 2n+1 nodes, is assembled only for
-    the domain that holds, and nothing is solved on it here.  Returns the
-    fine pencils (d0, e, x, mass), the coarse pencils, the coarse ``(mu,
-    chi, slope)`` of each problem, the final n and the number of
-    eigensolves made, pilots included.
+    never extended).  Only a pilot grid bisects: n / ``_PILOT_RATIO``
+    nodes of the first domain, whose quotients start inverse iteration on
+    the first domain's n nodes; each wider domain starts from the previous
+    domain's quotients.  A grid whose pilot would have fewer than
+    ``_min_nodes(k)`` nodes bisects itself, so :func:`fd_eigensolve`,
+    which calls this at its pilot size, bisects nothing else.  The next
+    grid, 2n+1 nodes, is assembled only for the domain that holds, and
+    nothing is solved on it here.  Returns the next grid's pencils (d0, e,
+    x, mass), the pencils on n nodes, the ``(mu, chi, slope)`` of each
+    problem on those, the final n, the final upper end of the domain and
+    the number of eigensolves made, pilots included.
     """
     lo, hi = problems[0].domain
     fixed = any(p.weight_kind == "sin7" for p in problems)
-    pilot = max(n // _PILOT_RATIO, 16 * k, 64)
+    pilot = n // _PILOT_RATIO
     estimates, solves = [None] * len(problems), 0
-    if pilot < n:
+    if pilot >= _min_nodes(k):
         pilots = [_assemble(p, grid, lo, hi, pilot) for p in problems]
         estimates = [_shifted(pencil, energy, 0, k - 1)[0] for pencil in pilots]
         solves = len(problems)
@@ -354,7 +383,7 @@ def _contain(problems, grid: Grid, n: int, k: int, energy: float = 0.0):
         solves += len(problems)
         if fixed or max(_tail_fraction(chi) for _, chi, _ in solved) <= _TAIL_LIMIT:
             fine = [_assemble(p, grid, lo, hi, 2 * n + 1) for p in problems]
-            return fine, coarse, solved, n, solves
+            return fine, coarse, solved, n, hi, solves
         if attempt == _MAX_EXTENSIONS:
             raise AccuracyError(f"domain extension failed to contain the states (hi = {hi:.6g})")
         hi = lo + (hi - lo) * 1.5
@@ -363,46 +392,69 @@ def _contain(problems, grid: Grid, n: int, k: int, energy: float = 0.0):
 
 
 def fd_eigensolve(problem: RadialProblem, grid: Grid, k: int) -> Spectrum:
-    """Lowest ``k`` eigenpairs of ``problem`` on ``grid``.
+    """Lowest ``k`` eigenpairs of ``problem``, on a ladder of grids capped by ``grid``.
 
-    The solve runs on the grid and on its doubling; on each the eigenvalues
-    are the Rayleigh quotients from :func:`_shifted`, Richardson-extrapolated
-    across the two, and the error bar must stay below
-    ``_CONV_TOL * max(1, |mu|)`` or :class:`AccuracyError` is raised.  The
-    grid itself does the search: :func:`_contain` solves it while
-    extending the domain until the requested states have decayed to e^-20
-    at the upper end.  The doubled grid is then solved once, by inverse
-    iteration started at the grid's quotients, and the eigenvectors are
-    its own.
+    The bottom rung, max(n / ``_PILOT_RATIO``, ``_min_nodes(k)``) nodes
+    with n = ``grid.n``, is the only grid that bisects: :func:`_contain`
+    solves it and widens the domain until the requested states have
+    decayed to e^-20 at the upper end (n grows with the domain).  Each
+    rung after m nodes has 2m+1 on the same domain, so h halves, and is
+    solved by inverse iteration: the first from the bottom rung's
+    quotients, every later one from the Richardson prediction
+    v_m + (v_m - v_prev) / 4 of the two rungs below it.  From the third
+    rung on the eigenvalues are R2 = (4 v_top - v_below) / 3, and their
+    error bar is |R2 - R2'| / 15, with R2' the same formula one rung down,
+    plus the rounding of the two quotients, eps sum_k |d_k| chi_k^2 each,
+    weighted as in R2.  The climb stops when every bar is at most
+    ``_TARGET |R2|``, when every bar that is not is at rounding level
+    (the grid part below the rounding part), or on the first rung of at
+    least 2n+1 nodes.  A bar above ``_CONV_TOL * max(1, |R2|)`` raises
+    :class:`AccuracyError`.
     """
     if k < 1:
         raise ValueError("need at least one eigenvalue")
     if k > grid.n // 4:
         raise ValueError(f"k = {k} exceeds n/4 = {grid.n // 4}")
-    (fine,), (coarse,), ((vals_c, chi_c, _),), n, _ = _contain([problem], grid, grid.n, k)
-    vals_f, chi_f, _ = _shifted(fine, 0.0, 0, k - 1, vals_c)
-    d_f, _, x_f, mass = fine
-    values = (4.0 * vals_f - vals_c) / 3.0
-    # grid change plus the rounding of both quotients, eps sum_k |d_k| chi_k^2
-    # each, weighted as in the extrapolation
-    rounding = _EPS * (4.0 * (np.abs(d_f) @ chi_f**2) + np.abs(coarse[0]) @ chi_c**2) / 3.0
-    conv = np.abs(vals_f - vals_c) / 3.0 + rounding
+    n, bottom = grid.n, max(grid.n // _PILOT_RATIO, _min_nodes(k))
+    (pencil,), (low,), ((mu, chi, _),), m, hi, _ = _contain([problem], grid, bottom, k)
+    while bottom < m:  # n grows with the domain as the bottom rung did
+        bottom, n = int(bottom * 1.5), int(n * 1.5)
+    lo = problem.domain[0]
+    # quotients and eps sum_k |d_k| chi_k^2 of each rung, bottom up
+    rungs = [(mu, _EPS * (np.abs(low[0]) @ chi**2))]
+    estimates = mu
+    while True:
+        mu, chi, _ = _shifted(pencil, 0.0, 0, k - 1, estimates)
+        rungs.append((mu, _EPS * (np.abs(pencil[0]) @ chi**2)))
+        m = len(pencil[0])
+        if len(rungs) >= 3:
+            (v1, _), (v2, r2), (v3, r3) = rungs[-3:]
+            values = (4.0 * v3 - v2) / 3.0
+            grid_part = np.abs(values - (4.0 * v2 - v1) / 3.0) / 15.0
+            rounding = (4.0 * r3 + r2) / 3.0
+            conv = grid_part + rounding
+            done = (conv <= _TARGET * np.abs(values)) | (grid_part <= rounding)
+            if m >= 2 * n + 1 or np.all(done):
+                break
+        estimates = mu + (mu - rungs[-2][0]) / 4.0
+        pencil = _assemble(problem, grid, lo, hi, 2 * m + 1)
     rel = conv / np.maximum(1.0, np.abs(values))
     if np.any(rel > _CONV_TOL):
         worst = int(np.argmax(rel))
         raise AccuracyError(
             "grid doubling did not converge: state "
-            f"{worst} changed by {conv[worst]:.3g} "
-            f"(n = {n} vs {2 * n + 1}, tol = {_CONV_TOL:.1g})"
+            f"{worst} has error bar {conv[worst]:.3g} "
+            f"(rungs of {(m - 1) // 2} and {m} nodes, tol = {_CONV_TOL:.1g})"
         )
-    vecs_f = _physical_vectors(chi_f, mass)
+    _, _, x, mass = pencil
+    vecs = _physical_vectors(chi, mass)
     scale = problem.eigenvalue_scale
     return Spectrum(
         eigenvalues=values * scale,
-        eigenvectors=vecs_f,
-        grid=x_f,
+        eigenvectors=vecs,
+        grid=x,
         convergence=conv * scale,
-        node_counts=tuple(_count_nodes(vecs_f[:, j]) for j in range(k)),
+        node_counts=tuple(_count_nodes(vecs[:, j]) for j in range(k)),
     )
 
 
@@ -535,7 +587,7 @@ def _match_root(pencils, i: int, j: int, energy: float, lo: float, hi: float, kn
     rounding floor eps (|T_u| + |T_v|) / |F'|, below which it would cycle;
     that last step is applied without a further solve.  ``known`` is
     ``(E0, ((mu_u, slope_u), (mu_v, slope_v)))``, the two branches'
-    eigenvalues and slopes at an earlier energy E0; each evaluation passes
+    eigenvalue estimates and slopes at an energy E0; each evaluation passes
     the linear extrapolation from the previous one as its eigenvalue
     estimates, so an evaluation bisects only if its inverse iteration
     fails the checks of :func:`eigh_tridiagonal`.  Returns the root, P = mu_v[j]
@@ -595,12 +647,12 @@ def parabolic_joint_solve(
     does the search and the fine grid only polishes its roots.  Only the
     pilots at E_hi bisect (see :func:`_contain`); the coarse solves at
     E_hi start inverse iteration from the pilots' eigenvalues, and every
-    later solve from eigenvalues already in hand: at E_lo from those at
-    E_hi, scaled as the Sturmian charge below for sho factors and
-    extrapolated along their slopes otherwise, and at each Newton
-    evaluation from the previous one, extrapolated along the slopes
-    (the coarse Newton from E_hi, the fine one from the last coarse
-    evaluation).  The branches are node counts 0, 1 and 2 of each
+    later solve from eigenvalues already in hand: at E_lo and at the
+    start of each pair's coarse Newton from those at E_hi, scaled as the
+    Sturmian charge below for sho factors and extrapolated along their
+    slopes otherwise, and at every later Newton evaluation from the
+    previous one, extrapolated along the slopes (the fine Newton from
+    the last coarse evaluation).  The branches are node counts 0, 1 and 2 of each
     equation.  The domain starts at w = 50 / sqrt(-2 E_hi) with node
     spacing 0.1 or finer, one x1.5 rung higher for sho factors (their
     two-node state has not decayed to e^-20 on the lower rung), and is
@@ -641,19 +693,22 @@ def parabolic_joint_solve(
         build_radial_problem(kind, model=model, micz=micz, energy=0.0, wmax=hi)
         for kind in ("para_u", "para_v")
     ]
-    fine, coarse, at_hi, n, solves = _contain(problems, grid, n, _BRANCHES, energy=e_hi)
+    fine, coarse, at_hi, n, _, solves = _contain(problems, grid, n, _BRANCHES, energy=e_hi)
     (mu_u_hi, _, s_u_hi), (mu_v_hi, _, s_v_hi) = at_hi
-    # with sho factors the charge mu + Z_a of each equation grows as
-    # sqrt(-E), as for the seed below; otherwise follow the slopes
-    if sho:
-        estimates = [
-            (mu + za) * math.sqrt(e_lo / e_hi) - za
-            for (mu, _, _), za in zip(at_hi, (model.Z1, model.Z2))
-        ]
-    else:
-        estimates = [mu + s * (e_lo - e_hi) for mu, _, s in at_hi]
+
+    def carried(energy):
+        # the E_hi eigenvalues carried to ``energy``: with sho factors the
+        # charge mu + Z_a of each equation grows as sqrt(-E), as for the
+        # seed below; otherwise follow the slopes
+        if sho:
+            return [
+                (mu + za) * math.sqrt(energy / e_hi) - za
+                for (mu, _, _), za in zip(at_hi, (model.Z1, model.Z2))
+            ]
+        return [mu + s * (energy - e_hi) for mu, _, s in at_hi]
+
     (mu_u_lo, _, _), (mu_v_lo, _, _) = (
-        _shifted(pencil, e_lo, 0, _BRANCHES - 1, mu) for pencil, mu in zip(coarse, estimates)
+        _shifted(pencil, e_lo, 0, _BRANCHES - 1, mu) for pencil, mu in zip(coarse, carried(e_lo))
     )
     solves += 2
     mismatch = {
@@ -675,7 +730,8 @@ def parabolic_joint_solve(
         else:
             start = e_lo + (e_hi - e_lo) * f_lo / (f_lo - f_hi) if f_lo else e_lo
         u, v = slice(i, i + 1), slice(j, j + 1)
-        known = (e_hi, ((mu_u_hi[u], s_u_hi[u]), (mu_v_hi[v], s_v_hi[v])))
+        mu_u, mu_v = carried(start)
+        known = (start, ((mu_u[u], s_u_hi[u]), (mu_v[v], s_v_hi[v])))
         e_c, p_c, _, evals_c, known = _match_root(coarse, i, j, start, e_lo, e_hi, known)
         e_f, p_f, chis, evals_f, _ = _match_root(fine, i, j, e_c, -math.inf, math.inf, known)
         solves += 2 * (evals_f + evals_c)

@@ -122,12 +122,14 @@ class TestThetaOracle:
             assert lam == pytest.approx(expect, abs=1e-6)
 
     def test_zero_eigenvalue_within_its_bar(self):
-        # the c1 = c2 = 0 ground eigenvalue is exactly 0; the grids agree on
-        # it to 1.8e-11, closer than the quotients' rounding of 6e-11, which
-        # the bar must therefore include
+        # the c1 = c2 = 0 ground eigenvalue is exactly 0; the rungs agree on
+        # it more closely than the quotients' rounding, which the bar must
+        # therefore include, and at that rounding level the climb stops
+        # below the grid's 2n + 1 nodes
         prob = build_radial_problem("theta", micz=MiczParams(Z=1.0))
         spec = fd_eigensolve(prob, Grid(n=4000), 1)
         assert abs(spec.eigenvalues[0]) <= spec.convergence[0] <= 1e-8
+        assert len(spec.grid) < 2 * 4000 + 1
 
     def test_builder_strengths(self):
         prob = build_radial_problem("theta", micz=MiczParams(Z=1.0, c1=1.0))
@@ -297,32 +299,44 @@ def test_spherical_micz_energies_keeps_polar_eigenvalue():
     assert E == fd_eigensolve(radial, Grid(n=1000), 1).eigenvalues[0]
 
 
-def _bisected_richardson(problem, grid, spec, k):
-    """The Richardson pair of ``spec``'s final domain with both grids bisected, and node counts."""
+def _bisected_ladder(problem, grid, spec, k):
+    """R2, its bar and rounding term with the top three rungs of ``spec`` bisected, and node counts."""
     from hurwitz_kepler.numeric import _mapped_nodes
 
-    n = (len(spec.grid) - 1) // 2
-    hi = spec.grid[-1] / _mapped_nodes(grid, 0.0, 1.0, 2 * n + 1)[0][-1]
-    (vals_f, chi_f, mass), (vals_c, _, _) = (
-        (*eigh_tridiagonal(d, e, 0, k - 1), mass)
-        for d, e, _, mass in (_assemble(problem, grid, 0.0, hi, m) for m in (2 * n + 1, n))
-    )
-    nodes = tuple(_count_nodes(chi_f[:, j] / np.sqrt(mass)) for j in range(k))
-    return (4.0 * vals_f - vals_c) / 3.0 * problem.eigenvalue_scale, nodes
+    top = len(spec.grid)
+    hi = spec.grid[-1] / _mapped_nodes(grid, 0.0, 1.0, top)[0][-1]
+    rungs = []
+    for m in ((top - 3) // 4, (top - 1) // 2, top):
+        d, e, _, mass = _assemble(problem, grid, 0.0, hi, m)
+        mu, chi = eigh_tridiagonal(d, e, 0, k - 1)
+        rungs.append((mu, np.finfo(float).eps * (np.abs(d) @ chi**2)))
+    (v1, _), (v2, r2), (v3, r3) = rungs
+    values = (4.0 * v3 - v2) / 3.0
+    rounding = (4.0 * r3 + r2) / 3.0
+    conv = np.abs(values - (4.0 * v2 - v1) / 3.0) / 15.0 + rounding
+    nodes = tuple(_count_nodes(chi[:, j] / np.sqrt(mass)) for j in range(k))
+    scale = problem.eigenvalue_scale
+    return values * scale, conv * scale, rounding * scale, nodes
 
 
 class TestCoarseGridSearch:
-    # fd_eigensolve bisects only a pilot grid, starts the grid from its
-    # quotients and the doubling from the grid's; the result must be the
-    # pair that bisecting both grids would give
+    # fd_eigensolve bisects only the bottom rung and climbs by inverse
+    # iteration; the result must be what bisecting the same top rungs gives,
+    # and where a closed form exists the bar must bound its deviation
+    # without overstating it more than threefold above the rounding level
 
-    def _check(self, problem, grid, k):
+    def _check(self, problem, grid, k, exact=None):
         spec = fd_eigensolve(problem, grid, k)
-        values, nodes = _bisected_richardson(problem, grid, spec, k)
-        np.testing.assert_allclose(
-            spec.eigenvalues, values, rtol=0.0, atol=1e-10 * max(1.0, np.max(np.abs(values)))
-        )
+        values, conv, rounding, nodes = _bisected_ladder(problem, grid, spec, k)
+        tol = 1e-10 * max(1.0, np.max(np.abs(values)))
+        np.testing.assert_allclose(spec.eigenvalues, values, rtol=0.0, atol=tol)
+        np.testing.assert_allclose(spec.convergence, conv, rtol=0.0, atol=tol)
         assert spec.node_counts == nodes
+        if exact is not None:
+            dev = np.abs(spec.eigenvalues - exact)
+            assert np.all(dev <= 2.0 * spec.convergence)
+            above = spec.convergence > 10.0 * rounding
+            assert np.all(spec.convergence[above] <= 3.0 * dev[above])
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -332,7 +346,8 @@ class TestCoarseGridSearch:
     )
     def test_osc8(self, omega, c, L):
         pot = Potential8D("sho", omega=omega, c=c)
-        self._check(build_radial_problem("osc8", potential=pot, L=L), Grid(n=800), 3)
+        exact = [singular_oscillator_energy(QuantumNumbers(N, L), omega, c) for N in range(3)]
+        self._check(build_radial_problem("osc8", potential=pot, L=L), Grid(n=800), 3, exact)
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -341,14 +356,21 @@ class TestCoarseGridSearch:
         spacing=st_.sampled_from(["uniform", "log"]),
     )
     def test_coul9(self, Z, lam, spacing):
+        # lam = l (l + 7) and E_N = -Z^2 / (2 (N + l + 4)^2)
+        ell = 0.5 * (-7.0 + math.sqrt(49.0 + 4.0 * lam))
+        exact = [-(Z**2) / (2.0 * (N + ell + 4.0) ** 2) for N in range(2)]
         prob = build_radial_problem("coul9", Z=Z, lam=lam, rmax=260.0 / Z)
-        self._check(prob, Grid(n=2000, spacing=spacing, stretch=4.0), 2)
+        self._check(prob, Grid(n=2000, spacing=spacing, stretch=4.0), 2, exact)
 
     @settings(max_examples=15, deadline=None)
     @given(c1=st_.floats(0.0, 4.0), c2=st_.floats(0.0, 4.0))
     def test_theta(self, c1, c2):
+        # Lambda_n = (n + alpha + gamma)(n + alpha + gamma + 7), as in
+        # TestThetaOracle with J = L = 0
+        shift = 0.5 * (math.sqrt(9.0 + 8.0 * c1) + math.sqrt(9.0 + 8.0 * c2)) - 3.0
+        exact = [(n + shift) * (n + shift + 7.0) for n in range(3)]
         prob = build_radial_problem("theta", micz=MiczParams(Z=1.0, c1=c1, c2=c2))
-        self._check(prob, Grid(n=3000), 3)
+        self._check(prob, Grid(n=3000), 3, exact)
 
     @settings(max_examples=15, deadline=None)
     @given(N=st_.integers(1, 3), a_p=st_.floats(0.01, 0.04))
@@ -424,6 +446,16 @@ _FD_CASES = {
     **{case: _KERNEL_CASES[case][:3] for case in ("osc8", "coul9-uniform", "coul9-log", "theta")},
     "qes-super2": (_qes_problem("super2", 2, 0.05), Grid(n=3000), 4),
     "qes-sub2": (_qes_problem("sub2", 2, 1.0), Grid(n=3000), 4),
+}
+# stein passes per warm rung: the log-grid Coulomb states and the polar
+# states reach the target below the cap, the others climb to it
+_FD_PASSES = {
+    "osc8": [2, 1, 1, 1, 1],
+    "coul9-uniform": [2, 1, 1, 1, 1],
+    "coul9-log": [2, 1, 1, 1],
+    "theta": [1, 1, 1],
+    "qes-super2": [2, 1, 1, 1, 1],
+    "qes-sub2": [2, 1, 1, 1, 1],
 }
 
 
@@ -550,38 +582,45 @@ class TestWarmStart:
         assert mu_w[0] == pytest.approx(mu[index], rel=1e-12)
 
     def test_fd_eigensolve_bisects_the_pilot_grid_only(self, solves, rows):
-        # a pilot of max(n / 16, 16 k, 64) nodes bisects; the grid starts from
-        # its quotients and the doubling from the grid's
+        # the bottom rung of max(n / 16, 16 k, 64) nodes bisects; every rung
+        # after m nodes has 2m + 1 and starts from the rungs below it.  This
+        # state's bar stays above the target, so the climb runs to the first
+        # rung of at least 2n + 1 nodes
         prob = build_radial_problem("osc8", potential=Potential8D("sho", omega=1.0))
         fd_eigensolve(prob, Grid(n=1000), 1)
-        assert solves == {"calls": 3, "cold": 1, "bisections": 1}
-        assert rows == {"bisected": [64], "warm": [1000, 2001]}
+        assert solves == {"calls": 6, "cold": 1, "bisections": 1}
+        assert rows == {"bisected": [64], "warm": [129, 259, 519, 1039, 2079]}
 
     @pytest.mark.parametrize("case", list(_FD_CASES))
     def test_fd_eigensolve_keeps_the_first_certified_pass(self, solves, rows, passes, case):
-        # the doubled grid certifies on its first stein pass; the grid, whose
-        # estimates carry the pilot's (n / m)^2-fold discretization error,
-        # may need the second, and nothing but the pilot bisects
+        # every rung from the second warm one on starts from the Richardson
+        # prediction of the two below it and certifies on its first stein
+        # pass; the first warm rung starts from the bottom rung's quotients,
+        # which carry four times its own discretization error, and may need
+        # the second.  Only the bottom rung bisects
         problem, grid, k = _FD_CASES[case]
         fd_eigensolve(problem, grid, k)
-        assert rows["bisected"] == [max(grid.n // 16, 16 * k, 64)]
-        assert len(passes) == solves["calls"] - solves["cold"] == 2
-        assert passes[0] <= 2 and passes[1] == 1
+        rungs = [max(grid.n // 16, 16 * k, 64)]
+        for _ in passes:
+            rungs.append(2 * rungs[-1] + 1)
+        assert rows == {"bisected": rungs[:1], "warm": rungs[1:]}
+        assert passes == _FD_PASSES[case]
 
     @pytest.mark.parametrize("bracket, calls", [((-0.045, -0.024), 14), ((-0.024, -0.017), 22)])
     def test_joint_search_bisects_at_e_hi_only(self, solves, rows, passes, bracket, calls):
         # one bisection per equation, on the pilot of the first domain's
         # coarse grid (3423 or 4066 rows), and no warm solve of the Coulomb
-        # levels falls back.  Every fine-grid solve certifies on its first
-        # stein pass; on the coarse grid the solves from the pilot and the
-        # first Newton evaluation of each pair (1 and 2 pairs here) take two
+        # levels falls back.  Only the two coarse solves started from the
+        # pilots take a second stein pass: the first Newton evaluation of
+        # each pair starts from the Sturmian scaling of the E_hi eigenvalues
+        # to the seed, and every later solve from the previous evaluation
         parabolic_joint_solve(_sho_model(), MiczParams(Z=1.0), Grid(n=1500), bracket)
         assert solves == {"calls": calls, "cold": 2, "bisections": 2}
-        coarse, pilot, pairs = {-0.024: (3423, 213, 1), -0.017: (4066, 254, 2)}[bracket[1]]
+        coarse, pilot = {-0.024: (3423, 213), -0.017: (4066, 254)}[bracket[1]]
         assert rows["bisected"] == [pilot, pilot]
         assert len(passes) == len(rows["warm"]) == calls - 2
         assert all(p == 1 for p, n in zip(passes, rows["warm"]) if n > coarse)
-        assert passes[:2] == [2, 2] and sum(passes) == len(passes) + 2 + 2 * pairs
+        assert passes[:2] == [2, 2] and sum(passes) == len(passes) + 2
 
     def test_joint_search_lower_end_estimates_hold(self, solves, rows):
         # with sho factors the charge each equation binds grows as sqrt(-E),
