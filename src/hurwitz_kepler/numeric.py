@@ -361,13 +361,13 @@ def _contain(problems, grid: Grid, n: int, k: int, energy: float = 0.0):
     nodes of the first domain, whose quotients start inverse iteration on
     the first domain's n nodes; each wider domain starts from the previous
     domain's quotients.  A grid whose pilot would have fewer than
-    ``_min_nodes(k)`` nodes bisects itself, so :func:`fd_eigensolve`,
-    which calls this at its pilot size, bisects nothing else.  The next
-    grid, 2n+1 nodes, is assembled only for the domain that holds, and
-    nothing is solved on it here.  Returns the next grid's pencils (d0, e,
-    x, mass), the pencils on n nodes, the ``(mu, chi, slope)`` of each
-    problem on those, the final n, the final upper end of the domain and
-    the number of eigensolves made, pilots included.
+    ``_min_nodes(k)`` nodes bisects itself, as the bottom rung of
+    :func:`fd_eigensolve` (called here at its pilot size) usually does.
+    The next grid, 2n+1 nodes, is assembled only for the domain that
+    holds, and nothing is solved on it here.  Returns the next grid's
+    pencils (d0, e, x, mass), the pencils on n nodes, the ``(mu, chi,
+    slope)`` of each problem on those, the final n, the final upper end
+    of the domain and the number of eigensolves made, pilots included.
     """
     lo, hi = problems[0].domain
     fixed = any(p.weight_kind == "sin7" for p in problems)
@@ -395,9 +395,11 @@ def fd_eigensolve(problem: RadialProblem, grid: Grid, k: int) -> Spectrum:
     """Lowest ``k`` eigenpairs of ``problem``, on a ladder of grids capped by ``grid``.
 
     The bottom rung, max(n / ``_PILOT_RATIO``, ``_min_nodes(k)``) nodes
-    with n = ``grid.n``, is the only grid that bisects: :func:`_contain`
-    solves it and widens the domain until the requested states have
-    decayed to e^-20 at the upper end (n grows with the domain).  Each
+    with n = ``grid.n``, is the only grid that bisects (unless it has
+    ``_PILOT_RATIO`` times ``_min_nodes(k)`` nodes or more, when its own
+    pilot does): :func:`_contain` solves it and widens the domain until
+    the requested states have decayed to e^-20 at the upper end (n grows
+    with the domain).  Each
     rung after m nodes has 2m+1 on the same domain, so h halves, and is
     solved by inverse iteration: the first from the bottom rung's
     quotients, every later one from the Richardson prediction
