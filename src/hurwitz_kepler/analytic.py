@@ -163,11 +163,6 @@ class QesPrimedParams:
         if self.dim < 1 or self.dim != int(self.dim):
             raise ValueError("Dim must be a positive integer")
 
-    @property
-    def d_p(self) -> float:
-        """The radial-dimension parameter d' with Dim = d' + 2 l' - 1."""
-        return self.dim + 1.0 - 2.0 * self.l_p
-
 
 def qes_map_sub2(p: QesPrimedParams) -> tuple[Potential8D, float]:
     """Map primed constants to the sub-quadratic family.

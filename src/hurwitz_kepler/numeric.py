@@ -27,11 +27,10 @@ its error bar |R2 - R2'|/15, R2' being the same value one rung down
 (Paine, de Hoog & Anderssen 1981), plus the rounding of the quotients;
 the climb stops at a target accuracy, at rounding level, or at 2n+1
 nodes, so the grid's n caps the resolution instead of fixing it.  The
-joint search keeps two grids: n nodes do all the exploring (the cold
-first solve, the domain extension and the root search) and 2n+1 nodes
-are solved once more, started from the answer on n, and Richardson-
-extrapolated.  On every grid each eigenvalue is the Rayleigh quotient of
-its eigenvector, accurate to rounding where the state lives; a bisection
+joint search keeps two grids: n nodes do all the exploring (the domain
+extension and the root search) and 2n+1 nodes are solved once more,
+started from the answer on n, and Richardson-extrapolated.  On every
+grid each eigenvalue is the Rayleigh quotient of its eigenvector, accurate to rounding where the state lives; a bisection
 value is only good to eps |T| over the whole domain, which sets a floor
 under the extrapolation on the optional log-stretched grid, which
 clusters nodes near the origin for Coulomb-like tails.  Every domain
@@ -61,18 +60,19 @@ Every eigensolve goes through :func:`_shifted`, the one caller of
 :func:`eigh_tridiagonal`, the one call into LAPACK, which imports scipy on
 its first call: importing this module (and the package, and its CLI)
 loads numpy only, so work that solves nothing never pays scipy's
-start-up.  Only a pilot grid of each problem bisects: about a sixteenth
-of the grid's nodes on the first domain, which for a fixed-grid solve is
-the ladder's bottom rung.  Every other solve already has eigenvalue
-estimates in hand: the joint search's coarse grid takes the pilot's
-quotients, a widened domain the previous domain's, the first rung above
-the bottom one its quotients and every later rung the Richardson
-prediction from the two rungs below it, the joint search's fine grid
-the coarse quotients, its lower bracket end and the first Newton
-evaluation of each pair their Sturmian scaling (sho factors) or their
-linear extrapolation along the Hellmann-Feynman slopes, and each later
-Newton evaluation the linear extrapolation from the previous one.  From
-those, inverse iteration alone gives the eigenpairs,
+start-up.  Only one small grid of each problem bisects, about a
+sixteenth of the grid's nodes on the first domain: for a fixed-grid
+solve the ladder's bottom rung, for the joint search a pilot below its
+coarse grid.  Every other solve already has eigenvalue estimates in
+hand: the joint search's coarse grid takes the pilot's quotients, a
+widened domain the previous domain's, the first rung above the bottom
+one its quotients and every later rung the Richardson prediction from
+the two rungs below it, the joint search's lower bracket end and the
+first Newton evaluation of each pair their Sturmian scaling (sho
+factors) or their linear extrapolation along the Hellmann-Feynman
+slopes, each later Newton evaluation the linear extrapolation from the
+previous one, and the fine grid's Newton the last coarse evaluation.
+From those, inverse iteration alone gives the eigenpairs,
 certified by the discrete Sturm oscillation theorem (the j-th vector
 changes sign exactly j times) and a residual at rounding level.  One
 pass of inverse iteration is kept when it certifies; one that does not
@@ -113,7 +113,8 @@ __all__ = [
 ]
 
 _TAIL_LIMIT = math.exp(-20.0)
-# Coarse nodes per pilot node: only the pilot grid of each problem bisects.
+# Grid nodes per node of the one grid of each problem that bisects: the
+# bottom rung of fd_eigensolve and the pilot of the joint search.
 _PILOT_RATIO = 16
 # Error bar, relative to |value|, at which fd_eigensolve stops climbing: the
 # tightest accuracy asked of a fixed-grid value (coul9 on a log grid).
@@ -253,12 +254,12 @@ class Spectrum:
     problem's ``eigenvalue_scale``; ``convergence`` holds the estimated
     remaining error per state (|R2 - R2'| / 15 with R2' from one rung
     down, plus the rounding of both quotients) in the same units.
-    ``eigenvectors`` and their node counts belong to the top rung, whose
-    nodes ``grid`` holds.
+    ``node_counts`` are the sign changes of the top rung's eigenvectors,
+    and ``grid`` holds that rung's nodes, which give the domain after
+    widening.
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
     grid: np.ndarray
     convergence: np.ndarray
     node_counts: tuple
@@ -288,10 +289,7 @@ def _mapped_nodes(grid: Grid, lo: float, hi: float, n: int):
 
 
 def _assemble(problem: RadialProblem, grid: Grid, lo: float, hi: float, n: int):
-    """Symmetric tridiagonal (d, e) of ``problem`` on ``n`` nodes in (lo, hi).
-
-    Also returns the nodes x and the mass, for R = chi / sqrt(mass).
-    """
+    """Symmetric tridiagonal (d, e) of ``problem`` on ``n`` nodes in (lo, hi), and the nodes x."""
     x, g, xh, gh, ht = _mapped_nodes(grid, lo, hi, n)
     s_half = problem.weight(xh) / gh
     wm = problem.weight(x) * g
@@ -303,34 +301,22 @@ def _assemble(problem: RadialProblem, grid: Grid, lo: float, hi: float, n: int):
     a_off = -s_half[1:-1] / ht**2
     d = a_diag / mass
     e = a_off / np.sqrt(mass[:-1] * mass[1:])
-    return d, e, x, mass
+    return d, e, x
 
 
 def _shifted(pencil, energy: float, first: int, last: int, estimates=None):
     """Eigenpairs first..last of T(E) = T0 - (E/2) diag(x), and dmu/dE.
 
-    ``pencil`` is ``(d0, e, x, mass)`` assembled at E = 0.  Each eigenvalue
+    ``pencil`` is ``(d0, e, x)`` assembled at E = 0.  Each eigenvalue
     is the Rayleigh quotient of its orthonormal eigenvector chi, which is
     accurate to rounding on the nodes the state occupies; with
     ``estimates`` of the eigenvalues the solve skips bisection (see
     :func:`eigh_tridiagonal`).  The slope is the Hellmann-Feynman
     derivative -1/2 sum_k chi_k^2 x_k.
     """
-    d0, e, x, _ = pencil
+    d0, e, x = pencil
     mu, chi = eigh_tridiagonal(d0 - 0.5 * energy * x, e, first, last, estimates)
     return mu, chi, -0.5 * (x @ chi**2)
-
-
-def _physical_vectors(chi: np.ndarray, mass: np.ndarray) -> np.ndarray:
-    """R = chi / sqrt(mass), peak-normalized, first significant entry positive."""
-    vecs = chi / np.sqrt(mass)[:, None]
-    for j in range(vecs.shape[1]):
-        peak = np.max(np.abs(vecs[:, j]))
-        vecs[:, j] /= peak
-        lead = np.argmax(np.abs(vecs[:, j]) > 1e-3)
-        if vecs[lead, j] < 0.0:
-            vecs[:, j] = -vecs[:, j]
-    return vecs
 
 
 def _tail_fraction(chi: np.ndarray) -> float:
@@ -349,41 +335,30 @@ def _min_nodes(k: int) -> int:
     return max(16 * k, 64)
 
 
-def _contain(problems, grid: Grid, n: int, k: int, energy: float = 0.0):
-    """Next and current pencils of a domain that holds the lowest ``k`` states at ``energy``.
+def _contain(problems, grid: Grid, n: int, k: int, energy: float = 0.0, estimates=None):
+    """Pencils on n nodes of a domain that holds the lowest ``k`` states at ``energy``.
 
     Each problem is assembled at E = 0 on n nodes of its domain, and its
     lowest ``k`` eigenpairs of T0 - (energy/2) diag(x) are solved through
-    :func:`_shifted`.  While some state keeps more than e^-20 of its peak
-    at the last node, the domain is extended times 1.5 at fixed node
-    spacing, at most ``_MAX_EXTENSIONS`` times (the sin^7 polar domain is
-    never extended).  Only a pilot grid bisects: n / ``_PILOT_RATIO``
-    nodes of the first domain, whose quotients start inverse iteration on
-    the first domain's n nodes; each wider domain starts from the previous
-    domain's quotients.  A grid whose pilot would have fewer than
-    ``_min_nodes(k)`` nodes bisects itself, as the bottom rung of
-    :func:`fd_eigensolve` (called here at its pilot size) usually does.
-    The next grid, 2n+1 nodes, is assembled only for the domain that
-    holds, and nothing is solved on it here.  Returns the next grid's
-    pencils (d0, e, x, mass), the pencils on n nodes, the ``(mu, chi,
-    slope)`` of each problem on those, the final n, the final upper end
-    of the domain and the number of eigensolves made, pilots included.
+    :func:`_shifted`: by inverse iteration from ``estimates`` (one array
+    per problem) when given, by bisection otherwise.  While some state
+    keeps more than e^-20 of its peak at the last node, the domain is
+    extended times 1.5 at fixed node spacing, at most ``_MAX_EXTENSIONS``
+    times (the sin^7 polar domain is never extended), and each wider
+    domain starts from the previous domain's quotients.  Returns the
+    pencils (d0, e, x) of the domain that holds, the ``(mu, chi, slope)``
+    of each problem on them, the final n, the final upper end of the
+    domain and the number of eigensolves made.
     """
     lo, hi = problems[0].domain
     fixed = any(p.weight_kind == "sin7" for p in problems)
-    pilot = n // _PILOT_RATIO
-    estimates, solves = [None] * len(problems), 0
-    if pilot >= _min_nodes(k):
-        pilots = [_assemble(p, grid, lo, hi, pilot) for p in problems]
-        estimates = [_shifted(pencil, energy, 0, k - 1)[0] for pencil in pilots]
-        solves = len(problems)
+    estimates, solves = estimates or [None] * len(problems), 0
     for attempt in range(_MAX_EXTENSIONS + 1):
-        coarse = [_assemble(p, grid, lo, hi, n) for p in problems]
-        solved = [_shifted(pencil, energy, 0, k - 1, mu) for pencil, mu in zip(coarse, estimates)]
+        pencils = [_assemble(p, grid, lo, hi, n) for p in problems]
+        solved = [_shifted(pencil, energy, 0, k - 1, mu) for pencil, mu in zip(pencils, estimates)]
         solves += len(problems)
         if fixed or max(_tail_fraction(chi) for _, chi, _ in solved) <= _TAIL_LIMIT:
-            fine = [_assemble(p, grid, lo, hi, 2 * n + 1) for p in problems]
-            return fine, coarse, solved, n, hi, solves
+            return pencils, solved, n, hi, solves
         if attempt == _MAX_EXTENSIONS:
             raise AccuracyError(f"domain extension failed to contain the states (hi = {hi:.6g})")
         hi = lo + (hi - lo) * 1.5
@@ -395,11 +370,9 @@ def fd_eigensolve(problem: RadialProblem, grid: Grid, k: int) -> Spectrum:
     """Lowest ``k`` eigenpairs of ``problem``, on a ladder of grids capped by ``grid``.
 
     The bottom rung, max(n / ``_PILOT_RATIO``, ``_min_nodes(k)``) nodes
-    with n = ``grid.n``, is the only grid that bisects (unless it has
-    ``_PILOT_RATIO`` times ``_min_nodes(k)`` nodes or more, when its own
-    pilot does): :func:`_contain` solves it and widens the domain until
-    the requested states have decayed to e^-20 at the upper end (n grows
-    with the domain).  Each
+    with n = ``grid.n``, is the only grid that bisects: :func:`_contain`
+    solves it and widens the domain until the requested states have
+    decayed to e^-20 at the upper end (n grows with the domain).  Each
     rung after m nodes has 2m+1 on the same domain, so h halves, and is
     solved by inverse iteration: the first from the bottom rung's
     quotients, every later one from the Richardson prediction
@@ -418,17 +391,19 @@ def fd_eigensolve(problem: RadialProblem, grid: Grid, k: int) -> Spectrum:
     if k > grid.n // 4:
         raise ValueError(f"k = {k} exceeds n/4 = {grid.n // 4}")
     n, bottom = grid.n, max(grid.n // _PILOT_RATIO, _min_nodes(k))
-    (pencil,), (low,), ((mu, chi, _),), m, hi, _ = _contain([problem], grid, bottom, k)
+    _, ((mu, _, _),), m, hi, _ = _contain([problem], grid, bottom, k)
     while bottom < m:  # n grows with the domain as the bottom rung did
         bottom, n = int(bottom * 1.5), int(n * 1.5)
     lo = problem.domain[0]
-    # quotients and eps sum_k |d_k| chi_k^2 of each rung, bottom up
-    rungs = [(mu, _EPS * (np.abs(low[0]) @ chi**2))]
+    # quotients and eps sum_k |d_k| chi_k^2 of each rung, bottom up; the bar
+    # reads the rounding of the top two rungs only, never the bottom one's
+    rungs = [(mu, None)]
     estimates = mu
     while True:
+        m = 2 * m + 1
+        pencil = _assemble(problem, grid, lo, hi, m)
         mu, chi, _ = _shifted(pencil, 0.0, 0, k - 1, estimates)
         rungs.append((mu, _EPS * (np.abs(pencil[0]) @ chi**2)))
-        m = len(pencil[0])
         if len(rungs) >= 3:
             (v1, _), (v2, r2), (v3, r3) = rungs[-3:]
             values = (4.0 * v3 - v2) / 3.0
@@ -439,7 +414,6 @@ def fd_eigensolve(problem: RadialProblem, grid: Grid, k: int) -> Spectrum:
             if m >= 2 * n + 1 or np.all(done):
                 break
         estimates = mu + (mu - rungs[-2][0]) / 4.0
-        pencil = _assemble(problem, grid, lo, hi, 2 * m + 1)
     rel = conv / np.maximum(1.0, np.abs(values))
     if np.any(rel > _CONV_TOL):
         worst = int(np.argmax(rel))
@@ -448,15 +422,12 @@ def fd_eigensolve(problem: RadialProblem, grid: Grid, k: int) -> Spectrum:
             f"{worst} has error bar {conv[worst]:.3g} "
             f"(rungs of {(m - 1) // 2} and {m} nodes, tol = {_CONV_TOL:.1g})"
         )
-    _, _, x, mass = pencil
-    vecs = _physical_vectors(chi, mass)
     scale = problem.eigenvalue_scale
     return Spectrum(
         eigenvalues=values * scale,
-        eigenvectors=vecs,
-        grid=x,
+        grid=pencil[2],
         convergence=conv * scale,
-        node_counts=tuple(_count_nodes(vecs[:, j]) for j in range(k)),
+        node_counts=tuple(_count_nodes(chi[:, j]) for j in range(k)),
     )
 
 
@@ -506,19 +477,11 @@ def build_radial_problem(kind: str, **params) -> RadialProblem:
         micz: MiczParams = params["micz"]
         alpha_u, alpha_v = micz_centrifugal_strengths(micz)
 
-        def eff(th):
-            q = np.zeros_like(th)
-            if alpha_u != 0.0:
-                q = q + alpha_u / np.cos(th / 2.0) ** 2
-            if alpha_v != 0.0:
-                q = q + alpha_v / np.sin(th / 2.0) ** 2
-            return q
-
         return RadialProblem(
             weight_exponent=7,
             weight_kind="sin7",
             centrifugal_coeff=0.0,
-            effective_term=eff,
+            effective_term=lambda th: alpha_u / np.cos(th / 2.0) ** 2 + alpha_v / np.sin(th / 2.0) ** 2,
             domain=(0.0, math.pi),
         )
     if kind in ("para_u", "para_v"):
@@ -567,9 +530,11 @@ class JointState:
 
     ``E`` and ``P`` are Richardson-extrapolated from the roots on the two
     grids and ``E_error = |E_fine - E_coarse| / 3`` bounds the error of E.
-    The node counts belong to the fine-grid root.  ``solves`` counts the
-    tridiagonal eigensolves of the whole search that returned this state,
-    the two pilot solves of :func:`_contain` included.
+    ``node_u`` and ``node_v`` are the pair's branch indices (i, j): the
+    node counts of its two states, which the sign count of each branch's
+    last solve certifies (see :func:`eigh_tridiagonal`).  ``solves``
+    counts the tridiagonal eigensolves of the whole search that returned
+    this state, the two pilot solves included.
     """
 
     E: float
@@ -593,17 +558,16 @@ def _match_root(pencils, i: int, j: int, energy: float, lo: float, hi: float, kn
     the linear extrapolation from the previous one as its eigenvalue
     estimates, so an evaluation bisects only if its inverse iteration
     fails the checks of :func:`eigh_tridiagonal`.  Returns the root, P = mu_v[j]
-    there (carried along the slope), the eigenvectors (chi_u, chi_v) of the
-    last evaluation, the number of evaluations and the last evaluation in
-    the form of ``known``.
+    there (carried along the slope), the number of evaluations and the last
+    evaluation in the form of ``known``.
     """
     norm = sum(
         np.max(np.abs(d0 - 0.5 * energy * x)) + 2.0 * np.max(np.abs(e))
-        for d0, e, x, _ in pencils
+        for d0, e, x in pencils
     )
     at, known = known
     for evals in range(1, _MAX_NEWTON + 1):
-        (mu_u, chi_u, s_u), (mu_v, chi_v, s_v) = (
+        (mu_u, _, s_u), (mu_v, _, s_v) = (
             _shifted(p, energy, b, b, mu + s * (energy - at))
             for p, b, (mu, s) in zip(pencils, (i, j), known)
         )
@@ -617,7 +581,7 @@ def _match_root(pencils, i: int, j: int, energy: float, lo: float, hi: float, kn
         step = -f / slope
         floor = _EPS * norm / abs(slope)
         if abs(step) <= floor or hi - lo <= floor:
-            return energy + step, mu_v[0] + s_v[0] * step, (chi_u, chi_v), evals, (at, known)
+            return energy + step, mu_v[0] + s_v[0] * step, evals, (at, known)
         energy += step
         if not lo < energy < hi:
             energy = 0.5 * (lo + hi)
@@ -637,25 +601,28 @@ def parabolic_joint_solve(
     For fixed E, the u-equation eigenvalues are -P-candidates and the
     v-equation eigenvalues are +P-candidates; a physical state needs a
     branch pair (i, j) with F(E) = mu_u[i](E) + mu_v[j](E) = 0, the branch
-    index being the node count.  E enters both equations only as -E w/2,
-    so on a grid each is the linear pencil T(E) = T0 - (E/2) diag(w) of a
-    right-definite two-parameter problem: every mu decreases strictly with
-    E, F has at most one root per pair, and dF/dE comes exactly from the
-    eigenvectors (Hellmann-Feynman).
+    index being the node count, which each solve certifies by its sign
+    changes.  E enters both equations only as -E w/2, so on a grid each is
+    the linear pencil T(E) = T0 - (E/2) diag(w) of a right-definite
+    two-parameter problem: every mu decreases strictly with E, F has at
+    most one root per pair, and dF/dE comes exactly from the eigenvectors
+    (Hellmann-Feynman).
 
     Both equations are assembled once, at E = 0, on a coarse grid (n
     nodes) and a fine one (2n+1 nodes); an energy then costs one diagonal
     shift and one tridiagonal eigensolve per equation.  The coarse grid
-    does the search and the fine grid only polishes its roots.  Only the
-    pilots at E_hi bisect (see :func:`_contain`); the coarse solves at
-    E_hi start inverse iteration from the pilots' eigenvalues, and every
-    later solve from eigenvalues already in hand: at E_lo and at the
-    start of each pair's coarse Newton from those at E_hi, scaled as the
-    Sturmian charge below for sho factors and extrapolated along their
+    does the search and the fine grid only polishes its roots.  Only a
+    pilot of each equation bisects, at E_hi on max(n / ``_PILOT_RATIO``,
+    ``_min_nodes(3)``) nodes of the first domain (the bottom-rung rule of
+    :func:`fd_eigensolve`).  The coarse solves at E_hi start inverse
+    iteration from the pilots' eigenvalues (see :func:`_contain`), and
+    every later solve from eigenvalues already in hand: at E_lo and at
+    the start of each pair's coarse Newton from those at E_hi, scaled as
+    the Sturmian charge below for sho factors and extrapolated along their
     slopes otherwise, and at every later Newton evaluation from the
-    previous one, extrapolated along the slopes (the fine Newton from
-    the last coarse evaluation).  The branches are node counts 0, 1 and 2 of each
-    equation.  The domain starts at w = 50 / sqrt(-2 E_hi) with node
+    previous one, extrapolated along the slopes (the fine Newton from the
+    last coarse evaluation).  The branches are node counts 0, 1 and 2 of
+    each equation.  The domain starts at w = 50 / sqrt(-2 E_hi) with node
     spacing 0.1 or finer, one x1.5 rung higher for sho factors (their
     two-node state has not decayed to e^-20 on the lower rung), and is
     extended (times 1.5 at fixed spacing) until all three states have
@@ -695,7 +662,13 @@ def parabolic_joint_solve(
         build_radial_problem(kind, model=model, micz=micz, energy=0.0, wmax=hi)
         for kind in ("para_u", "para_v")
     ]
-    fine, coarse, at_hi, n, _, solves = _contain(problems, grid, n, _BRANCHES, energy=e_hi)
+    pilot = max(n // _PILOT_RATIO, _min_nodes(_BRANCHES))
+    estimates = [
+        _shifted(_assemble(p, grid, 0.0, hi, pilot), e_hi, 0, _BRANCHES - 1)[0] for p in problems
+    ]
+    coarse, at_hi, n, hi, solves = _contain(problems, grid, n, _BRANCHES, e_hi, estimates)
+    fine = [_assemble(p, grid, 0.0, hi, 2 * n + 1) for p in problems]
+    solves += len(problems)  # the pilots
     (mu_u_hi, _, s_u_hi), (mu_v_hi, _, s_v_hi) = at_hi
 
     def carried(energy):
@@ -734,18 +707,15 @@ def parabolic_joint_solve(
         u, v = slice(i, i + 1), slice(j, j + 1)
         mu_u, mu_v = carried(start)
         known = (start, ((mu_u[u], s_u_hi[u]), (mu_v[v], s_v_hi[v])))
-        e_c, p_c, _, evals_c, known = _match_root(coarse, i, j, start, e_lo, e_hi, known)
-        e_f, p_f, chis, evals_f, _ = _match_root(fine, i, j, e_c, -math.inf, math.inf, known)
+        e_c, p_c, evals_c, known = _match_root(coarse, i, j, start, e_lo, e_hi, known)
+        e_f, p_f, evals_f, _ = _match_root(fine, i, j, e_c, -math.inf, math.inf, known)
         solves += 2 * (evals_f + evals_c)
-        node_u, node_v = (
-            _count_nodes(chi[:, 0] / np.sqrt(mass)) for (_, _, _, mass), chi in zip(fine, chis)
-        )
         states.append(
             JointState(
                 E=float(4.0 * e_f - e_c) / 3.0,
                 P=float(4.0 * p_f - p_c) / 3.0,
-                node_u=node_u,
-                node_v=node_v,
+                node_u=i,
+                node_v=j,
                 E_error=float(abs(e_f - e_c)) / 3.0,
                 solves=0,
             )

@@ -229,26 +229,6 @@ class TestSolverMechanics:
         assert np.all(np.diff(spec.eigenvalues) > 0)
         assert spec.node_counts == (0, 1, 2, 3)
 
-    def test_symmetrization_gives_weighted_orthogonality(self):
-        # the discrete operator is exactly symmetric under diag(sqrt(mass)),
-        # so distinct eigenvectors must be orthogonal in the mass-weighted
-        # inner product (here the parabolic problem with its 1/u factor)
-        from hurwitz_kepler.numeric import _mapped_nodes
-
-        model = _sho_model()
-        prob = build_radial_problem(
-            "para_u", model=model, micz=MiczParams(Z=1.0, c1=0.5), energy=-0.03, wmax=200.0
-        )
-        grid = Grid(n=1600)
-        spec = fd_eigensolve(prob, grid, 3)
-        n = len(spec.grid)
-        x, g, _, _, _ = _mapped_nodes(grid, 0.0, prob.domain[1], n)
-        mass = prob.weight(x) * g * prob.mass_term(x)
-        R = spec.eigenvectors
-        gram = R.T @ (mass[:, None] * R)
-        offdiag = gram / np.sqrt(np.outer(np.diag(gram), np.diag(gram)))
-        assert np.max(np.abs(offdiag - np.eye(3))) < 1e-10
-
 
 class TestParaBuilders:
     def test_para_u_effective_term_matches_w(self):
@@ -307,14 +287,14 @@ def _bisected_ladder(problem, grid, spec, k):
     hi = spec.grid[-1] / _mapped_nodes(grid, 0.0, 1.0, top)[0][-1]
     rungs = []
     for m in ((top - 3) // 4, (top - 1) // 2, top):
-        d, e, _, mass = _assemble(problem, grid, 0.0, hi, m)
+        d, e, _ = _assemble(problem, grid, 0.0, hi, m)
         mu, chi = eigh_tridiagonal(d, e, 0, k - 1)
         rungs.append((mu, np.finfo(float).eps * (np.abs(d) @ chi**2)))
     (v1, _), (v2, r2), (v3, r3) = rungs
     values = (4.0 * v3 - v2) / 3.0
     rounding = (4.0 * r3 + r2) / 3.0
     conv = np.abs(values - (4.0 * v2 - v1) / 3.0) / 15.0 + rounding
-    nodes = tuple(_count_nodes(chi[:, j] / np.sqrt(mass)) for j in range(k))
+    nodes = tuple(_count_nodes(chi[:, j]) for j in range(k))
     scale = problem.eigenvalue_scale
     return values * scale, conv * scale, rounding * scale, nodes
 
@@ -401,7 +381,7 @@ def test_solver_inputs_and_result_fields():
     assert params(parabolic_joint_solve) == ["model", "micz", "grid", "bracket"]
     assert params(qes_solve) == ["p", "family", "potential"]
     assert fields(JointState) == ["E", "P", "node_u", "node_v", "E_error", "solves"]
-    assert fields(Spectrum) == ["eigenvalues", "eigenvectors", "grid", "convergence", "node_counts"]
+    assert fields(Spectrum) == ["eigenvalues", "grid", "convergence", "node_counts"]
     assert fields(QesSolution) == [
         "family", "energies", "polynomials", "gauge", "power", "charges", "closure_residual"
     ]
@@ -413,7 +393,7 @@ def test_solver_inputs_and_result_fields():
 
 def _matrix(problem, grid, n, energy=0.0):
     """(d, e) of ``problem`` on ``n`` nodes of its domain, shifted to ``energy``."""
-    d0, e, x, _ = _assemble(problem, grid, *problem.domain, n)
+    d0, e, x = _assemble(problem, grid, *problem.domain, n)
     return d0 - 0.5 * energy * x, e
 
 
@@ -581,15 +561,21 @@ class TestWarmStart:
         assert _count_nodes(chi_w[:, 0]) == index
         assert mu_w[0] == pytest.approx(mu[index], rel=1e-12)
 
-    def test_fd_eigensolve_bisects_the_pilot_grid_only(self, solves, rows):
-        # the bottom rung of max(n / 16, 16 k, 64) nodes bisects; every rung
-        # after m nodes has 2m + 1 and starts from the rungs below it.  This
-        # state's bar stays above the target, so the climb runs to the first
-        # rung of at least 2n + 1 nodes
+    @pytest.mark.parametrize(
+        "n, bisected, warm",
+        [(1000, [64], [129, 259, 519, 1039, 2079]), (16384, [1024], [2049, 4099])],
+        ids=["n=1000", "n=16384"],
+    )
+    def test_fd_eigensolve_bisects_the_bottom_rung_only(self, solves, rows, n, bisected, warm):
+        # the bottom rung of max(n / 16, 16 k, 64) nodes bisects, however
+        # many nodes it has; every rung after m nodes has 2m + 1 and starts
+        # from the rungs below it.  On n = 1000 this state's bar stays above
+        # the target, so the climb runs to the first rung of at least 2n + 1
+        # nodes; on n = 16384 it meets the target two rungs up
         prob = build_radial_problem("osc8", potential=Potential8D("sho", omega=1.0))
-        fd_eigensolve(prob, Grid(n=1000), 1)
-        assert solves == {"calls": 6, "cold": 1, "bisections": 1}
-        assert rows == {"bisected": [64], "warm": [129, 259, 519, 1039, 2079]}
+        fd_eigensolve(prob, Grid(n=n), 1)
+        assert solves == {"calls": 1 + len(warm), "cold": 1, "bisections": 1}
+        assert rows == {"bisected": bisected, "warm": warm}
 
     @pytest.mark.parametrize("case", list(_FD_CASES))
     def test_fd_eigensolve_keeps_the_first_certified_pass(self, solves, rows, passes, case):

@@ -12,7 +12,6 @@ from hurwitz_kepler.numeric import (
     _assemble,
     _shifted,
     build_radial_problem,
-    fd_eigensolve,
     parabolic_joint_solve,
     spherical_micz_energies,
 )
@@ -66,15 +65,14 @@ class TestPureCoulomb:
 
     def test_first_domain_holds_for_three_branches(self, monkeypatch):
         # the search over three branches starts one rung up the x1.5
-        # ladder and keeps that domain: one pilot and one coarse solve per
-        # equation
+        # ladder and keeps that domain: one coarse solve per equation
         calls = _record_contain(monkeypatch)
         parabolic_joint_solve(_coulomb_model(), MiczParams(Z=1.0), Grid(n=1500), bracket=(-0.045, -0.024))
-        assert [solves for *_, solves in calls] == [4]
+        assert [solves for *_, solves in calls] == [2]
 
 
 def _record_contain(monkeypatch):
-    """The results (fine, coarse, eigenpairs, n, solves) of every later _contain call."""
+    """The results (pencils, eigenpairs, n, hi, solves) of every later _contain call."""
     calls = []
     contain = numeric._contain
 
@@ -194,7 +192,7 @@ def _bisection_root(pencils, i, j, lo, hi):
 def _rounding_floor(pencils, i, j, energy):
     """eps (|T_u| + |T_v|) / |F'| at ``energy``: how well F's root is defined."""
     norm = sum(
-        np.max(np.abs(d0 - 0.5 * energy * x)) + 2.0 * np.max(np.abs(e)) for d0, e, x, _ in pencils
+        np.max(np.abs(d0 - 0.5 * energy * x)) + 2.0 * np.max(np.abs(e)) for d0, e, x in pencils
     )
     return np.finfo(float).eps * norm / abs(_mismatch(pencils, i, j, energy)[1])
 
@@ -302,15 +300,15 @@ class TestPerturbativeOracle:
         # dF/dE from d(q)/dE = -1/2, all in the 1/w-mass inner product
         wmax = 50.0 / math.sqrt(2.0 * 0.024)
         n = max(grid.n, int(wmax / 0.12))
-        work = Grid(n=n)
         num = 0.0
         den = 0.0
         for kind in ("para_u", "para_v"):
             prob = build_radial_problem(kind, model=base, micz=micz, energy=e0, wmax=wmax)
-            spec = fd_eigensolve(prob, work, 1)
-            w = spec.grid
-            R = spec.eigenvectors[:, 0]
+            pencil = _assemble(prob, Grid(n=n), *prob.domain, n)
+            w = pencil[2]
             meas = prob.weight(w)  # uniform grid: constant Jacobian cancels
+            # R = chi / sqrt(mass) for the symmetrized ground vector chi
+            R = _shifted(pencil, 0.0, 0, 0)[1][:, 0] / np.sqrt(meas * prob.mass_term(w))
             norm_mass = np.sum(R * R * meas / w)
             num += np.sum(R * R * meas * (b * w / 4.0)) / norm_mass
             den += -0.5 * np.sum(R * R * meas) / norm_mass
