@@ -303,25 +303,19 @@ def _require_real(vals: np.ndarray, what: str) -> np.ndarray:
 _CLOSURE_TOL = 1e-9
 
 
-def qes_solve(
-    p: QesPrimedParams, family: str, potential: Potential8D | None = None
-) -> QesSolution:
+def qes_solve(p: QesPrimedParams, family: str) -> QesSolution:
     """Solve the N-dimensional QES block for the mapped potential.
 
     The reduced Hamiltonian -f'' - (Dim/r) f' + V f is applied to the
     ansatz basis {monomial_k * gauge factor}; the expansion must close on
     the span to ``_CLOSURE_TOL`` relative (for sub2, closure quantizes the
-    1/rho coefficient).  A ``potential`` override (super2 only) lets
-    callers probe closure diagnostics; inconsistent coefficients raise
-    :class:`QesClosureError`.
+    1/rho coefficient), or :class:`QesClosureError` is raised.
     """
     family = family.lower()
     if family == "sub2":
-        if potential is not None:
-            raise ValueError("sub2 closure determines the 1/rho coefficient; no override")
         return _qes_solve_sub2(p)
     if family == "super2":
-        return _qes_solve_super2(p, potential)
+        return _qes_solve_super2(p)
     raise ValueError(f"unknown QES family {family!r}")
 
 
@@ -390,10 +384,10 @@ def _qes_solve_sub2(p: QesPrimedParams) -> QesSolution:
     )
 
 
-def _qes_solve_super2(p: QesPrimedParams, potential: Potential8D | None) -> QesSolution:
-    pot = qes_map_super2(p) if potential is None else potential
+def _qes_solve_super2(p: QesPrimedParams) -> QesSolution:
+    pot = qes_map_super2(p)
     N, dim = p.N, p.dim
-    if pot.a <= 0.0:
+    if pot.a <= 0.0:  # a = a'^2 underflows to 0 for a' > 0 below about 1e-162
         raise QesPreconditionError("super2 needs a positive r^6 coefficient")
     m = _gauge_power(pot.c, dim)
     A = math.sqrt(pot.a)

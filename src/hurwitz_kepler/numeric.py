@@ -27,16 +27,17 @@ its error bar |R2 - R2'|/15, R2' being the same value one rung down
 (Paine, de Hoog & Anderssen 1981), plus the rounding of the quotients;
 the climb stops at a target accuracy, at rounding level, or at 2n+1
 nodes, so the grid's n caps the resolution instead of fixing it.  The
-joint search keeps two grids: n nodes do all the exploring (the domain
-extension and the root search) and 2n+1 nodes are solved once more,
-started from the answer on n, and Richardson-extrapolated.  On every
+joint search keeps two grids: n nodes do the root search and 2n+1 nodes
+are solved once more, started from the answer on n, and
+Richardson-extrapolated.  On every
 grid each eigenvalue is the Rayleigh quotient of its eigenvector, accurate to rounding where the state lives; a bisection
 value is only good to eps |T| over the whole domain, which sets a floor
 under the extrapolation on the optional log-stretched grid, which
 clusters nodes near the origin for Coulomb-like tails.  Every domain
 except the polar (0, pi) is widened until the requested states have
-decayed; the fixed-grid solve and the joint search share that loop,
-which the ladder runs on its bottom rung.
+decayed.  Both solvers settle it the same way, on one bisected small
+grid of about a sixteenth of their nodes (:func:`_contain`): the
+ladder's bottom rung, or the joint search's pilot.
 
 The two parabolic equations depend on the energy only through -E w/2, so
 on a fixed grid each is the linear pencil T(E) = T0 - (E/2) diag(w) of a
@@ -53,31 +54,27 @@ branch pair binds there; with sho factors that charge grows as sqrt(-E)
 (the Coulomb Sturmian scaling), which seeds Newton within the
 discretization error of the root.  Any other factor only makes the seed
 a first guess, and a pair without a seed starts from the secant point.
-With sho factors the states also have one shape in sqrt(-2E) w, so the
-search starts on the domain that holds them.
 
 Every eigensolve goes through :func:`_shifted`, the one caller of
 :func:`eigh_tridiagonal`, the one call into LAPACK, which imports scipy on
 its first call: importing this module (and the package, and its CLI)
 loads numpy only, so work that solves nothing never pays scipy's
-start-up.  Only one small grid of each problem bisects, about a
-sixteenth of the grid's nodes on the first domain: for a fixed-grid
-solve the ladder's bottom rung, for the joint search a pilot below its
-coarse grid.  Every other solve already has eigenvalue estimates in
-hand: the joint search's coarse grid takes the pilot's quotients, a
-widened domain the previous domain's, the first rung above the bottom
-one its quotients and every later rung the Richardson prediction from
-the two rungs below it, the joint search's lower bracket end and the
-first Newton evaluation of each pair their Sturmian scaling (sho
-factors) or their linear extrapolation along the Hellmann-Feynman
-slopes, each later Newton evaluation the linear extrapolation from the
-previous one, and the fine grid's Newton the last coarse evaluation.
-From those, inverse iteration alone gives the eigenpairs,
-certified by the discrete Sturm oscillation theorem (the j-th vector
-changes sign exactly j times) and a residual at rounding level.  One
-pass of inverse iteration is kept when it certifies; one that does not
-is repeated once from its own quotients, and a solve that fails twice
-bisects after all.
+start-up.  Only that small grid of each problem bisects, and only on
+the first domain.  Every other solve already has eigenvalue estimates
+in hand: a widened domain the previous domain's quotients, the joint
+search's coarse grid those of the pilot on the settled domain, the
+first rung above the bottom one its quotients and every later rung the
+Richardson prediction from the two rungs below it, the joint search's
+lower bracket end and the first Newton evaluation of each pair their
+Sturmian scaling (sho factors) or their linear extrapolation along the
+Hellmann-Feynman slopes, each later Newton evaluation the linear
+extrapolation from the previous one, and the fine grid's Newton the
+last coarse evaluation.  From those, inverse iteration alone gives the
+eigenpairs, certified by the discrete Sturm oscillation theorem (the
+j-th vector changes sign exactly j times) and a residual at rounding
+level.  One pass of inverse iteration is kept when it certifies; one
+that does not is repeated once from its own quotients, and a solve that
+fails twice bisects after all.
 
 Solves share no mutable state; concurrent sector sweeps are safe.
 """
@@ -85,6 +82,7 @@ Solves share no mutable state; concurrent sector sweeps are safe.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -207,8 +205,9 @@ class Grid:
             raise ValueError("grid needs at least 16 points")
         if self.spacing not in ("uniform", "log"):
             raise ValueError("spacing must be 'uniform' or 'log'")
-        if self.spacing == "log" and self.stretch <= 0.0:
-            raise ValueError("log stretch must be positive")
+        # expm1(stretch) in the node map overflows from log(float max) on
+        if self.spacing == "log" and not 0.0 < self.stretch < math.log(sys.float_info.max):
+            raise ValueError(f"log stretch must lie in (0, log(float max)), got {self.stretch!r}")
 
 
 @dataclass(frozen=True)
@@ -330,53 +329,50 @@ def _count_nodes(vec: np.ndarray) -> int:
     return int(np.count_nonzero(negative[1:] != negative[:-1]))
 
 
-def _min_nodes(k: int) -> int:
-    """Fewest nodes any grid of ``k`` states is solved on."""
-    return max(16 * k, 64)
+def _contain(problems, grid: Grid, n: int, k: int, energy: float = 0.0):
+    """Settle a domain that holds the lowest ``k`` states at ``energy`` on one bisected small grid.
 
-
-def _contain(problems, grid: Grid, n: int, k: int, energy: float = 0.0, estimates=None):
-    """Pencils on n nodes of a domain that holds the lowest ``k`` states at ``energy``.
-
-    Each problem is assembled at E = 0 on n nodes of its domain, and its
+    The small grid has m = max(n / ``_PILOT_RATIO``, 16 k, 64) nodes of the
+    problems' domain.  Each problem is assembled on it at E = 0 and its
     lowest ``k`` eigenpairs of T0 - (energy/2) diag(x) are solved through
-    :func:`_shifted`: by inverse iteration from ``estimates`` (one array
-    per problem) when given, by bisection otherwise.  While some state
+    :func:`_shifted`, by bisection on the first domain.  While some state
     keeps more than e^-20 of its peak at the last node, the domain is
-    extended times 1.5 at fixed node spacing, at most ``_MAX_EXTENSIONS``
-    times (the sin^7 polar domain is never extended), and each wider
-    domain starts from the previous domain's quotients.  Returns the
-    pencils (d0, e, x) of the domain that holds, the ``(mu, chi, slope)``
-    of each problem on them, the final n, the final upper end of the
-    domain and the number of eigensolves made.
+    extended times 1.5 at fixed node spacing, m and the caller's n growing
+    in step, at most ``_MAX_EXTENSIONS`` times (the sin^7 polar domain is
+    never extended); each wider domain starts inverse iteration from the
+    previous domain's quotients.  Returns the quotients of each problem on
+    the final small grid, its node count m, the grown n, the upper end of
+    the domain and the number of eigensolves made.
     """
     lo, hi = problems[0].domain
     fixed = any(p.weight_kind == "sin7" for p in problems)
-    estimates, solves = estimates or [None] * len(problems), 0
+    m = max(n // _PILOT_RATIO, 16 * k, 64)
+    estimates, solves = [None] * len(problems), 0
     for attempt in range(_MAX_EXTENSIONS + 1):
-        pencils = [_assemble(p, grid, lo, hi, n) for p in problems]
-        solved = [_shifted(pencil, energy, 0, k - 1, mu) for pencil, mu in zip(pencils, estimates)]
+        solved = [
+            _shifted(_assemble(p, grid, lo, hi, m), energy, 0, k - 1, mu)
+            for p, mu in zip(problems, estimates)
+        ]
         solves += len(problems)
+        estimates = [mu for mu, _, _ in solved]
         if fixed or max(_tail_fraction(chi) for _, chi, _ in solved) <= _TAIL_LIMIT:
-            return pencils, solved, n, hi, solves
+            return estimates, m, n, hi, solves
         if attempt == _MAX_EXTENSIONS:
             raise AccuracyError(f"domain extension failed to contain the states (hi = {hi:.6g})")
         hi = lo + (hi - lo) * 1.5
-        n = int(n * 1.5)
-        estimates = [mu for mu, _, _ in solved]
+        m, n = int(m * 1.5), int(n * 1.5)
 
 
 def fd_eigensolve(problem: RadialProblem, grid: Grid, k: int) -> Spectrum:
     """Lowest ``k`` eigenpairs of ``problem``, on a ladder of grids capped by ``grid``.
 
-    The bottom rung, max(n / ``_PILOT_RATIO``, ``_min_nodes(k)``) nodes
-    with n = ``grid.n``, is the only grid that bisects: :func:`_contain`
-    solves it and widens the domain until the requested states have
-    decayed to e^-20 at the upper end (n grows with the domain).  Each
-    rung after m nodes has 2m+1 on the same domain, so h halves, and is
-    solved by inverse iteration: the first from the bottom rung's
-    quotients, every later one from the Richardson prediction
-    v_m + (v_m - v_prev) / 4 of the two rungs below it.  From the third
+    The bottom rung is the small grid of :func:`_contain` for n =
+    ``grid.n``, the only grid that bisects: it settles the domain, where
+    the requested states have decayed to e^-20 at the upper end, and n
+    grows with it.  Each rung after m nodes has 2m+1 on the same domain,
+    so h halves, and is solved by inverse iteration: the first from the
+    bottom rung's quotients, every later one from the Richardson
+    prediction v_m + (v_m - v_prev) / 4 of the two rungs below it.  From the third
     rung on the eigenvalues are R2 = (4 v_top - v_below) / 3, and their
     error bar is |R2 - R2'| / 15, with R2' the same formula one rung down,
     plus the rounding of the two quotients, eps sum_k |d_k| chi_k^2 each,
@@ -390,10 +386,7 @@ def fd_eigensolve(problem: RadialProblem, grid: Grid, k: int) -> Spectrum:
         raise ValueError("need at least one eigenvalue")
     if k > grid.n // 4:
         raise ValueError(f"k = {k} exceeds n/4 = {grid.n // 4}")
-    n, bottom = grid.n, max(grid.n // _PILOT_RATIO, _min_nodes(k))
-    _, ((mu, _, _),), m, hi, _ = _contain([problem], grid, bottom, k)
-    while bottom < m:  # n grows with the domain as the bottom rung did
-        bottom, n = int(bottom * 1.5), int(n * 1.5)
+    (mu,), m, n, hi, _ = _contain([problem], grid, grid.n, k)
     lo = problem.domain[0]
     # quotients and eps sum_k |d_k| chi_k^2 of each rung, bottom up; the bar
     # reads the rounding of the top two rungs only, never the bottom one's
@@ -534,7 +527,7 @@ class JointState:
     node counts of its two states, which the sign count of each branch's
     last solve certifies (see :func:`eigh_tridiagonal`).  ``solves``
     counts the tridiagonal eigensolves of the whole search that returned
-    this state, the two pilot solves included.
+    this state, the pilot's solves included.
     """
 
     E: float
@@ -611,23 +604,20 @@ def parabolic_joint_solve(
     Both equations are assembled once, at E = 0, on a coarse grid (n
     nodes) and a fine one (2n+1 nodes); an energy then costs one diagonal
     shift and one tridiagonal eigensolve per equation.  The coarse grid
-    does the search and the fine grid only polishes its roots.  Only a
-    pilot of each equation bisects, at E_hi on max(n / ``_PILOT_RATIO``,
-    ``_min_nodes(3)``) nodes of the first domain (the bottom-rung rule of
-    :func:`fd_eigensolve`).  The coarse solves at E_hi start inverse
-    iteration from the pilots' eigenvalues (see :func:`_contain`), and
-    every later solve from eigenvalues already in hand: at E_lo and at
-    the start of each pair's coarse Newton from those at E_hi, scaled as
-    the Sturmian charge below for sho factors and extrapolated along their
-    slopes otherwise, and at every later Newton evaluation from the
-    previous one, extrapolated along the slopes (the fine Newton from the
-    last coarse evaluation).  The branches are node counts 0, 1 and 2 of
-    each equation.  The domain starts at w = 50 / sqrt(-2 E_hi) with node
-    spacing 0.1 or finer, one x1.5 rung higher for sho factors (their
-    two-node state has not decayed to e^-20 on the lower rung), and is
-    extended (times 1.5 at fixed spacing) until all three states have
-    decayed to e^-20 at the least-bound end of the bracket; it is kept
-    for every energy and both grids.
+    does the search and the fine grid only polishes its roots.  The
+    branches are node counts 0, 1 and 2 of each equation.  The domain
+    starts at w = 50 / sqrt(-2 E_hi) with node spacing 0.1 or finer, and
+    the pilot of :func:`_contain`, the only grid that bisects, extends it
+    (times 1.5 at fixed spacing) until all three states have decayed to
+    e^-20 at the least-bound end of the bracket; the coarse and fine grids
+    are assembled on that domain and keep it for every energy.  The coarse
+    grid is solved once per equation at E_hi, by inverse iteration from
+    the pilot's eigenvalues, and every later solve starts from eigenvalues
+    already in hand: at E_lo and at the start of each pair's coarse
+    Newton from those at E_hi, scaled as the Sturmian charge below for sho
+    factors and extrapolated along their slopes otherwise, and at every
+    later Newton evaluation from the previous one, extrapolated along the
+    slopes (the fine Newton from the last coarse evaluation).
 
     Each pair whose endpoint mismatch changes sign is solved by
     bracket-safeguarded Newton on the coarse grid, polished by Newton on
@@ -649,27 +639,15 @@ def parabolic_joint_solve(
     if not (e_lo < e_hi < 0.0):
         raise ValueError("bracket must satisfy E_lo < E_hi < 0")
     hi = 50.0 / math.sqrt(-2.0 * e_hi)
-    # With sho factors the states at fixed E have one shape in kappa w
-    # (kappa = sqrt(-2E)), and the two-node state still keeps more than
-    # e^-20 of its peak at kappa w = 50 for every centrifugal strength, so
-    # the search starts one rung up the x1.5 ladder of _contain, at the
-    # node spacing that rung has there.
-    sho = model.p1.variant == model.p2.variant == "sho"
-    rung = 1.5 if sho else 1.0
-    n = int(max(grid.n, int(hi / 0.1)) * rung)
-    hi *= rung
     problems = [
         build_radial_problem(kind, model=model, micz=micz, energy=0.0, wmax=hi)
         for kind in ("para_u", "para_v")
     ]
-    pilot = max(n // _PILOT_RATIO, _min_nodes(_BRANCHES))
-    estimates = [
-        _shifted(_assemble(p, grid, 0.0, hi, pilot), e_hi, 0, _BRANCHES - 1)[0] for p in problems
-    ]
-    coarse, at_hi, n, hi, solves = _contain(problems, grid, n, _BRANCHES, e_hi, estimates)
-    fine = [_assemble(p, grid, 0.0, hi, 2 * n + 1) for p in problems]
-    solves += len(problems)  # the pilots
+    mu_hi, _, n, hi, solves = _contain(problems, grid, max(grid.n, int(hi / 0.1)), _BRANCHES, e_hi)
+    coarse, fine = ([_assemble(p, grid, 0.0, hi, m) for p in problems] for m in (n, 2 * n + 1))
+    at_hi = [_shifted(pencil, e_hi, 0, _BRANCHES - 1, mu) for pencil, mu in zip(coarse, mu_hi)]
     (mu_u_hi, _, s_u_hi), (mu_v_hi, _, s_v_hi) = at_hi
+    sho = model.p1.variant == model.p2.variant == "sho"
 
     def carried(energy):
         # the E_hi eigenvalues carried to ``energy``: with sho factors the
@@ -685,7 +663,7 @@ def parabolic_joint_solve(
     (mu_u_lo, _, _), (mu_v_lo, _, _) = (
         _shifted(pencil, e_lo, 0, _BRANCHES - 1, mu) for pencil, mu in zip(coarse, carried(e_lo))
     )
-    solves += 2
+    solves += 4  # E_hi and E_lo on the coarse grid
     mismatch = {
         (i, j): (float(mu_u_lo[i] + mu_v_lo[j]), float(mu_u_hi[i] + mu_v_hi[j]))
         for i in range(_BRANCHES)

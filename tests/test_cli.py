@@ -221,6 +221,18 @@ class TestQes:
         assert main(["qes", cfg, "--out", str(tmp_path)]) == 4
         assert "b'^2" in capsys.readouterr().err
 
+    def test_super2_underflowing_sextic_exit_4(self, tmp_path, capsys):
+        # a' passes the map's a' > 0 check, but a = a'^2 underflows to 0
+        cfg = _write(
+            tmp_path,
+            "q.json",
+            {"family": "super2", "a_prime": 1e-170, "b_prime": 1.0, "N": 1},
+        )
+        out = tmp_path / "out"
+        assert main(["qes", cfg, "--out", str(out)]) == 4
+        assert "positive r^6 coefficient" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_closure_failure_exit_6(self, tmp_path, monkeypatch, capsys):
         import hurwitz_kepler.cli as climod
         from hurwitz_kepler.errors import QesClosureError
@@ -293,7 +305,7 @@ class TestDuality:
             # the parabolic error bar bounds the deviation; both are ground levels
             assert 0.0 < case["E_parabolic_error"] <= 1e-5 * abs(case["E_parabolic"])
             assert abs(case["E_parabolic"] - case["E_dual"]) <= case["E_parabolic_error"]
-            assert case["parabolic_solves"] == 14
+            assert case["parabolic_solves"] == 16
 
     def test_fixed_charge_energy_scales_as_charge_squared(self):
         # the dressed case's fixed-charge energy is its spherical energy at
@@ -664,6 +676,15 @@ def test_stretch_without_log_spacing_exit_2(tmp_path, capsys, grid):
     out = tmp_path / "out"
     assert main(["spectrum", path, "--out", str(out)]) == 2
     assert "'stretch' needs spacing 'log'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_log_stretch_overflow_exit_2(tmp_path, capsys):
+    # expm1(800) overflows: the grid rejects the stretch, no traceback exits 1
+    path = _write(tmp_path, "s.json", {**_OSC, "grid": {"n": 400, "spacing": "log", "stretch": 800}})
+    out = tmp_path / "out"
+    assert main(["spectrum", path, "--out", str(out)]) == 2
+    assert "log stretch must lie in (0, log(float max)), got 800.0" in capsys.readouterr().err
     assert not out.exists()
 
 

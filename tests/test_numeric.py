@@ -1,5 +1,6 @@
 import functools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -222,6 +223,10 @@ class TestSolverMechanics:
             Grid(n=8)
         with pytest.raises(ValueError):
             Grid(n=100, spacing="cubic")
+        # a stretch from log(float max) on overflows expm1 in the node map
+        for stretch in (0.0, math.nan, math.inf, math.log(sys.float_info.max)):
+            with pytest.raises(ValueError, match="stretch"):
+                Grid(n=100, spacing="log", stretch=stretch)
 
     def test_residuals_and_ordering(self):
         prob = build_radial_problem("osc8", potential=Potential8D("sho", omega=1.0), L=1)
@@ -379,7 +384,7 @@ def test_solver_inputs_and_result_fields():
 
     assert params(fd_eigensolve) == ["problem", "grid", "k"]
     assert params(parabolic_joint_solve) == ["model", "micz", "grid", "bracket"]
-    assert params(qes_solve) == ["p", "family", "potential"]
+    assert params(qes_solve) == ["p", "family"]
     assert fields(JointState) == ["E", "P", "node_u", "node_v", "E_error", "solves"]
     assert fields(Spectrum) == ["eigenvalues", "grid", "convergence", "node_counts"]
     assert fields(QesSolution) == [
@@ -592,21 +597,23 @@ class TestWarmStart:
         assert rows == {"bisected": rungs[:1], "warm": rungs[1:]}
         assert passes == _FD_PASSES[case]
 
-    @pytest.mark.parametrize("bracket, calls", [((-0.045, -0.024), 14), ((-0.024, -0.017), 22)])
+    @pytest.mark.parametrize("bracket, calls", [((-0.045, -0.024), 16), ((-0.024, -0.017), 24)])
     def test_joint_search_bisects_at_e_hi_only(self, solves, rows, passes, bracket, calls):
-        # one bisection per equation, on the pilot of the first domain's
-        # coarse grid (3423 or 4066 rows), and no warm solve of the Coulomb
-        # levels falls back.  Only the two coarse solves started from the
-        # pilots take a second stein pass: the first Newton evaluation of
-        # each pair starts from the Sturmian scaling of the E_hi eigenvalues
-        # to the seed, and every later solve from the previous evaluation
+        # one bisection per equation, on the pilot of the first domain (142
+        # or 169 rows), which widens once to hold the two-node state, and no
+        # warm solve of the Coulomb levels falls back.  Only the two coarse
+        # solves (3423 or 4066 rows) started from the widened pilots take a
+        # second stein pass: the first Newton evaluation of each pair starts
+        # from the Sturmian scaling of the E_hi eigenvalues to the seed, and
+        # every later solve from the previous evaluation
         parabolic_joint_solve(_sho_model(), MiczParams(Z=1.0), Grid(n=1500), bracket)
         assert solves == {"calls": calls, "cold": 2, "bisections": 2}
-        coarse, pilot = {-0.024: (3423, 213), -0.017: (4066, 254)}[bracket[1]]
+        coarse, pilot = {-0.024: (3423, 142), -0.017: (4066, 169)}[bracket[1]]
         assert rows["bisected"] == [pilot, pilot]
+        assert rows["warm"][:3] == [int(1.5 * pilot)] * 2 + [coarse]
         assert len(passes) == len(rows["warm"]) == calls - 2
         assert all(p == 1 for p, n in zip(passes, rows["warm"]) if n > coarse)
-        assert passes[:2] == [2, 2] and sum(passes) == len(passes) + 2
+        assert passes[:4] == [1, 1, 2, 2] and sum(passes) == len(passes) + 2
 
     def test_joint_search_lower_end_estimates_hold(self, solves, rows):
         # with sho factors the charge each equation binds grows as sqrt(-E),
@@ -614,5 +621,5 @@ class TestWarmStart:
         # for inverse iteration; the slopes alone miss them by up to 70%
         micz = MiczParams(Z=1.0, c1=1.0, c2=2.0)
         parabolic_joint_solve(_sho_model(), micz, Grid(n=1500), (-0.05, -0.015))
-        assert solves == {"calls": 14, "cold": 2, "bisections": 2}
-        assert rows["bisected"] == [270, 270]  # pilots of the 4329-row coarse grid
+        assert solves == {"calls": 16, "cold": 2, "bisections": 2}
+        assert rows["bisected"] == [180, 180]  # pilots of the first domain of 2886 nodes

@@ -61,18 +61,21 @@ class TestPureCoulomb:
         st = parabolic_joint_solve(_coulomb_model(), MiczParams(Z=1.0), Grid(n=1500), bracket=bracket)
         assert abs(st.E - exact) <= st.E_error
         assert st.E_error <= 1e-5 * abs(st.E)
-        assert st.solves == {(-0.045, -0.024): 14, (-0.024, -0.017): 22}[bracket]
+        assert st.solves == {(-0.045, -0.024): 16, (-0.024, -0.017): 24}[bracket]
 
     def test_first_domain_holds_for_three_branches(self, monkeypatch):
-        # the search over three branches starts one rung up the x1.5
-        # ladder and keeps that domain: one coarse solve per equation
+        # the two-node state of a sho search keeps more than e^-20 at
+        # kappa w = 50; the pilot widens once, in two solves per equation,
+        # and the coarse grid (3423 rows) is assembled on that domain
         calls = _record_contain(monkeypatch)
         parabolic_joint_solve(_coulomb_model(), MiczParams(Z=1.0), Grid(n=1500), bracket=(-0.045, -0.024))
-        assert [solves for *_, solves in calls] == [2]
+        ((_, pilot, n, hi, solves),) = calls
+        assert (pilot, n, solves) == (213, 3423, 4)
+        assert hi == pytest.approx(1.5 * 50.0 / math.sqrt(2.0 * 0.024), rel=1e-15)
 
 
 def _record_contain(monkeypatch):
-    """The results (pencils, eigenpairs, n, hi, solves) of every later _contain call."""
+    """The results (quotients, pilot nodes, n, hi, solves) of every later _contain call."""
     calls = []
     contain = numeric._contain
 
@@ -82,6 +85,28 @@ def _record_contain(monkeypatch):
 
     monkeypatch.setattr(numeric, "_contain", record)
     return calls
+
+
+def test_domain_settles_on_the_pilot(monkeypatch):
+    # the sub2 states of Z = 0.08 outgrow the first domain (1767-node coarse
+    # grid); the pilot widens it, only the first pilot bisects, and the
+    # coarse grid of the settled domain is solved once per equation at E_hi
+    calls = []
+    shifted = numeric._shifted
+
+    def record(pencil, energy, first, last, estimates=None):
+        calls.append((len(pencil[0]), energy, estimates is None))
+        return shifted(pencil, energy, first, last, estimates)
+
+    monkeypatch.setattr(numeric, "_shifted", record)
+    p = Potential8D("sub2", omega=1.0, a=-0.2)
+    model = OscillatorModel(p1=p, p2=p, Z1=0.04, Z2=0.04)
+    e_hi = -0.04
+    parabolic_joint_solve(model, MiczParams(Z=0.08), Grid(n=1500), bracket=(-0.1, e_hi))
+    n = (max(rows for rows, *_ in calls) - 1) // 2
+    assert [rows for rows, _, cold in calls if cold] == [110, 110]
+    assert [rows for rows, e, _ in calls if e == e_hi and rows > n // 16] == [n, n]
+    assert n == 3975  # one x1.5 step wider than the coarse grid once settled
 
 
 class TestGeneralizedMicz:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hurwitz_kepler import analytic
 from hurwitz_kepler.analytic import (
     QesPrimedParams,
     qes_map_sub2,
@@ -111,12 +112,13 @@ class TestSuper2Solve:
         for i, e in enumerate(sol.energies):
             assert _stencil_residual(sol, i, 8, pot, e, rs) <= 1e-8
 
-    def test_closure_error_on_inconsistent_potential(self):
+    def test_closure_error_on_inconsistent_potential(self, monkeypatch):
         p = QesPrimedParams(a_p=0.05, b_p=1.0, c_p=0.0, N=2, dim=8)
         pot = qes_map_super2(p)
         bad = Potential8D("super2", omega=2.0 * pot.omega, a=pot.a, b=pot.b, c=pot.c)
+        monkeypatch.setattr(analytic, "qes_map_super2", lambda _: bad)
         with pytest.raises(QesClosureError):
-            qes_solve(p, "super2", potential=bad)
+            qes_solve(p, "super2")
 
     def test_polynomial_invariants(self):
         p = QesPrimedParams(a_p=0.03, b_p=1.0, c_p=0.0, N=3, dim=8)
@@ -186,11 +188,6 @@ class TestSub2Solve:
         rs = np.linspace(0.5, 3.0, 50)
         pot_i = Potential8D("sub2", omega=pot.omega, a=pot.a, b=float(sol.charges[0]), c=pot.c)
         assert _stencil_residual(sol, 0, 8, pot_i, sol.energies[0], rs) <= 1e-8
-
-    def test_potential_override_rejected(self):
-        p = QesPrimedParams(a_p=1.0, b_p=1.0, N=1)
-        with pytest.raises(ValueError):
-            qes_solve(p, "sub2", potential=Potential8D("sub2", omega=1.0))
 
 
 def test_unknown_family():
