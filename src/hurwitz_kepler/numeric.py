@@ -296,10 +296,15 @@ def _assemble(problem: RadialProblem, grid: Grid, lo: float, hi: float, n: int):
     if problem.centrifugal_coeff != 0.0:
         q = q + problem.centrifugal_coeff / x**2
     mass = wm if problem.mass_term is None else wm * problem.mass_term(x)
+    pair = mass[:-1] * mass[1:]
+    if not (np.all((mass > 0.0) & (mass < np.inf)) and pair.min() > 0.0):
+        # a steep log stretch underflows the weights of the first nodes
+        hint = f"; log stretch {grid.stretch!r} is too steep" if grid.spacing == "log" else ""
+        raise ValueError(f"node weights on {n} nodes in ({lo:g}, {hi:g}) are not positive and finite{hint}")
     a_diag = (s_half[:-1] + s_half[1:]) / ht**2 + q * wm
     a_off = -s_half[1:-1] / ht**2
     d = a_diag / mass
-    e = a_off / np.sqrt(mass[:-1] * mass[1:])
+    e = a_off / np.sqrt(pair)
     return d, e, x
 
 

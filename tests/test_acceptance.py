@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from hurwitz_kepler.algebra import build_gamma_set, hurwitz_forward_batch
+from hurwitz_kepler.algebra import hurwitz_forward_batch
 from hurwitz_kepler.analytic import (
     QesPrimedParams,
     QuantumNumbers,
@@ -44,11 +44,10 @@ def _report(num, text):
 
 def test_criterion_1_hurwitz_composition_identity():
     t0 = time.perf_counter()
-    gammas = build_gamma_set()
     rng = np.random.default_rng(20240817)
     U = rng.normal(size=(10_000, 8))
     V = rng.normal(size=(10_000, 8))
-    X = hurwitz_forward_batch(U, V, gammas)
+    X = hurwitz_forward_batch(U, V)
     lhs = np.einsum("nk,nk->n", X, X)
     rhs = (np.einsum("ns,ns->n", U, U) + np.einsum("ns,ns->n", V, V)) ** 2
     dev = float(np.max(np.abs(lhs - rhs) / rhs))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -80,25 +82,49 @@ def test_forward_scaling():
 
 
 def test_forward_batch_matches_scalar():
+    # the scalar path runs the same kernel on Python complex numbers: a few
+    # ulps of the |x| = u.u + v.v scale apart
     rng = np.random.default_rng(5)
-    U = rng.normal(size=(20, 8))
-    V = rng.normal(size=(20, 8))
+    U = rng.normal(size=(500, 8))
+    V = rng.normal(size=(500, 8))
     X = hurwitz_forward_batch(U, V)
-    for i in range(20):
-        assert np.allclose(X[i], hurwitz_forward(U[i], V[i]))
+    for i in range(500):
+        scale = U[i] @ U[i] + V[i] @ V[i]
+        assert np.max(np.abs(hurwitz_forward(U[i], V[i]) - X[i])) <= 4 * np.finfo(float).eps * scale
+
+
+def _gamma_reference(U, V):
+    """x_k = 2 u^T Gamma_k v one Gamma matrix at a time, and x_8 = u.u - v.v."""
+    g = build_gamma_set()
+    cols = [2.0 * np.sum((U @ g[k]) * V, axis=1) for k in range(8)]
+    return np.column_stack(cols + [np.sum(U * U, axis=1) - np.sum(V * V, axis=1)])
 
 
 def test_forward_batch_matches_gamma_loop():
-    # reference: x_k = 2 u^T Gamma_k v one matrix at a time; the batch map sums
-    # in another order, so compare to a few ulps of the |x| = u.u + v.v scale
+    # the batch map evaluates 2 u conj(v) on complex pairs and sums in another
+    # order, so compare to a few ulps of the |x| = u.u + v.v scale; the sizes
+    # straddle the block boundaries
     rng = np.random.default_rng(11)
-    U = rng.normal(size=(50, 8))
-    V = rng.normal(size=(50, 8))
-    g = build_gamma_set()
-    ref = np.array([[2.0 * u @ g[k] @ v for k in range(8)] + [u @ u - v @ v] for u, v in zip(U, V)])
+    for n in (1, 4095, 4096, 4097, 8193):
+        U = rng.normal(size=(n, 8))
+        V = rng.normal(size=(n, 8))
+        X = hurwitz_forward_batch(U, V)
+        scale = np.sum(U * U, axis=1) + np.sum(V * V, axis=1)
+        assert X.shape == (n, 9)
+        assert np.max(np.abs(X - _gamma_reference(U, V)) / scale[:, None]) <= 8 * np.finfo(float).eps
+
+
+def test_forward_batch_memory_layouts():
+    # column-sliced (non-contiguous rows) and Fortran-order inputs give the C-order rows
+    rng = np.random.default_rng(19)
+    W = rng.normal(size=(5000, 16))
+    U, V = np.ascontiguousarray(W[:, :8]), np.ascontiguousarray(W[:, 8:])
     X = hurwitz_forward_batch(U, V)
-    scale = np.sum(U * U, axis=1) + np.sum(V * V, axis=1)
-    assert np.max(np.abs(X - ref) / scale[:, None]) <= 8 * np.finfo(float).eps
+    assert np.array_equal(hurwitz_forward_batch(W[:, :8], W[:, 8:]), X)
+    assert np.array_equal(hurwitz_forward_batch(np.asfortranarray(U), np.asfortranarray(V)), X)
+    Us, Vs = W[:, ::2], W[:, 1::2]
+    assert np.array_equal(hurwitz_forward_batch(Us, Vs), hurwitz_forward_batch(Us.copy(), Vs.copy()))
+    assert np.array_equal(hurwitz_forward(Us[7], Vs[7]), hurwitz_forward(Us[7].copy(), Vs[7].copy()))
 
 
 def test_forward_batch_rejects_non_finite():
@@ -108,6 +134,24 @@ def test_forward_batch_rejects_non_finite():
         hurwitz_forward_batch(U, np.zeros((3, 8)))
     with pytest.raises(ValueError, match="non-finite"):
         hurwitz_forward_batch(np.zeros((3, 8)), np.full((3, 8), np.inf))
+    # a NaN in the last block only
+    U = np.ones((8193, 8))
+    U[-1, 3] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        hurwitz_forward_batch(U, np.ones((8193, 8)))
+
+
+def test_overflowing_norm_rejected_without_warning():
+    # every entry is finite, but u.u = 8e400 is not
+    big = np.full(8, 1e200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflows"):
+            hurwitz_forward(big, np.zeros(8))
+        with pytest.raises(ValueError, match="overflows"):
+            hurwitz_forward_batch(np.zeros((2, 8)), np.vstack([np.zeros(8), big]))
+        with pytest.raises(ValueError, match="non-finite"):
+            hurwitz_forward_batch(np.full((2, 8), np.inf), np.zeros((2, 8)))
 
 
 def test_forward_rejects_bad_input():

@@ -3,13 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hurwitz_kepler
-from hurwitz_kepler.algebra import build_gamma_set, hurwitz_forward_batch
+from hurwitz_kepler.algebra import hurwitz_forward_batch
 from hurwitz_kepler.cli import _build_parser, main, write_csv
 
 
@@ -69,6 +70,16 @@ class TestTransform:
         assert "serialize" not in err
         assert not (tmp_path / "transform.csv").exists()
 
+    def test_overflowing_norm_exit_2(self, tmp_path, capsys):
+        # finite entries whose u.u overflows: rejected before any arithmetic warns
+        cfg = _write(tmp_path, "t.json", {"u": [1e200] + [0.0] * 7, "v": [0.0] * 8})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["transform", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: u or v has non-finite entries, or u.u + v.v overflows\n"
+        assert not (tmp_path / "transform.csv").exists()
+
     @pytest.mark.parametrize(
         "bad", ["1", True, None, [1.0], 10**400], ids=["string", "bool", "null", "list", "huge-int"]
     )
@@ -81,7 +92,7 @@ class TestTransform:
 
 def _transform_table(U, V):
     """The transform.csv values recomputed from the inputs."""
-    X = hurwitz_forward_batch(U, V, build_gamma_set())
+    X = hurwitz_forward_batch(U, V)
     norm2 = np.einsum("nk,nk->n", X, X)
     ref = (np.einsum("ns,ns->n", U, U) + np.einsum("ns,ns->n", V, V)) ** 2
     resid = np.where(ref > 0.0, np.abs(norm2 - ref) / np.where(ref > 0, ref, 1.0), 0.0)
@@ -685,6 +696,19 @@ def test_log_stretch_overflow_exit_2(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["spectrum", path, "--out", str(out)]) == 2
     assert "log stretch must lie in (0, log(float max)), got 800.0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_log_stretch_underflow_exit_2(tmp_path, capsys):
+    # a stretch of 300 underflows the weights of the first nodes to 0
+    path = _write(tmp_path, "s.json", {**_OSC, "grid": {"n": 400, "spacing": "log", "stretch": 300}})
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["spectrum", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: node weights on ") and err.count("\n") == 1
+    assert "log stretch 300.0 is too steep" in err
     assert not out.exists()
 
 

@@ -88,6 +88,24 @@ def test_parabolic_inverse_zero_rejected():
         cartesian9_to_parabolic(np.zeros(9))
 
 
+def test_parabolic_inverse_non_finite_rejected():
+    for bad in (np.nan, np.inf):
+        for i in (0, 8):
+            x = np.ones(9)
+            x[i] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                cartesian9_to_parabolic(x)
+
+
+def test_parabolic_inverse_tiny_negative_azimuth():
+    # atan2 gives -1e-20, and -1e-20 + 2 pi rounds to 2 pi: the azimuth is 0
+    x = np.zeros(9)
+    x[0], x[1] = -1e-20, 1.0
+    p = cartesian9_to_parabolic(x)
+    assert p.phi[0] == 0.0
+    assert np.allclose(parabolic_to_cartesian9(p), x, rtol=0.0, atol=1e-15)
+
+
 def test_parabolic_round_trip():
     rng = np.random.default_rng(10)
     for _ in range(500):
