@@ -185,9 +185,12 @@ def cmd_transform(args) -> int:
         U = rng.normal(size=(count, 8))
         V = rng.normal(size=(count, 8))
     X = hurwitz_forward_batch(U, V)
-    norm2 = np.einsum("nk,nk->n", X, X)
-    ref = (np.einsum("ns,ns->n", U, U) + np.einsum("ns,ns->n", V, V)) ** 2
-    resid = np.where(ref > 0.0, np.abs(norm2 - ref) / np.where(ref > 0, ref, 1.0), 0.0)
+    # |x| = u.u + v.v, checked on X / (u.u + v.v): squaring X or u.u + v.v
+    # overflows from about 1.3e154 although the map itself is finite
+    s = np.einsum("ns,ns->n", U, U) + np.einsum("ns,ns->n", V, V)
+    Y = X / np.where(s > 0.0, s, 1.0)[:, None]
+    y2 = np.einsum("nk,nk->n", Y, Y)
+    resid = np.where(s > 0.0, np.abs(y2 - 1.0), 0.0)
 
     header = (
         [f"u{i}" for i in range(1, 9)]
@@ -195,7 +198,7 @@ def cmd_transform(args) -> int:
         + [f"x{i}" for i in range(1, 10)]
         + ["r", "x9", "residual"]
     )
-    table = np.column_stack([U, V, X, np.sqrt(norm2), X[:, 8], resid])
+    table = np.column_stack([U, V, X, s * np.sqrt(y2), X[:, 8], resid])
     write_csv(_out_dir(args) / "transform.csv", header, table)
     worst = float(np.max(resid))
     print(f"transform: {U.shape[0]} rows, max residual {worst:.3e}")

@@ -19,24 +19,27 @@ selected-eigenvalue solve is cheap.  Vanishing endpoint weights make the
 Dirichlet ghost values the natural regular boundary condition at
 coordinate singularities (r = 0, theta in {0, pi}).
 
-Accuracy strategy: the scheme is second order.  A fixed-grid solve climbs
-a ladder of grids on one domain, each rung of 2m+1 nodes after one of m,
-so h halves exactly (nested iteration, Brandt 1977).  From the third rung
-on, two Richardson steps give the value R2 = (4 v_top - v_below)/3 and
-its error bar |R2 - R2'|/15, R2' being the same value one rung down
-(Paine, de Hoog & Anderssen 1981), plus the rounding of the quotients;
-the climb stops at a target accuracy, at rounding level, or at 2n+1
-nodes, so the grid's n caps the resolution instead of fixing it.  The
-joint search keeps two grids: n nodes do the root search and 2n+1 nodes
-are solved once more, started from the answer on n, and
-Richardson-extrapolated.  On every
-grid each eigenvalue is the Rayleigh quotient of its eigenvector, accurate to rounding where the state lives; a bisection
-value is only good to eps |T| over the whole domain, which sets a floor
-under the extrapolation on the optional log-stretched grid, which
-clusters nodes near the origin for Coulomb-like tails.  Every domain
-except the polar (0, pi) is widened until the requested states have
-decayed.  Both solvers settle it the same way, on one bisected small
-grid of about a sixteenth of their nodes (:func:`_contain`): the
+Accuracy strategy: the scheme is second order, and on these regular
+problems its eigenvalue error runs in even powers of h (Paine, de Hoog &
+Anderssen 1981).  A fixed-grid solve climbs a ladder of grids on one
+domain, each rung of 2m+1 nodes after one of m, so h halves exactly
+(nested iteration, Brandt 1977); a sub-rung of twice the bottom rung's
+spacing starts it.  Two rungs above the bottom one it tests R2 = (4 v_top
+- v_below)/3 with the error bar |R2 - R2'|/15, R2' being the same value
+one rung down; from the next rung on it reports R3 = (16 R2 - R2')/15,
+good to h^6, with the bar |R3 - R3'|/63.  Each bar adds the rounding of
+the quotients; the climb stops at a target accuracy, at rounding level,
+or at 2n+1 nodes, so the grid's n caps the resolution instead of fixing
+it.  The joint search keeps two grids: n nodes do the root search and
+2n+1 nodes are solved once more, started from the answer on n, and
+Richardson-extrapolated.  On every grid each eigenvalue is the Rayleigh
+quotient of its eigenvector, accurate to rounding where the state lives;
+a bisection value is only good to eps |T| over the whole domain, which
+sets a floor under the extrapolation on the optional log-stretched grid,
+which clusters nodes near the origin for Coulomb-like tails.  Every
+domain except the polar (0, pi) is widened until the requested states
+have decayed.  Both solvers settle it the same way, on one bisected
+small grid of about a sixteenth of their nodes (:func:`_contain`): the
 ladder's bottom rung, or the joint search's pilot.
 
 The two parabolic equations depend on the energy only through -E w/2, so
@@ -63,8 +66,8 @@ start-up.  Only that small grid of each problem bisects, and only on
 the first domain.  Every other solve already has eigenvalue estimates
 in hand: a widened domain the previous domain's quotients, the joint
 search's coarse grid those of the pilot on the settled domain, the
-first rung above the bottom one its quotients and every later rung the
-Richardson prediction from the two rungs below it, the joint search's
+sub-rung the bottom rung's quotients and every rung above the bottom one
+the Richardson prediction from the two rungs below it, the joint search's
 lower bracket end and the first Newton evaluation of each pair their
 Sturmian scaling (sho factors) or their linear extrapolation along the
 Hellmann-Feynman slopes, each later Newton evaluation the linear
@@ -192,8 +195,10 @@ def eigh_tridiagonal(d, e, first: int, last: int, estimates=None):
 class Grid:
     """Node count and placement (uniform or log-stretched).
 
-    :func:`fd_eigensolve` climbs to at most 2n+1 nodes (n widened with the
-    domain); the joint search solves on n and 2n+1 nodes.
+    :func:`fd_eigensolve` climbs from about n/16 nodes and stops at its
+    target accuracy or on the first rung of at least 2n+1 nodes (n widened
+    with the domain), so n caps the resolution; the joint search solves on
+    n and 2n+1 nodes.
     """
 
     n: int = 2000
@@ -248,11 +253,13 @@ class RadialProblem:
 class Spectrum:
     """Lowest eigenpairs of a radial problem, ascending.
 
-    ``eigenvalues`` are R2, Richardson-extrapolated from the Rayleigh
-    quotients on the top two rungs of the ladder, and scaled by the
-    problem's ``eigenvalue_scale``; ``convergence`` holds the estimated
-    remaining error per state (|R2 - R2'| / 15 with R2' from one rung
-    down, plus the rounding of both quotients) in the same units.
+    ``eigenvalues`` are Richardson-extrapolated from the Rayleigh quotients
+    of the ladder's top rungs (see :func:`fd_eigensolve`): R3 from the top
+    three, or R2 from the top two when the ladder stopped at its first
+    test, scaled by the problem's ``eigenvalue_scale``; ``convergence``
+    holds the estimated remaining error per state (|R3 - R3'| / 63 or |R2
+    - R2'| / 15, the primed value from one rung down, plus the rounding of
+    the quotients) in the same units.
     ``node_counts`` are the sign changes of the top rung's eigenvectors,
     and ``grid`` holds that rung's nodes, which give the domain after
     widening.
@@ -338,20 +345,22 @@ def _contain(problems, grid: Grid, n: int, k: int, energy: float = 0.0):
     """Settle a domain that holds the lowest ``k`` states at ``energy`` on one bisected small grid.
 
     The small grid has m = max(n / ``_PILOT_RATIO``, 16 k, 64) nodes of the
-    problems' domain.  Each problem is assembled on it at E = 0 and its
-    lowest ``k`` eigenpairs of T0 - (energy/2) diag(x) are solved through
+    problems' domain, rounded up to an odd count, so that (m-1)/2 nodes
+    have exactly twice its spacing (the sub-rung of :func:`fd_eigensolve`).
+    Each problem is assembled on it at E = 0 and its lowest ``k``
+    eigenpairs of T0 - (energy/2) diag(x) are solved through
     :func:`_shifted`, by bisection on the first domain.  While some state
     keeps more than e^-20 of its peak at the last node, the domain is
-    extended times 1.5 at fixed node spacing, m and the caller's n growing
-    in step, at most ``_MAX_EXTENSIONS`` times (the sin^7 polar domain is
-    never extended); each wider domain starts inverse iteration from the
-    previous domain's quotients.  Returns the quotients of each problem on
-    the final small grid, its node count m, the grown n, the upper end of
-    the domain and the number of eigensolves made.
+    extended times 1.5 at fixed node spacing, m (kept odd) and the caller's
+    n growing in step, at most ``_MAX_EXTENSIONS`` times (the sin^7 polar
+    domain is never extended); each wider domain starts inverse iteration
+    from the previous domain's quotients.  Returns the quotients of each
+    problem on the final small grid, its node count m, the grown n, the
+    upper end of the domain and the number of eigensolves made.
     """
     lo, hi = problems[0].domain
     fixed = any(p.weight_kind == "sin7" for p in problems)
-    m = max(n // _PILOT_RATIO, 16 * k, 64)
+    m = max(n // _PILOT_RATIO, 16 * k, 64) | 1
     estimates, solves = [None] * len(problems), 0
     for attempt in range(_MAX_EXTENSIONS + 1):
         solved = [
@@ -365,7 +374,7 @@ def _contain(problems, grid: Grid, n: int, k: int, energy: float = 0.0):
         if attempt == _MAX_EXTENSIONS:
             raise AccuracyError(f"domain extension failed to contain the states (hi = {hi:.6g})")
         hi = lo + (hi - lo) * 1.5
-        m, n = int(m * 1.5), int(n * 1.5)
+        m, n = int(m * 1.5) | 1, int(n * 1.5)
 
 
 def fd_eigensolve(problem: RadialProblem, grid: Grid, k: int) -> Spectrum:
@@ -374,18 +383,25 @@ def fd_eigensolve(problem: RadialProblem, grid: Grid, k: int) -> Spectrum:
     The bottom rung is the small grid of :func:`_contain` for n =
     ``grid.n``, the only grid that bisects: it settles the domain, where
     the requested states have decayed to e^-20 at the upper end, and n
-    grows with it.  Each rung after m nodes has 2m+1 on the same domain,
-    so h halves, and is solved by inverse iteration: the first from the
-    bottom rung's quotients, every later one from the Richardson
-    prediction v_m + (v_m - v_prev) / 4 of the two rungs below it.  From the third
-    rung on the eigenvalues are R2 = (4 v_top - v_below) / 3, and their
-    error bar is |R2 - R2'| / 15, with R2' the same formula one rung down,
-    plus the rounding of the two quotients, eps sum_k |d_k| chi_k^2 each,
-    weighted as in R2.  The climb stops when every bar is at most
-    ``_TARGET |R2|``, when every bar that is not is at rounding level
-    (the grid part below the rounding part), or on the first rung of at
-    least 2n+1 nodes.  A bar above ``_CONV_TOL * max(1, |R2|)`` raises
-    :class:`AccuracyError`.
+    grows with it.  Its node count m is odd, so the sub-rung of (m-1)/2
+    nodes below it has exactly twice its spacing; the sub-rung is solved
+    once, by inverse iteration from the bottom rung's quotients.  Each rung
+    after m nodes has 2m+1 on the same domain, so h halves, and is solved
+    by inverse iteration from the Richardson prediction v_m + (v_m -
+    v_prev) / 4 of the two rungs below it.  With v_1 .. v_4 the quotients
+    of the top four rungs, bottom up, the first test, two rungs above the
+    bottom one, reports R2 = (4 v_4 - v_3) / 3 with the error bar |R2 -
+    R2'| / 15, R2' being the same formula one rung down; from the fifth
+    rung on (counting the sub-rung) it reports R3 = (16 R2 - R2') / 15 =
+    (64 v_4 - 20 v_3 + v_2) / 45 with the bar |R3 - R3'| / 63.  Each bar
+    adds the rounding of the quotients, r = eps sum_k |d_k| chi_k^2 per
+    rung, weighted as in its value: (4 r_4 + r_3) / 3 or (64 r_4 + 20 r_3
+    + r_2) / 45.  The error runs in even powers of h on these problems
+    (Paine, de Hoog & Anderssen 1981), so R3 is good to h^6.  The climb
+    stops when every bar is at most ``_TARGET`` times its value, when
+    every bar that is not is at rounding level (the grid part below the
+    rounding part), or on the first rung of at least 2n+1 nodes.  A bar
+    above ``_CONV_TOL * max(1, |value|)`` raises :class:`AccuracyError`.
     """
     if k < 1:
         raise ValueError("need at least one eigenvalue")
@@ -393,25 +409,32 @@ def fd_eigensolve(problem: RadialProblem, grid: Grid, k: int) -> Spectrum:
         raise ValueError(f"k = {k} exceeds n/4 = {grid.n // 4}")
     (mu,), m, n, hi, _ = _contain([problem], grid, grid.n, k)
     lo = problem.domain[0]
-    # quotients and eps sum_k |d_k| chi_k^2 of each rung, bottom up; the bar
-    # reads the rounding of the top two rungs only, never the bottom one's
-    rungs = [(mu, None)]
-    estimates = mu
+    sub, _, _ = _shifted(_assemble(problem, grid, lo, hi, m // 2), 0.0, 0, k - 1, mu)
+    # quotients and eps sum_k |d_k| chi_k^2 of each rung, bottom up; no bar
+    # reads the rounding of the sub-rung or the bottom rung
+    rungs = [(sub, None), (mu, None)]
     while True:
+        estimates = mu + (mu - rungs[-2][0]) / 4.0
         m = 2 * m + 1
         pencil = _assemble(problem, grid, lo, hi, m)
         mu, chi, _ = _shifted(pencil, 0.0, 0, k - 1, estimates)
         rungs.append((mu, _EPS * (np.abs(pencil[0]) @ chi**2)))
-        if len(rungs) >= 3:
+        if len(rungs) == 4:  # the first test: R2
             (v1, _), (v2, r2), (v3, r3) = rungs[-3:]
             values = (4.0 * v3 - v2) / 3.0
             grid_part = np.abs(values - (4.0 * v2 - v1) / 3.0) / 15.0
             rounding = (4.0 * r3 + r2) / 3.0
-            conv = grid_part + rounding
-            done = (conv <= _TARGET * np.abs(values)) | (grid_part <= rounding)
-            if m >= 2 * n + 1 or np.all(done):
-                break
-        estimates = mu + (mu - rungs[-2][0]) / 4.0
+        elif len(rungs) > 4:  # R3 = (16 R2 - R2') / 15
+            (v1, _), (v2, r2), (v3, r3), (v4, r4) = rungs[-4:]
+            values = (64.0 * v4 - 20.0 * v3 + v2) / 45.0
+            grid_part = np.abs(values - (64.0 * v3 - 20.0 * v2 + v1) / 45.0) / 63.0
+            rounding = (64.0 * r4 + 20.0 * r3 + r2) / 45.0
+        else:
+            continue
+        conv = grid_part + rounding
+        done = (conv <= _TARGET * np.abs(values)) | (grid_part <= rounding)
+        if m >= 2 * n + 1 or np.all(done):
+            break
     rel = conv / np.maximum(1.0, np.abs(values))
     if np.any(rel > _CONV_TOL):
         worst = int(np.argmax(rel))

@@ -80,6 +80,18 @@ class TestTransform:
         assert err == "config error: u or v has non-finite entries, or u.u + v.v overflows\n"
         assert not (tmp_path / "transform.csv").exists()
 
+    def test_large_finite_map_keeps_its_residual(self, tmp_path, capsys):
+        # u.u = 1e200 is finite, and so is the map; its square is not
+        cfg = _write(tmp_path, "t.json", {"u": [1e100] + [0.0] * 7, "v": [0.0] * 8})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["transform", cfg, "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+        header, rows = _read_csv(tmp_path / "transform.csv")
+        row = dict(zip(header, rows[0]))
+        assert float(row["r"]) == 1e200
+        assert float(row["residual"]) == 0.0
+
     @pytest.mark.parametrize(
         "bad", ["1", True, None, [1.0], 10**400], ids=["string", "bool", "null", "list", "huge-int"]
     )
@@ -93,10 +105,11 @@ class TestTransform:
 def _transform_table(U, V):
     """The transform.csv values recomputed from the inputs."""
     X = hurwitz_forward_batch(U, V)
-    norm2 = np.einsum("nk,nk->n", X, X)
-    ref = (np.einsum("ns,ns->n", U, U) + np.einsum("ns,ns->n", V, V)) ** 2
-    resid = np.where(ref > 0.0, np.abs(norm2 - ref) / np.where(ref > 0, ref, 1.0), 0.0)
-    return np.column_stack([U, V, X, np.sqrt(norm2), X[:, 8], resid])
+    s = np.einsum("ns,ns->n", U, U) + np.einsum("ns,ns->n", V, V)
+    Y = X / np.where(s > 0.0, s, 1.0)[:, None]
+    y2 = np.einsum("nk,nk->n", Y, Y)
+    resid = np.where(s > 0.0, np.abs(y2 - 1.0), 0.0)
+    return np.column_stack([U, V, X, s * np.sqrt(y2), X[:, 8], resid])
 
 
 def _assert_cells_are_17g(path, table):

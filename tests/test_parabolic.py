@@ -70,7 +70,7 @@ class TestPureCoulomb:
         calls = _record_contain(monkeypatch)
         parabolic_joint_solve(_coulomb_model(), MiczParams(Z=1.0), Grid(n=1500), bracket=(-0.045, -0.024))
         ((_, pilot, n, hi, solves),) = calls
-        assert (pilot, n, solves) == (213, 3423, 4)
+        assert (pilot, n, solves) == (215, 3423, 4)
         assert hi == pytest.approx(1.5 * 50.0 / math.sqrt(2.0 * 0.024), rel=1e-15)
 
 
@@ -89,8 +89,9 @@ def _record_contain(monkeypatch):
 
 def test_domain_settles_on_the_pilot(monkeypatch):
     # the sub2 states of Z = 0.08 outgrow the first domain (1767-node coarse
-    # grid); the pilot widens it, only the first pilot bisects, and the
-    # coarse grid of the settled domain is solved once per equation at E_hi
+    # grid); the pilot widens it twice, only the first pilot bisects, and
+    # the coarse grid of the settled domain is solved once per equation at
+    # E_hi
     calls = []
     shifted = numeric._shifted
 
@@ -104,8 +105,8 @@ def test_domain_settles_on_the_pilot(monkeypatch):
     e_hi = -0.04
     parabolic_joint_solve(model, MiczParams(Z=0.08), Grid(n=1500), bracket=(-0.1, e_hi))
     n = (max(rows for rows, *_ in calls) - 1) // 2
-    assert [rows for rows, _, cold in calls if cold] == [110, 110]
-    assert [rows for rows, e, _ in calls if e == e_hi and rows > n // 16] == [n, n]
+    assert [rows for rows, _, cold in calls if cold] == [111, 111]
+    assert [rows for rows, e, _ in calls if e == e_hi] == [111, 111, 167, 167, 251, 251, n, n]
     assert n == 3975  # one x1.5 step wider than the coarse grid once settled
 
 
