@@ -589,6 +589,11 @@ def main(argv=None) -> int:
         return 6
     except AccuracyError as exc:
         print(f"accuracy error: {exc}", file=sys.stderr)
+        if exc.state is not None:
+            print(
+                f"  state {exc.state}: error bar {exc.bar:.3g} on {exc.nodes} nodes, tol {exc.tol:.1g}",
+                file=sys.stderr,
+            )
         return 1
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)

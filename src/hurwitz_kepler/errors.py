@@ -73,7 +73,28 @@ class BracketError(HurwitzKeplerError):
 
 
 class AccuracyError(HurwitzKeplerError):
-    """Grid refinement failed to converge to the requested tolerance, or the eigensolver failed."""
+    """Grid refinement failed to converge to the requested tolerance, or the eigensolver failed.
+
+    When a grid ladder's gate trips, ``state`` is the state that failed (its
+    index for a fixed-grid solve, its branch pair (i, j) for a parabolic
+    joint search), ``nodes`` the node count of the ladder's top rung,
+    ``bar`` that state's error bar and ``tol`` the bar allowed relative to
+    the value; otherwise all four are None.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        state=None,
+        nodes: int | None = None,
+        bar: float | None = None,
+        tol: float | None = None,
+    ):
+        super().__init__(message)
+        self.state = state
+        self.nodes = nodes
+        self.bar = bar
+        self.tol = tol
 
 
 def check_keys(d, allowed, required=frozenset(), what: str = "config") -> dict:

@@ -30,10 +30,9 @@ one rung down; from the next rung on it reports R3 = (16 R2 - R2')/15,
 good to h^6, with the bar |R3 - R3'|/63.  Each bar adds the rounding of
 the quotients; the climb stops at a target accuracy, at rounding level,
 or at 2n+1 nodes, so the grid's n caps the resolution instead of fixing
-it.  The joint search keeps two grids: n nodes do the root search and
-2n+1 nodes are solved once more, started from the answer on n, and
-Richardson-extrapolated.  On every grid each eigenvalue is the Rayleigh
-quotient of its eigenvector, accurate to rounding where the state lives;
+it.  The joint search climbs the same kind of ladder, one root per rung.
+On every grid each eigenvalue is the Rayleigh quotient of its
+eigenvector, accurate to rounding where the state lives;
 a bisection value is only good to eps |T| over the whole domain, which
 sets a floor under the extrapolation on the optional log-stretched grid,
 which clusters nodes near the origin for Coulomb-like tails.  Every
@@ -49,8 +48,12 @@ assembles T0 once per grid and evaluates an energy with one diagonal
 shift and one eigensolve per equation; its eigenvalues fall strictly
 with E and their slopes follow from the eigenvectors (Hellmann-Feynman),
 so each matching root is found by safeguarded Newton iteration on the
-coarse grid, polished by Newton on the fine one, and the root itself is
-Richardson-extrapolated, with an error bar.
+pilot, then by one Newton root per rung up the ladder, and the roots of
+the top five rungs are Richardson-extrapolated, with an error bar.  At
+the w = 0 poles the states behave as w^s, and besides h^2, h^4, ... the
+root's error runs in h^(3 + 2s), h^(4 + 2s), ..., the singular exponents
+of a singular Sturm-Liouville problem (Pryce 1993); the extrapolation
+removes the four lowest powers of that series.
 The charge enters only as a constant shift of each pencil, so the
 eigenvalues at the bracket's upper end already give the charge each
 branch pair binds there; with sho factors that charge grows as sqrt(-E)
@@ -64,15 +67,14 @@ its first call: importing this module (and the package, and its CLI)
 loads numpy only, so work that solves nothing never pays scipy's
 start-up.  Only that small grid of each problem bisects, and only on
 the first domain.  Every other solve already has eigenvalue estimates
-in hand: a widened domain the previous domain's quotients, the joint
-search's coarse grid those of the pilot on the settled domain, the
-sub-rung the bottom rung's quotients and every rung above the bottom one
-the Richardson prediction from the two rungs below it, the joint search's
+in hand: a widened domain the previous domain's quotients, the sub-rung
+the bottom rung's quotients and every rung above the bottom one the
+Richardson prediction from the two rungs below it, the joint search's
 lower bracket end and the first Newton evaluation of each pair their
 Sturmian scaling (sho factors) or their linear extrapolation along the
-Hellmann-Feynman slopes, each later Newton evaluation the linear
-extrapolation from the previous one, and the fine grid's Newton the
-last coarse evaluation.  From those, inverse iteration alone gives the
+Hellmann-Feynman slopes, and each later Newton evaluation, on its rung or
+on the next one up, the linear extrapolation from the previous one.
+From those, inverse iteration alone gives the
 eigenpairs, certified by the discrete Sturm oscillation theorem (the
 j-th vector changes sign exactly j times) and a residual at rounding
 level.  One pass of inverse iteration is kept when it certifies; one
@@ -84,6 +86,7 @@ Solves share no mutable state; concurrent sector sweeps are safe.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -181,7 +184,8 @@ def eigh_tridiagonal(d, e, first: int, last: int, estimates=None):
                 mu, t_c = _quotients(d, e, chi)
                 t_c -= mu[:, None] * chi.T
                 residual = np.sqrt(np.einsum("jk,jk->j", t_c, t_c))
-                if np.all(residual <= _WARM_TOL * (chi.T**2 @ np.abs(d))) and all(
+                scale = np.einsum("kj,kj,k->j", chi, chi, np.abs(d))
+                if np.all(residual <= _WARM_TOL * scale) and all(
                     _count_nodes(vec) == first + j for j, vec in enumerate(chi.T)
                 ):
                     return mu, chi
@@ -195,10 +199,9 @@ def eigh_tridiagonal(d, e, first: int, last: int, estimates=None):
 class Grid:
     """Node count and placement (uniform or log-stretched).
 
-    :func:`fd_eigensolve` climbs from about n/16 nodes and stops at its
-    target accuracy or on the first rung of at least 2n+1 nodes (n widened
-    with the domain), so n caps the resolution; the joint search solves on
-    n and 2n+1 nodes.
+    :func:`fd_eigensolve` and the joint search climb from about n/16 nodes
+    and stop at their target accuracy or on the first rung of at least
+    2n+1 nodes (n widened with the domain), so n caps the resolution.
     """
 
     n: int = 2000
@@ -327,7 +330,7 @@ def _shifted(pencil, energy: float, first: int, last: int, estimates=None):
     """
     d0, e, x = pencil
     mu, chi = eigh_tridiagonal(d0 - 0.5 * energy * x, e, first, last, estimates)
-    return mu, chi, -0.5 * (x @ chi**2)
+    return mu, chi, -0.5 * np.einsum("k,kj,kj->j", x, chi, chi)
 
 
 def _tail_fraction(chi: np.ndarray) -> float:
@@ -354,9 +357,13 @@ def _contain(problems, grid: Grid, n: int, k: int, energy: float = 0.0):
     extended times 1.5 at fixed node spacing, m (kept odd) and the caller's
     n growing in step, at most ``_MAX_EXTENSIONS`` times (the sin^7 polar
     domain is never extended); each wider domain starts inverse iteration
-    from the previous domain's quotients.  Returns the quotients of each
-    problem on the final small grid, its node count m, the grown n, the
-    upper end of the domain and the number of eigensolves made.
+    from the previous domain's quotients.  n grows to at most 16 (m + 1) -
+    1, so the fifth rung above m (rungs of 2m+1 nodes after m) still has
+    2n+1 nodes or more: rounding m down would otherwise leave that rung a
+    few nodes short of a ladder's 2n+1 cap, and the ladder would climb a
+    whole rung more.  Returns the ``(mu, chi, dmu/dE)`` of each problem on
+    the final small grid, its node count m, the grown n, the upper end of
+    the domain and the number of eigensolves made.
     """
     lo, hi = problems[0].domain
     fixed = any(p.weight_kind == "sin7" for p in problems)
@@ -370,11 +377,24 @@ def _contain(problems, grid: Grid, n: int, k: int, energy: float = 0.0):
         solves += len(problems)
         estimates = [mu for mu, _, _ in solved]
         if fixed or max(_tail_fraction(chi) for _, chi, _ in solved) <= _TAIL_LIMIT:
-            return estimates, m, n, hi, solves
+            return solved, m, n, hi, solves
         if attempt == _MAX_EXTENSIONS:
             raise AccuracyError(f"domain extension failed to contain the states (hi = {hi:.6g})")
         hi = lo + (hi - lo) * 1.5
-        m, n = int(m * 1.5) | 1, int(n * 1.5)
+        m = int(m * 1.5) | 1
+        n = min(int(n * 1.5), _PILOT_RATIO * (m + 1) - 1)
+
+
+def _ladder_error(state, nodes: int, bar: float) -> AccuracyError:
+    """The error a grid ladder raises when a bar exceeds ``_CONV_TOL`` relative."""
+    return AccuracyError(
+        f"grid doubling did not converge: state {state} has error bar {bar:.3g} "
+        f"on a top rung of {nodes} nodes (tol = {_CONV_TOL:.1g} relative)",
+        state=state,
+        nodes=nodes,
+        bar=float(bar),
+        tol=_CONV_TOL,
+    )
 
 
 def fd_eigensolve(problem: RadialProblem, grid: Grid, k: int) -> Spectrum:
@@ -407,7 +427,7 @@ def fd_eigensolve(problem: RadialProblem, grid: Grid, k: int) -> Spectrum:
         raise ValueError("need at least one eigenvalue")
     if k > grid.n // 4:
         raise ValueError(f"k = {k} exceeds n/4 = {grid.n // 4}")
-    (mu,), m, n, hi, _ = _contain([problem], grid, grid.n, k)
+    ((mu, _, _),), m, n, hi, _ = _contain([problem], grid, grid.n, k)
     lo = problem.domain[0]
     sub, _, _ = _shifted(_assemble(problem, grid, lo, hi, m // 2), 0.0, 0, k - 1, mu)
     # quotients and eps sum_k |d_k| chi_k^2 of each rung, bottom up; no bar
@@ -418,7 +438,7 @@ def fd_eigensolve(problem: RadialProblem, grid: Grid, k: int) -> Spectrum:
         m = 2 * m + 1
         pencil = _assemble(problem, grid, lo, hi, m)
         mu, chi, _ = _shifted(pencil, 0.0, 0, k - 1, estimates)
-        rungs.append((mu, _EPS * (np.abs(pencil[0]) @ chi**2)))
+        rungs.append((mu, _EPS * np.einsum("k,kj,kj->j", np.abs(pencil[0]), chi, chi)))
         if len(rungs) == 4:  # the first test: R2
             (v1, _), (v2, r2), (v3, r3) = rungs[-3:]
             values = (4.0 * v3 - v2) / 3.0
@@ -435,15 +455,11 @@ def fd_eigensolve(problem: RadialProblem, grid: Grid, k: int) -> Spectrum:
         done = (conv <= _TARGET * np.abs(values)) | (grid_part <= rounding)
         if m >= 2 * n + 1 or np.all(done):
             break
+    scale = problem.eigenvalue_scale
     rel = conv / np.maximum(1.0, np.abs(values))
     if np.any(rel > _CONV_TOL):
         worst = int(np.argmax(rel))
-        raise AccuracyError(
-            "grid doubling did not converge: state "
-            f"{worst} has error bar {conv[worst]:.3g} "
-            f"(rungs of {(m - 1) // 2} and {m} nodes, tol = {_CONV_TOL:.1g})"
-        )
-    scale = problem.eigenvalue_scale
+        raise _ladder_error(worst, m, conv[worst] * scale)
     return Spectrum(
         eigenvalues=values * scale,
         grid=pencil[2],
@@ -549,13 +565,15 @@ _BRANCHES = 3
 class JointState:
     """A matched parabolic eigenstate: energy, separation constant, nodes.
 
-    ``E`` and ``P`` are Richardson-extrapolated from the roots on the two
-    grids and ``E_error = |E_fine - E_coarse| / 3`` bounds the error of E.
-    ``node_u`` and ``node_v`` are the pair's branch indices (i, j): the
-    node counts of its two states, which the sign count of each branch's
-    last solve certifies (see :func:`eigh_tridiagonal`).  ``solves``
-    counts the tridiagonal eigensolves of the whole search that returned
-    this state, the pilot's solves included.
+    ``E`` and ``P`` are Richardson-extrapolated from the roots on the top
+    five rungs of the joint search's grid ladder, and ``E_error`` bounds the
+    error of E: the change of that value from one rung down, over 15, plus
+    the rounding of the roots (see :func:`parabolic_joint_solve`).
+    ``node_u`` and ``node_v`` are the pair's branch indices (i, j): the node
+    counts of its two states, which the sign count of each branch's last
+    solve certifies (see :func:`eigh_tridiagonal`).  ``solves`` counts the
+    tridiagonal eigensolves of the whole search that returned this state,
+    the pilot's solves included.
     """
 
     E: float
@@ -571,24 +589,24 @@ def _match_root(pencils, i: int, j: int, energy: float, lo: float, hi: float, kn
 
     F is strictly decreasing, so every evaluation moves one end of the known
     bracket (lo, hi), which may start unbounded; a step that would leave it
-    is replaced by bisection.  Newton stops once its step falls below the
-    rounding floor eps (|T_u| + |T_v|) / |F'|, below which it would cycle;
-    that last step is applied without a further solve.  ``known`` is
-    ``(E0, ((mu_u, slope_u), (mu_v, slope_v)))``, the two branches'
-    eigenvalue estimates and slopes at an energy E0; each evaluation passes
-    the linear extrapolation from the previous one as its eigenvalue
-    estimates, so an evaluation bisects only if its inverse iteration
-    fails the checks of :func:`eigh_tridiagonal`.  Returns the root, P = mu_v[j]
-    there (carried along the slope), the number of evaluations and the last
-    evaluation in the form of ``known``.
+    is replaced by bisection.  Newton converges quadratically, so once a
+    step is at most sqrt(``_TARGET``) / 10 of |E| what remains after it is
+    about ``_TARGET`` / 100 of |E|, and that step is applied without a
+    further solve; so is a step below the rounding floor of the root, eps
+    (sum_k |d_k| chi_k^2 of T_u and of T_v) / |F'| (the rounding of the two
+    Rayleigh quotients over the slope), below which Newton would cycle.
+    ``known`` is ``(E0, ((mu_u, slope_u), (mu_v, slope_v)))``, the two
+    branches' eigenvalue estimates and slopes at an energy E0; each
+    evaluation passes the linear extrapolation from the previous one as its
+    eigenvalue estimates, so an evaluation bisects only if its inverse
+    iteration fails the checks of :func:`eigh_tridiagonal`.  Returns the
+    root, P = mu_v[j] there (carried along the slope), the rounding floor at
+    the last evaluation, the number of evaluations and the last evaluation
+    in the form of ``known``.
     """
-    norm = sum(
-        np.max(np.abs(d0 - 0.5 * energy * x)) + 2.0 * np.max(np.abs(e))
-        for d0, e, x in pencils
-    )
     at, known = known
     for evals in range(1, _MAX_NEWTON + 1):
-        (mu_u, _, s_u), (mu_v, _, s_v) = (
+        (mu_u, chi_u, s_u), (mu_v, chi_v, s_v) = (
             _shifted(p, energy, b, b, mu + s * (energy - at))
             for p, b, (mu, s) in zip(pencils, (i, j), known)
         )
@@ -600,15 +618,33 @@ def _match_root(pencils, i: int, j: int, energy: float, lo: float, hi: float, kn
         else:
             hi = energy
         step = -f / slope
-        floor = _EPS * norm / abs(slope)
-        if abs(step) <= floor or hi - lo <= floor:
-            return energy + step, mu_v[0] + s_v[0] * step, evals, (at, known)
+        # the rounding of the two quotients, eps sum_k |d_k| chi_k^2 each
+        rounding = sum(
+            np.einsum("k,kj,kj->", np.abs(d0 - 0.5 * energy * x), chi, chi)
+            for (d0, _, x), chi in zip(pencils, (chi_u, chi_v))
+        )
+        floor = _EPS * rounding / abs(slope)
+        if abs(step) <= max(floor, 0.1 * math.sqrt(_TARGET) * abs(energy)) or hi - lo <= floor:
+            return energy + step, mu_v[0] + s_v[0] * step, floor, evals, (at, known)
         energy += step
         if not lo < energy < hi:
             energy = 0.5 * (lo + hi)
     raise AccuracyError(
         f"Newton search for branch pair ({i}, {j}) did not converge near E = {energy:.10g}"
     )
+
+
+def _richardson_weights(exponents) -> np.ndarray:
+    """Weights of the roots of len(exponents) + 1 rungs, bottom up, in their Richardson value.
+
+    Each exponent p in turn combines neighbouring values v into (2^p v_k -
+    v_{k-1}) / (2^p - 1), which removes an error term in h^p when h halves
+    from rung to rung; applied to the unit vectors this gives the weights.
+    """
+    weights = np.eye(len(exponents) + 1)
+    for p in exponents:
+        weights = (2.0**p * weights[1:] - weights[:-1]) / (2.0**p - 1.0)
+    return weights[0]
 
 
 def parabolic_joint_solve(
@@ -629,39 +665,53 @@ def parabolic_joint_solve(
     most one root per pair, and dF/dE comes exactly from the eigenvectors
     (Hellmann-Feynman).
 
-    Both equations are assembled once, at E = 0, on a coarse grid (n
-    nodes) and a fine one (2n+1 nodes); an energy then costs one diagonal
-    shift and one tridiagonal eigensolve per equation.  The coarse grid
-    does the search and the fine grid only polishes its roots.  The
-    branches are node counts 0, 1 and 2 of each equation.  The domain
-    starts at w = 50 / sqrt(-2 E_hi) with node spacing 0.1 or finer, and
-    the pilot of :func:`_contain`, the only grid that bisects, extends it
-    (times 1.5 at fixed spacing) until all three states have decayed to
-    e^-20 at the least-bound end of the bracket; the coarse and fine grids
-    are assembled on that domain and keep it for every energy.  The coarse
-    grid is solved once per equation at E_hi, by inverse iteration from
-    the pilot's eigenvalues, and every later solve starts from eigenvalues
-    already in hand: at E_lo and at the start of each pair's coarse
-    Newton from those at E_hi, scaled as the Sturmian charge below for sho
-    factors and extrapolated along their slopes otherwise, and at every
-    later Newton evaluation from the previous one, extrapolated along the
-    slopes (the fine Newton from the last coarse evaluation).
+    The search climbs a ladder of grids on one domain.  Each rung's two
+    equations are assembled once, at E = 0, so an energy costs one diagonal
+    shift and one tridiagonal eigensolve per equation.  The branches are
+    node counts 0, 1 and 2 of each equation.  The domain starts at w = 50 /
+    sqrt(-2 E_hi), with n nodes at a spacing of 0.1 or finer, and the pilot
+    of :func:`_contain` (about n/16 nodes, the only grid that bisects)
+    extends it (times 1.5 at fixed spacing, n growing in step) until all
+    three states have decayed to e^-20 at the least-bound end of the
+    bracket.  The pilot is the bottom rung, and it does the whole search:
+    its E_hi eigenpairs and slopes come from :func:`_contain`, and its E_lo
+    solve starts from those, scaled as the Sturmian charge below for sho
+    factors and extrapolated along their slopes otherwise.
 
-    Each pair whose endpoint mismatch changes sign is solved by
-    bracket-safeguarded Newton on the coarse grid, polished by Newton on
-    the fine grid from the coarse root, and Richardson-extrapolated:
-    E = (4 E_fine - E_coarse) / 3, likewise P.  The charge enters as the
-    constant shift -Z_a of each pencil, so F(E_hi) + Z, with Z = Z1 + Z2,
-    is the charge the pair binds at E_hi.  The coarse Newton starts at the
-    Sturmian seed E* = E_hi (Z / (F(E_hi) + Z))^2, which is the root up to
-    discretization error when that charge grows as sqrt(-E) (sho factors)
-    and only a first guess otherwise; it starts at the secant point of
-    the bracket when Z <= 0, F(E_hi) + Z <= 0 or E* lies outside the
-    bracket.  Of the roots found, the lowest E wins and degenerate pairs
-    (within 1e-8 relative) are broken by the smallest |P|.  Every state of
-    that degenerate group must satisfy ``E_error <= _CONV_TOL * |E|`` or
-    :class:`AccuracyError` is raised; a bracket without a sign change
-    raises :class:`BracketError` carrying the endpoint mismatches.
+    Each pair whose endpoint mismatch changes sign on the pilot is solved
+    there by bracket-safeguarded Newton (:func:`_match_root`).  The charge
+    enters as the constant shift -Z_a of each pencil, so F(E_hi) + Z, with
+    Z = Z1 + Z2, is the charge the pair binds at E_hi.  Newton starts at
+    the Sturmian seed E* = E_hi (Z / (F(E_hi) + Z))^2, which is the root up
+    to discretization error when that charge grows as sqrt(-E) (sho
+    factors) and only a first guess otherwise; it starts at the secant
+    point of the bracket when Z <= 0, F(E_hi) + Z <= 0 or E* lies outside
+    the bracket, and its first evaluation starts from the E_hi eigenvalues
+    carried to the start as for E_lo.  The pair then climbs rungs of 2m+1
+    nodes after m, so h halves, with one unbounded Newton root per rung:
+    started from the pilot root on the first climb and from the Richardson
+    prediction r + (r - r') / 4 of the two rungs below on every later one,
+    with the eigenvalue estimates of the rung below carried along their
+    slopes, and most often stopped after one evaluation (see
+    :func:`_match_root`).
+
+    A root's error on a rung of spacing h runs in the even powers h^2, h^4,
+    h^6 of a regular problem and, from the w = 0 pole of each equation, in
+    h^(q + j), j = 0, 1, 2, with q = 3 + 2 s = sqrt(9 + 4 alpha), s = (-3 +
+    sqrt(9 + 4 alpha)) / 2 being the regular exponent of the states there
+    (alpha from :func:`micz_centrifugal_strengths`).  From the sixth root on
+    (the pilot's counted), E is the Richardson value of the top five roots
+    that removes the four lowest of these powers (see
+    :func:`_richardson_weights`; h^2, h^3, h^4 and h^5 for c1 = c2 = 0),
+    likewise P, and E_error = |E - E'| / 15 plus the rounding floors of the
+    five roots weighted as in E, E' being the same value one rung down. The
+    climb stops when E_error is at most ``_TARGET`` |E|, when its grid part
+    is below its rounding part, or on the first rung of at least 2n+1 nodes.
+    Of the roots found, the lowest E wins and degenerate pairs (within 1e-8
+    relative) are broken by the smallest |P|.  Every state of that
+    degenerate group must satisfy ``E_error <= _CONV_TOL * |E|`` or
+    :class:`AccuracyError` is raised; a bracket without a sign change raises
+    :class:`BracketError` carrying the endpoint mismatches.
     """
     e_lo, e_hi = bracket
     if not (e_lo < e_hi < 0.0):
@@ -671,10 +721,14 @@ def parabolic_joint_solve(
         build_radial_problem(kind, model=model, micz=micz, energy=0.0, wmax=hi)
         for kind in ("para_u", "para_v")
     ]
-    mu_hi, _, n, hi, solves = _contain(problems, grid, max(grid.n, int(hi / 0.1)), _BRANCHES, e_hi)
-    coarse, fine = ([_assemble(p, grid, 0.0, hi, m) for p in problems] for m in (n, 2 * n + 1))
-    at_hi = [_shifted(pencil, e_hi, 0, _BRANCHES - 1, mu) for pencil, mu in zip(coarse, mu_hi)]
+    at_hi, m, n, hi, solves = _contain(problems, grid, max(grid.n, int(hi / 0.1)), _BRANCHES, e_hi)
     (mu_u_hi, _, s_u_hi), (mu_v_hi, _, s_v_hi) = at_hi
+
+    @functools.cache
+    def pencils(nodes):
+        # the (u, v) pencils of a rung of the settled domain, shared by the pairs
+        return [_assemble(p, grid, 0.0, hi, nodes) for p in problems]
+
     sho = model.p1.variant == model.p2.variant == "sho"
 
     def carried(energy):
@@ -689,16 +743,22 @@ def parabolic_joint_solve(
         return [mu + s * (energy - e_hi) for mu, _, s in at_hi]
 
     (mu_u_lo, _, _), (mu_v_lo, _, _) = (
-        _shifted(pencil, e_lo, 0, _BRANCHES - 1, mu) for pencil, mu in zip(coarse, carried(e_lo))
+        _shifted(pencil, e_lo, 0, _BRANCHES - 1, mu)
+        for pencil, mu in zip(pencils(m), carried(e_lo))
     )
-    solves += 4  # E_hi and E_lo on the coarse grid
+    solves += 2  # E_lo on the pilot
     mismatch = {
         (i, j): (float(mu_u_lo[i] + mu_v_lo[j]), float(mu_u_hi[i] + mu_v_hi[j]))
         for i in range(_BRANCHES)
         for j in range(_BRANCHES - i)
     }
+    # a root's error runs in h^2, h^4, h^6 and, from the w = 0 pole of each
+    # equation, in h^(q + j), j = 0, 1, 2, with q = 3 + 2 s = sqrt(9 + 4 alpha)
+    poles = [math.sqrt(9.0 + 4.0 * a) for a in micz_centrifugal_strengths(micz)]
+    series = {2.0, 4.0, 6.0} | {q + j for q in poles for j in range(3)}
+    weights = _richardson_weights(sorted(series)[:4])
 
-    states = []
+    states, tops = [], {}
     z = model.Z
     for (i, j), (f_lo, f_hi) in mismatch.items():
         if not f_lo >= 0.0 >= f_hi:
@@ -713,16 +773,36 @@ def parabolic_joint_solve(
         u, v = slice(i, i + 1), slice(j, j + 1)
         mu_u, mu_v = carried(start)
         known = (start, ((mu_u[u], s_u_hi[u]), (mu_v[v], s_v_hi[v])))
-        e_c, p_c, evals_c, known = _match_root(coarse, i, j, start, e_lo, e_hi, known)
-        e_f, p_f, evals_f, _ = _match_root(fine, i, j, e_c, -math.inf, math.inf, known)
-        solves += 2 * (evals_f + evals_c)
+        nodes = m
+        *root, evals, known = _match_root(pencils(nodes), i, j, start, e_lo, e_hi, known)
+        roots = [root]  # (E, P, rounding floor) on each rung, bottom up
+        while True:
+            below = roots[-1][0]
+            start = below if len(roots) == 1 else below + (below - roots[-2][0]) / 4.0
+            nodes = 2 * nodes + 1
+            *root, more, known = _match_root(
+                pencils(nodes), i, j, start, -math.inf, math.inf, known
+            )
+            evals += more
+            roots.append(root)
+            if len(roots) < 6:
+                continue
+            top = np.array(roots[-6:])
+            energy, p = weights @ top[1:, :2]
+            grid_part = abs(energy - weights @ top[:-1, 0]) / 15.0
+            rounding = np.abs(weights) @ top[1:, 2]
+            bar = grid_part + rounding
+            if bar <= _TARGET * abs(energy) or grid_part <= rounding or nodes >= 2 * n + 1:
+                break
+        solves += 2 * evals
+        tops[i, j] = nodes
         states.append(
             JointState(
-                E=float(4.0 * e_f - e_c) / 3.0,
-                P=float(4.0 * p_f - p_c) / 3.0,
+                E=float(energy),
+                P=float(p),
                 node_u=i,
                 node_v=j,
-                E_error=float(abs(e_f - e_c)) / 3.0,
+                E_error=float(bar),
                 solves=0,
             )
         )
@@ -736,11 +816,7 @@ def parabolic_joint_solve(
     group = [s for s in states if abs(s.E - best_e) <= 1e-8 * abs(best_e)]
     for s in group:
         if s.E_error > _CONV_TOL * abs(s.E):
-            raise AccuracyError(
-                f"grid doubling did not converge: state ({s.node_u}, {s.node_v}) "
-                f"E changed by {3.0 * s.E_error:.3g} (n = {n} vs {2 * n + 1}, "
-                f"tol = {_CONV_TOL:.1g})"
-            )
+            raise _ladder_error((s.node_u, s.node_v), tops[s.node_u, s.node_v], s.E_error)
     return replace(min(group, key=lambda s: abs(s.P)), solves=solves)
 
 

@@ -213,6 +213,17 @@ class TestSolverMechanics:
         with pytest.raises(AccuracyError, match="grid doubling did not converge"):
             fd_eigensolve(prob, Grid(n=64), 1)
 
+    def test_gate_error_carries_its_fields(self, monkeypatch):
+        # a gate no bar can pass names the state, the ladder's top rung, the
+        # state's bar in the reported units and the tolerance
+        prob = build_radial_problem("osc8", potential=Potential8D("sho", omega=1.0))
+        spec = fd_eigensolve(prob, Grid(n=1000), 1)
+        monkeypatch.setattr(numeric, "_CONV_TOL", 1e-20)
+        with pytest.raises(AccuracyError, match="grid doubling did not converge") as info:
+            fd_eigensolve(prob, Grid(n=1000), 1)
+        err = info.value
+        assert (err.state, err.nodes, err.bar, err.tol) == (0, len(spec.grid), spec.convergence[0], 1e-20)
+
     def test_k_validation(self):
         prob = build_radial_problem("osc8", potential=Potential8D("sho", omega=1.0), L=0)
         with pytest.raises(ValueError):
@@ -679,23 +690,28 @@ class TestWarmStart:
         assert rows == {"bisected": rungs[:1], "warm": [rungs[0] // 2] + rungs[1:]}
         assert passes == _FD_PASSES[case]
 
-    @pytest.mark.parametrize("bracket, calls", [((-0.045, -0.024), 16), ((-0.024, -0.017), 24)])
-    def test_joint_search_bisects_at_e_hi_only(self, solves, rows, passes, bracket, calls):
+    @pytest.mark.parametrize(
+        "bracket, calls, second_passes", [((-0.045, -0.024), 28, 8), ((-0.024, -0.017), 50, 12)]
+    )
+    def test_joint_search_bisects_at_e_hi_only(self, solves, rows, passes, bracket, calls, second_passes):
         # one bisection per equation, on the pilot of the first domain (143
         # or 169 rows), which widens once to hold the two-node state, and no
-        # warm solve of the Coulomb levels falls back.  Only the two coarse
-        # solves (3423 or 4066 rows) started from the widened pilots take a
-        # second stein pass: the first Newton evaluation of each pair starts
-        # from the Sturmian scaling of the E_hi eigenvalues to the seed, and
-        # every later solve from the previous evaluation
+        # warm solve of the Coulomb levels falls back.  The search runs on the
+        # widened pilot and every later solve is on a rung of 2m + 1 nodes
+        # after m.  The E_lo solve, the first Newton evaluation of each pair
+        # and the first evaluations of the lowest climbs take a second stein
+        # pass; from the fourth rung above the pilot on, every solve keeps
+        # its first
         parabolic_joint_solve(_sho_model(), MiczParams(Z=1.0), Grid(n=1500), bracket)
         assert solves == {"calls": calls, "cold": 2, "bisections": 2}
-        coarse, pilot = {-0.024: (3423, 143), -0.017: (4066, 169)}[bracket[1]]
+        pilot = {-0.024: 143, -0.017: 169}[bracket[1]]
+        widened = int(1.5 * pilot) | 1
         assert rows["bisected"] == [pilot, pilot]
-        assert rows["warm"][:3] == [int(1.5 * pilot) | 1] * 2 + [coarse]
+        assert rows["warm"][:2] == [widened] * 2
+        assert {n for n in rows["warm"]} == {(widened + 1) * 2**k - 1 for k in range(6)}
         assert len(passes) == len(rows["warm"]) == calls - 2
-        assert all(p == 1 for p, n in zip(passes, rows["warm"]) if n > coarse)
-        assert passes[:4] == [1, 1, 2, 2] and sum(passes) == len(passes) + 2
+        assert all(p == 1 for p, n in zip(passes, rows["warm"]) if n > 8 * widened)
+        assert passes[:4] == [1, 1, 2, 2] and sum(passes) == len(passes) + second_passes
 
     def test_joint_search_lower_end_estimates_hold(self, solves, rows):
         # with sho factors the charge each equation binds grows as sqrt(-E),
@@ -703,5 +719,5 @@ class TestWarmStart:
         # for inverse iteration; the slopes alone miss them by up to 70%
         micz = MiczParams(Z=1.0, c1=1.0, c2=2.0)
         parabolic_joint_solve(_sho_model(), micz, Grid(n=1500), (-0.05, -0.015))
-        assert solves == {"calls": 16, "cold": 2, "bisections": 2}
+        assert solves == {"calls": 22, "cold": 2, "bisections": 2}
         assert rows["bisected"] == [181, 181]  # pilots of the first domain of 2886 nodes

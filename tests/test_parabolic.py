@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
+from scipy.optimize import brentq
 
 from hurwitz_kepler import numeric
-from hurwitz_kepler.errors import BracketError
+from hurwitz_kepler.errors import AccuracyError, BracketError
 from hurwitz_kepler.numeric import (
     Grid,
     _assemble,
@@ -16,6 +17,8 @@ from hurwitz_kepler.numeric import (
     spherical_micz_energies,
 )
 from hurwitz_kepler.potentials import MiczParams, OscillatorModel, Potential8D
+
+_EPS = np.finfo(float).eps
 
 
 def _coulomb_model(omega=1.0, Z=1.0):
@@ -61,12 +64,34 @@ class TestPureCoulomb:
         st = parabolic_joint_solve(_coulomb_model(), MiczParams(Z=1.0), Grid(n=1500), bracket=bracket)
         assert abs(st.E - exact) <= st.E_error
         assert st.E_error <= 1e-5 * abs(st.E)
-        assert st.solves == {(-0.045, -0.024): 16, (-0.024, -0.017): 24}[bracket]
+        assert st.solves == {(-0.045, -0.024): 28, (-0.024, -0.017): 50}[bracket]
+
+    @pytest.mark.parametrize("n", [200, 680])
+    def test_charge_four_ground_on_small_grids(self, n):
+        # lengths scale as 1/Z, so at Z = 4 the 0.1 spacing floor leaves n at
+        # 838 or 1020 nodes; the ladder still brings the bar under the gate
+        Z = 4.0
+        exact = -(Z**2) / 32.0
+        st = parabolic_joint_solve(
+            _coulomb_model(Z=Z), MiczParams(Z=Z), Grid(n=n), bracket=(1.3 * exact, 0.8 * exact)
+        )
+        assert abs(st.E - exact) <= st.E_error <= 1e-5 * abs(exact)
+
+    def test_gate_error_carries_its_fields(self, monkeypatch):
+        # a gate no bar can pass names the pair, the ladder's top rung, the
+        # pair's bar and the tolerance
+        bracket = (-0.045, -0.024)
+        st = parabolic_joint_solve(_coulomb_model(), MiczParams(Z=1.0), Grid(n=1500), bracket=bracket)
+        monkeypatch.setattr(numeric, "_CONV_TOL", 1e-20)
+        with pytest.raises(AccuracyError, match="grid doubling did not converge") as info:
+            parabolic_joint_solve(_coulomb_model(), MiczParams(Z=1.0), Grid(n=1500), bracket=bracket)
+        err = info.value
+        assert (err.state, err.nodes, err.bar, err.tol) == ((0, 0), 6911, st.E_error, 1e-20)
 
     def test_first_domain_holds_for_three_branches(self, monkeypatch):
         # the two-node state of a sho search keeps more than e^-20 at
         # kappa w = 50; the pilot widens once, in two solves per equation,
-        # and the coarse grid (3423 rows) is assembled on that domain
+        # and n (3423, whose 2n+1 caps the ladder) grows with it
         calls = _record_contain(monkeypatch)
         parabolic_joint_solve(_coulomb_model(), MiczParams(Z=1.0), Grid(n=1500), bracket=(-0.045, -0.024))
         ((_, pilot, n, hi, solves),) = calls
@@ -88,10 +113,10 @@ def _record_contain(monkeypatch):
 
 
 def test_domain_settles_on_the_pilot(monkeypatch):
-    # the sub2 states of Z = 0.08 outgrow the first domain (1767-node coarse
-    # grid); the pilot widens it twice, only the first pilot bisects, and
-    # the coarse grid of the settled domain is solved once per equation at
-    # E_hi
+    # the sub2 states of Z = 0.08 outgrow the first domain (n = 1767); the
+    # pilot widens it twice (n = 3975), only the first pilot bisects, and
+    # only the pilots are solved at E_hi: the search runs on the last pilot
+    # and every later rung has 2m+1 nodes after m
     calls = []
     shifted = numeric._shifted
 
@@ -104,10 +129,11 @@ def test_domain_settles_on_the_pilot(monkeypatch):
     model = OscillatorModel(p1=p, p2=p, Z1=0.04, Z2=0.04)
     e_hi = -0.04
     parabolic_joint_solve(model, MiczParams(Z=0.08), Grid(n=1500), bracket=(-0.1, e_hi))
-    n = (max(rows for rows, *_ in calls) - 1) // 2
     assert [rows for rows, _, cold in calls if cold] == [111, 111]
-    assert [rows for rows, e, _ in calls if e == e_hi] == [111, 111, 167, 167, 251, 251, n, n]
-    assert n == 3975  # one x1.5 step wider than the coarse grid once settled
+    assert [rows for rows, e, _ in calls if e == e_hi] == [111, 111, 167, 167, 251, 251]
+    # five rungs above the pilot give the ladder its first bar; the fifth
+    # is also the first of at least 2n + 1 = 7951 nodes
+    assert sorted({rows for rows, *_ in calls if rows > 251}) == [503, 1007, 2015, 4031, 8063]
 
 
 class TestGeneralizedMicz:
@@ -204,63 +230,84 @@ def _mismatch(pencils, i, j, energy):
     return mu_u[0] + mu_v[0], s_u[0] + s_v[0]
 
 
-def _bisection_root(pencils, i, j, lo, hi):
-    """Root of F by bisection on (lo, hi) to a width far below the rounding floor."""
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        if _mismatch(pencils, i, j, mid)[0] > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _reference_root(pencils, i, j, lo, hi):
+    """Root of F on fixed pencils by Brent's method on (lo, hi), to a width far below the rounding floor."""
+    return brentq(lambda e: _mismatch(pencils, i, j, e)[0], lo, hi, xtol=1e-300, rtol=4.0 * _EPS)
 
 
 def _rounding_floor(pencils, i, j, energy):
-    """eps (|T_u| + |T_v|) / |F'| at ``energy``: how well F's root is defined."""
-    norm = sum(
-        np.max(np.abs(d0 - 0.5 * energy * x)) + 2.0 * np.max(np.abs(e)) for d0, e, x in pencils
-    )
-    return np.finfo(float).eps * norm / abs(_mismatch(pencils, i, j, energy)[1])
+    """eps (sum_k |d_k| chi_k^2 of T_u and of T_v) / |F'| at ``energy``: how well F's root is defined."""
+    rounding, slope = 0.0, 0.0
+    for (d0, e, x), b in zip(pencils, (i, j)):
+        _, chi, s = _shifted((d0, e, x), energy, b, b)
+        rounding += np.sum(np.abs(d0 - 0.5 * energy * x) * chi[:, 0] ** 2)
+        slope += s[0]
+    return _EPS * rounding / abs(slope)
 
 
-def _recorded_search(monkeypatch, model, grid, bracket):
-    """The search and, for the returned pair, (pencils, start, root) on the fine and coarse grid."""
-    roots = {}
+def _exponents(micz):
+    """The four lowest powers of h in a root's error: h^2, h^4, h^6 and h^(3 + 2 delta + j) per pole."""
+    series = {2.0, 4.0, 6.0}
+    for c in (micz.c1, micz.c2):
+        delta = 0.5 * (-3.0 + math.sqrt(9.0 + 8.0 * c))
+        series.update(3.0 + 2.0 * delta + j for j in range(3))
+    return sorted(series)[:4]
+
+
+def _richardson(values, exponents):
+    """The value of five rungs whose h halves, bottom up, with the h^p terms removed in turn."""
+    for p in exponents:
+        values = [(2.0**p * b - a) / (2.0**p - 1.0) for a, b in zip(values, values[1:])]
+    (value,) = values
+    return value
+
+
+def _recorded_search(model, micz, grid, bracket):
+    """The search and, for the returned pair, (pencils, start, root, floor) of each rung, bottom up."""
+    rungs = {}
     match = numeric._match_root
 
     def record(pencils, i, j, energy, *args):
         out = match(pencils, i, j, energy, *args)
-        roots.setdefault((i, j), {})[len(pencils[0][0])] = (pencils, energy, out[0])
+        rungs.setdefault((i, j), []).append((pencils, energy, out[0], out[2]))
         return out
 
-    monkeypatch.setattr(numeric, "_match_root", record)
-    st = parabolic_joint_solve(model, MiczParams(Z=model.Z), grid, bracket=bracket)
-    by_rows = roots[st.node_u, st.node_v]
-    return st, tuple(by_rows[rows] for rows in sorted(by_rows, reverse=True))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numeric, "_match_root", record)
+        st = parabolic_joint_solve(model, micz, grid, bracket=bracket)
+    return st, rungs[st.node_u, st.node_v]
 
 
-def _assert_roots_of_the_pencils(st, fine, coarse, bracket):
-    # each grid's root is F's root on those pencils to within its rounding
-    # floor, whatever the Newton start
+def _assert_roots_of_the_pencils(st, rungs, bracket, micz):
+    # each rung's root is F's root on that rung's pencils to within its
+    # rounding floor, whatever the Newton start, and E is the Richardson
+    # value of the top five of those roots
     refs, floors = [], []
-    for pencils, _, root in (fine, coarse):
-        refs.append(_bisection_root(pencils, st.node_u, st.node_v, *bracket))
+    for pencils, _, root, _ in rungs:
+        refs.append(_reference_root(pencils, st.node_u, st.node_v, *bracket))
         floors.append(_rounding_floor(pencils, st.node_u, st.node_v, refs[-1]))
         assert abs(root - refs[-1]) <= 2.0 * floors[-1]
-    assert abs(st.E - (4.0 * refs[0] - refs[1]) / 3.0) <= (8.0 * floors[0] + 2.0 * floors[1]) / 3.0
+    weights = _richardson(list(np.eye(5)), _exponents(micz))
+    assert abs(st.E - _richardson(refs[-5:], _exponents(micz))) <= 2.0 * np.abs(weights) @ floors[-5:]
 
 
 class TestSturmianSeed:
-    @settings(max_examples=12, deadline=None)
-    @given(c1=strength, c2=strength, level=st_.sampled_from([0, 1]))
-    def test_sho_levels(self, c1, c2, level):
-        Z = 4.0
+    @settings(max_examples=16, deadline=None)
+    @given(
+        c1=strength, c2=strength, level=st_.sampled_from([0, 1]), Z=st_.sampled_from([1.0, 4.0])
+    )
+    def test_sho_levels(self, c1, c2, level, Z):
         exact, du = _level(c1, c2, level, Z)
         bracket = (_level(c1, c2, level - 0.5, Z)[0], _level(c1, c2, level + 0.5, Z)[0])
-        st = parabolic_joint_solve(
-            _coulomb_model(Z=Z), MiczParams(Z=Z, c1=c1, c2=c2), Grid(n=3000), bracket=bracket
-        )
-        assert abs(st.E - exact) <= max(st.E_error, 1e-9 * abs(exact))
+        micz = MiczParams(Z=Z, c1=c1, c2=c2)
+        st, rungs = _recorded_search(_coulomb_model(Z=Z), micz, Grid(n=3000), bracket)
+        error = abs(st.E - exact)
+        assert error <= st.E_error
+        # where the grid, not rounding, sets the bar, it tracks the error
+        weights = _richardson(list(np.eye(5)), _exponents(micz))
+        rounding = np.abs(weights) @ [floor for *_, floor in rungs[-5:]]
+        if st.E_error - rounding > 10.0 * rounding:
+            assert st.E_error <= 3.0 * error
         assert st.node_u + st.node_v == level
         if level == 0:
             assert (st.node_u, st.node_v) == (0, 0)
@@ -269,41 +316,46 @@ class TestSturmianSeed:
         assert st.P == pytest.approx(0.5 * Z - kappa * (st.node_u + du + 2.0), rel=1e-6, abs=1e-6)
 
     @pytest.mark.parametrize(
-        "a, b, Z, n, bracket",
-        [(0.0, 1e-2, 1.8, 6000, (-0.07, -0.03)), (1e-3, -1e-2, 1.0, 1500, (-0.06, -0.03))],
+        "a, b, Z, bracket",
+        [(0.0, 1e-2, 1.8, (-0.07, -0.03)), (1e-3, -1e-2, 1.0, (-0.06, -0.03))],
         ids=["quartic+", "quartic-sextic+"],
     )
-    def test_anharmonic_seed_is_only_a_start(self, monkeypatch, a, b, Z, n, bracket):
-        # the confining quartic needs the finer grid to pass the E_error gate
+    def test_anharmonic_seed_is_only_a_start(self, a, b, Z, bracket):
+        # the confining quartic passes the E_error gate on the grid the
+        # other searches use
         p = Potential8D("super2", omega=1.0, a=a, b=b)
         model = OscillatorModel(p1=p, p2=p, Z1=0.5 * Z, Z2=0.5 * Z)
-        st, (fine, coarse) = _recorded_search(monkeypatch, model, Grid(n=n), bracket)
+        micz = MiczParams(Z=Z)
+        st, rungs = _recorded_search(model, micz, Grid(n=1500), bracket)
+        pilot, start, root, _ = rungs[0]
         e_hi = bracket[1]
-        f_hi = _mismatch(coarse[0], st.node_u, st.node_v, e_hi)[0]
+        f_hi = _mismatch(pilot, st.node_u, st.node_v, e_hi)[0]
         seed = e_hi * (Z / (f_hi + Z)) ** 2
-        # the coarse Newton started from the Sturmian seed, well off the root
-        assert coarse[1] == pytest.approx(seed, rel=1e-10)
-        assert abs(seed - coarse[2]) > 1e-3 * abs(coarse[2])
-        _assert_roots_of_the_pencils(st, fine, coarse, bracket)
+        # the pilot's Newton started from the Sturmian seed, well off the root
+        assert start == pytest.approx(seed, rel=1e-10)
+        assert abs(seed - root) > 1e-3 * abs(root)
+        _assert_roots_of_the_pencils(st, rungs, bracket, micz)
 
     @pytest.mark.parametrize(
         "Z, bracket",
         [(0.0, (-0.05, -0.03)), (0.08, (-0.1, -0.04)), (0.1, (-0.06, -0.045))],
         ids=["Z=0", "charge<=0", "seed-outside"],
     )
-    def test_secant_start_without_a_seed(self, monkeypatch, Z, bracket):
+    def test_secant_start_without_a_seed(self, Z, bracket):
         # an attractive linear term binds the sub2 factors without the charge.
-        # The coarse Newton starts at the bracket's secant point when Z <= 0,
+        # The pilot's Newton starts at the bracket's secant point when Z <= 0,
         # when the pair binds a nonpositive charge at E_hi (Z = 0.08: the seed
         # formula would give -0.084, inside the bracket) or when the seed
         # falls outside the bracket (Z = 0.1: -0.109)
         p = Potential8D("sub2", omega=1.0, a=-0.2)
         model = OscillatorModel(p1=p, p2=p, Z1=0.5 * Z, Z2=0.5 * Z)
-        st, (fine, coarse) = _recorded_search(monkeypatch, model, Grid(n=1500), bracket)
-        f_lo, f_hi = (_mismatch(coarse[0], st.node_u, st.node_v, e)[0] for e in bracket)
+        micz = MiczParams(Z=Z)
+        st, rungs = _recorded_search(model, micz, Grid(n=1500), bracket)
+        pilot, start, _, _ = rungs[0]
+        f_lo, f_hi = (_mismatch(pilot, st.node_u, st.node_v, e)[0] for e in bracket)
         e_lo, e_hi = bracket
-        assert coarse[1] == pytest.approx(e_lo + (e_hi - e_lo) * f_lo / (f_lo - f_hi), rel=1e-10)
-        _assert_roots_of_the_pencils(st, fine, coarse, bracket)
+        assert start == pytest.approx(e_lo + (e_hi - e_lo) * f_lo / (f_lo - f_hi), rel=1e-10)
+        _assert_roots_of_the_pencils(st, rungs, bracket, micz)
 
 
 class TestPerturbativeOracle:
