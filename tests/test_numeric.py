@@ -222,7 +222,8 @@ class TestSolverMechanics:
         with pytest.raises(AccuracyError, match="grid doubling did not converge") as info:
             fd_eigensolve(prob, Grid(n=1000), 1)
         err = info.value
-        assert (err.state, err.nodes, err.bar, err.tol) == (0, len(spec.grid), spec.convergence[0], 1e-20)
+        fields = (err.state, err.nodes, err.bar, err.tol)
+        assert fields == (0, len(spec.grid), spec.convergence[0], 1e-20)
 
     def test_k_validation(self):
         prob = build_radial_problem("osc8", potential=Potential8D("sho", omega=1.0), L=0)
@@ -693,7 +694,9 @@ class TestWarmStart:
     @pytest.mark.parametrize(
         "bracket, calls, second_passes", [((-0.045, -0.024), 28, 8), ((-0.024, -0.017), 50, 12)]
     )
-    def test_joint_search_bisects_at_e_hi_only(self, solves, rows, passes, bracket, calls, second_passes):
+    def test_joint_search_bisects_at_e_hi_only(
+        self, solves, rows, passes, bracket, calls, second_passes
+    ):
         # one bisection per equation, on the pilot of the first domain (143
         # or 169 rows), which widens once to hold the two-node state, and no
         # warm solve of the Coulomb levels falls back.  The search runs on the

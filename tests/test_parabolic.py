@@ -231,7 +231,7 @@ def _mismatch(pencils, i, j, energy):
 
 
 def _reference_root(pencils, i, j, lo, hi):
-    """Root of F on fixed pencils by Brent's method on (lo, hi), to a width far below the rounding floor."""
+    """Root of F on fixed pencils by Brent's method on (lo, hi), far below the rounding floor."""
     return brentq(lambda e: _mismatch(pencils, i, j, e)[0], lo, hi, xtol=1e-300, rtol=4.0 * _EPS)
 
 
