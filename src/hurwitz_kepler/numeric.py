@@ -66,20 +66,24 @@ Every eigensolve goes through :func:`_shifted`, the one caller of
 its first call: importing this module (and the package, and its CLI)
 loads numpy only, so work that solves nothing never pays scipy's
 start-up.  Only that small grid of each problem bisects, and only on
-the first domain.  Every other solve already has eigenvalue estimates
-in hand: a widened domain the previous domain's quotients, the sub-rung
-the bottom rung's quotients and every rung above the bottom one the
-Richardson prediction from the two rungs below it, the joint search's
-lower bracket end and the first Newton evaluation of each pair their
-Sturmian scaling (sho factors) or their linear extrapolation along the
-Hellmann-Feynman slopes, and each later Newton evaluation, on its rung or
-on the next one up, the linear extrapolation from the previous one.
-From those, inverse iteration alone gives the
-eigenpairs, certified by the discrete Sturm oscillation theorem (the
-j-th vector changes sign exactly j times) and a residual at rounding
-level.  One pass of inverse iteration is kept when it certifies; one
-that does not is repeated once from its own quotients, and a solve that
-fails twice bisects after all.
+the first domain, to a loose tolerance.  Every other solve already has
+an eigenvector and an eigenvalue estimate in hand for each state: a
+widened domain the previous domain's vectors, interpolated, and
+quotients; the sub-rung the bottom rung's values at its odd nodes and
+its quotients; every rung above the bottom one the rung below prolonged
+(its nodes are the odd nodes of the next rung) and the Richardson
+prediction from the two rungs below it; the joint search's lower
+bracket end and the first Newton evaluation of each pair the E_hi
+vectors and their Sturmian scaling (sho factors) or their linear
+extrapolation along the Hellmann-Feynman slopes; and each later Newton
+evaluation, on its rung or on the next one up, the previous one's
+vectors and the linear extrapolation from it.  From a start that good
+one tridiagonal solve with the estimate as shift converges (Ipsen
+1997), and inverse iteration alone gives the eigenpairs, certified by
+the discrete Sturm oscillation theorem (the j-th vector changes sign
+exactly j times) and a residual at rounding level.  A vector that fails
+is solved again from itself and its Rayleigh quotient, at most three
+solves in all; a call with a vector that still fails bisects after all.
 
 Solves share no mutable state; concurrent sector sweeps are safe.
 """
@@ -128,69 +132,99 @@ _EPS = float(np.finfo(float).eps)
 # Largest grid-doubling change accepted, relative to max(1, |mu|) in
 # fd_eigensolve and to |E| in the joint search.
 _CONV_TOL = 1e-5
-# Largest residual |T chi - mu chi| accepted from an eigensolve that skipped
+# Largest residual |T chi - mu chi| accepted from inverse iteration or a loose
 # bisection, relative to sum_k |d_k| chi_k^2, the scale of T where the state
 # lives (|T| itself is set by the smallest cells of a log-stretched grid).
 # Converged vectors stay below 2e-15 on every solve of the tests and the
 # benchmark; one with 1e-5 of a neighbour mixed in sits near 1e-11.
 _WARM_TOL = 1e-13
+# Inverse-iteration solves allowed per column of a warm eigensolve.
+_WARM_PASSES = 3
+# Width, relative to max|d|, to which the one bisection of a problem brackets
+# its eigenvalues; the certificates, not this width, decide the result.
+_BISECT_TOL = 1e-8
 
 
-def _quotients(d, e, chi):
-    """Rayleigh quotients of the unit columns of ``chi`` for T = tridiag(e, d, e), and (T chi)^T.
+def _certified(d, e, index: int, v):
+    """Rayleigh quotient of the unit vector ``v`` for T = tridiag(e, d, e), and its certificate.
 
-    The work runs along the rows of chi^T, which are contiguous for the
-    column-major vectors LAPACK returns.
+    ``v`` is certified as eigenvector ``index`` (counted from 0) when it has
+    exactly ``index`` sign changes (the discrete Sturm oscillation theorem,
+    valid because every assembled ``e`` is strictly negative, certifies the
+    index) and its residual |T v - mu v| is at most ``_WARM_TOL sum_k |d_k|
+    v_k^2`` (2-norms).
     """
-    c = chi.T
-    t_c = d * c
-    t_c[:, :-1] += e * c[:, 1:]
-    t_c[:, 1:] += e * c[:, :-1]
-    return np.einsum("jk,jk->j", c, t_c), t_c
+    t_v = d * v
+    t_v[:-1] += e * v[1:]
+    t_v[1:] += e * v[:-1]
+    mu = float(np.einsum("k,k->", v, t_v))
+    t_v -= mu * v
+    residual = math.sqrt(np.einsum("k,k->", t_v, t_v))
+    scale = np.einsum("k,k,k->", np.abs(d), v, v)
+    return mu, bool(residual <= _WARM_TOL * scale) and _count_nodes(v) == index
 
 
-def eigh_tridiagonal(d, e, first: int, last: int, estimates=None):
+def _inverse_iteration(gtsv, d, e, first: int, estimates, vectors):
+    """Certified eigenpairs by inverse iteration from ``estimates`` and ``vectors``, or None.
+
+    Column j is solved once, (T - estimate_j) y = vector_j, and normalised;
+    while :func:`_certified` rejects it, it is solved again from its own
+    vector and quotient (Rayleigh-quotient iteration), at most
+    ``_WARM_PASSES`` solves in all.  None when a column is still rejected
+    then, or when a solve meets an exact zero pivot.
+    """
+    mu = np.empty(len(estimates))
+    chi = np.empty((len(d), len(mu)), order="F")
+    for j, (sigma, v) in enumerate(zip(estimates, vectors.T)):
+        for _ in range(_WARM_PASSES):
+            *_, y, info = gtsv(e, d - sigma, e, v)
+            if info != 0:
+                return None
+            v = y / math.sqrt(np.einsum("k,k->", y, y))
+            sigma, ok = _certified(d, e, first + j, v)
+            if ok:
+                break
+        else:
+            return None
+        mu[j], chi[:, j] = sigma, v
+    return mu, chi
+
+
+def eigh_tridiagonal(d, e, first: int, last: int, estimates=None, vectors=None):
     """Eigenpairs ``first..last`` of T = tridiag(e, d, e): Rayleigh quotients, unit vectors.
 
     This is the one call into LAPACK, and scipy is imported on its first
-    call.  Without ``estimates`` it is ``scipy.linalg.eigh_tridiagonal``
-    with ``select="i"``: bisection (stebz) to full precision, then inverse
-    iteration (stein).  With ``estimates`` (one per wanted eigenvalue)
-    bisection is skipped: stein runs from the estimates, and its result is
-    kept if stein converged, every column j has exactly ``first + j`` sign
-    changes (the discrete Sturm oscillation theorem, valid because every
-    assembled ``e`` is strictly negative, certifies the index) and its
-    residual ``|T chi - mu chi|`` is at most ``_WARM_TOL sum_k |d_k|
-    chi_k^2`` (2-norms).  A pass that converged but fails the checks is
-    repeated once, from the quotients of its vectors; if that one fails
-    too (or stein did not converge), the same call falls back to
-    bisection.  A LAPACK failure on either path is an
+    call.  A warm call passes ``estimates`` (one per wanted eigenvalue) and
+    start ``vectors`` (one column each, any norm), and bisection is
+    skipped: each column gets one ``gtsv`` solve of (T - estimate) y =
+    start and is kept if it passes the certificates of :func:`_certified`;
+    one that fails is solved again from its own vector and quotient
+    (Rayleigh-quotient iteration), at most ``_WARM_PASSES`` solves in all
+    (see :func:`_inverse_iteration`).  Without ``estimates`` it is
+    ``scipy.linalg.eigh_tridiagonal`` with ``select="i"``: bisection
+    (stebz) to ``_BISECT_TOL max|d|``, then inverse iteration (stein) from
+    those values, whose vectors are kept if they pass the same
+    certificates and are otherwise the start of the warm path.  If a column
+    still fails, or a solve meets an exact zero pivot, the call bisects to
+    full precision.  A LAPACK failure of bisection is an
     :class:`AccuracyError`.
     """
     from scipy.linalg import LinAlgError, get_lapack_funcs
     from scipy.linalg import eigh_tridiagonal as bisect
 
     try:
-        if estimates is not None:
-            (stein,) = get_lapack_funcs(("stein",), (d, e))
-            n = len(d)
-            blocks = np.ones(n, np.int32), np.full(n, n, np.int32)
-            mu = estimates
-            for _ in range(2):
-                # stein rejects shifts that are not ascending
-                chi, info = stein(d, e, np.sort(mu), *blocks)
-                if info != 0:
-                    break
-                mu, t_c = _quotients(d, e, chi)
-                t_c -= mu[:, None] * chi.T
-                residual = np.sqrt(np.einsum("jk,jk->j", t_c, t_c))
-                scale = np.einsum("kj,kj,k->j", chi, chi, np.abs(d))
-                if np.all(residual <= _WARM_TOL * scale) and all(
-                    _count_nodes(vec) == first + j for j, vec in enumerate(chi.T)
-                ):
-                    return mu, chi
+        if estimates is None:
+            tol = _BISECT_TOL * np.max(np.abs(d))
+            _, vectors = bisect(d, e, select="i", select_range=(first, last), tol=tol)
+            estimates, ok = zip(*(_certified(d, e, first + j, v) for j, v in enumerate(vectors.T)))
+            if all(ok):
+                return np.array(estimates), vectors
+        (gtsv,) = get_lapack_funcs(("gtsv",), (d, e))
+        pairs = _inverse_iteration(gtsv, d, e, first, estimates, vectors)
+        if pairs is not None:
+            return pairs
         _, chi = bisect(d, e, select="i", select_range=(first, last))
-        return _quotients(d, e, chi)[0], chi
+        return np.array([_certified(d, e, first + j, v)[0] for j, v in enumerate(chi.T)]), chi
     except LinAlgError as exc:
         raise AccuracyError(f"tridiagonal eigensolve failed: {exc}") from exc
 
@@ -318,19 +352,33 @@ def _assemble(problem: RadialProblem, grid: Grid, lo: float, hi: float, n: int):
     return d, e, x
 
 
-def _shifted(pencil, energy: float, first: int, last: int, estimates=None):
+def _shifted(pencil, energy: float, first: int, last: int, estimates=None, vectors=None):
     """Eigenpairs first..last of T(E) = T0 - (E/2) diag(x), and dmu/dE.
 
     ``pencil`` is ``(d0, e, x)`` assembled at E = 0.  Each eigenvalue
-    is the Rayleigh quotient of its orthonormal eigenvector chi, which is
+    is the Rayleigh quotient of its unit eigenvector chi, which is
     accurate to rounding on the nodes the state occupies; with
-    ``estimates`` of the eigenvalues the solve skips bisection (see
-    :func:`eigh_tridiagonal`).  The slope is the Hellmann-Feynman
-    derivative -1/2 sum_k chi_k^2 x_k.
+    ``estimates`` of the eigenvalues and start ``vectors`` the solve skips
+    bisection (see :func:`eigh_tridiagonal`).  The slope is the
+    Hellmann-Feynman derivative -1/2 sum_k chi_k^2 x_k.
     """
     d0, e, x = pencil
-    mu, chi = eigh_tridiagonal(d0 - 0.5 * energy * x, e, first, last, estimates)
+    mu, chi = eigh_tridiagonal(d0 - 0.5 * energy * x, e, first, last, estimates, vectors)
     return mu, chi, -0.5 * np.einsum("k,kj,kj->j", x, chi, chi)
+
+
+def _prolong(chi):
+    """Vectors on the 2m+1 nodes of the next rung from those on the m nodes of ``chi``.
+
+    The m nodes of a rung are the odd nodes of the next (in t, so on log
+    grids too): they keep their values, and each even node takes the mean
+    of its two neighbours, the Dirichlet ends counting as zero.
+    """
+    fine = np.zeros((2 * len(chi) + 1, chi.shape[1]), order="F")
+    fine[1::2] = chi
+    fine[:-1:2] += 0.5 * chi
+    fine[2::2] += 0.5 * chi
+    return fine
 
 
 def _tail_fraction(chi: np.ndarray) -> float:
@@ -357,10 +405,11 @@ def _contain(problems, grid: Grid, n: int, k: int, energy: float = 0.0):
     extended times 1.5 at fixed node spacing, m (kept odd) and the caller's
     n growing in step, at most ``_MAX_EXTENSIONS`` times (the sin^7 polar
     domain is never extended); each wider domain starts inverse iteration
-    from the previous domain's quotients.  n grows to at most 16 (m + 1) -
-    1, so the fifth rung above m (rungs of 2m+1 nodes after m) still has
-    2n+1 nodes or more: rounding m down would otherwise leave that rung a
-    few nodes short of a ladder's 2n+1 cap, and the ladder would climb a
+    from the previous domain's quotients and from its vectors interpolated
+    onto the new nodes, zero past the old end.  n grows to at most 16 (m +
+    1) - 1, so the fifth rung above m (rungs of 2m+1 nodes after m) still
+    has 2n+1 nodes or more: rounding m down would otherwise leave that rung
+    a few nodes short of a ladder's 2n+1 cap, and the ladder would climb a
     whole rung more.  Returns the ``(mu, chi, dmu/dE)`` of each problem on
     the final small grid, its node count m, the grown n, the upper end of
     the domain and the number of eigensolves made.
@@ -368,14 +417,19 @@ def _contain(problems, grid: Grid, n: int, k: int, energy: float = 0.0):
     lo, hi = problems[0].domain
     fixed = any(p.weight_kind == "sin7" for p in problems)
     m = max(n // _PILOT_RATIO, 16 * k, 64) | 1
-    estimates, solves = [None] * len(problems), 0
+    solved, solves = [], 0
     for attempt in range(_MAX_EXTENSIONS + 1):
+        pencils = [_assemble(p, grid, lo, hi, m) for p in problems]
+        # a wider domain starts from the previous one's quotients and vectors
+        starts = [
+            (mu, np.column_stack([np.interp(pencils[0][2], x, c, 0.0, 0.0) for c in chi.T]))
+            for mu, chi, _ in solved
+        ] or [(None, None)] * len(problems)
+        x = pencils[0][2]
         solved = [
-            _shifted(_assemble(p, grid, lo, hi, m), energy, 0, k - 1, mu)
-            for p, mu in zip(problems, estimates)
+            _shifted(pencil, energy, 0, k - 1, *start) for pencil, start in zip(pencils, starts)
         ]
         solves += len(problems)
-        estimates = [mu for mu, _, _ in solved]
         if fixed or max(_tail_fraction(chi) for _, chi, _ in solved) <= _TAIL_LIMIT:
             return solved, m, n, hi, solves
         if attempt == _MAX_EXTENSIONS:
@@ -405,10 +459,12 @@ def fd_eigensolve(problem: RadialProblem, grid: Grid, k: int) -> Spectrum:
     the requested states have decayed to e^-20 at the upper end, and n
     grows with it.  Its node count m is odd, so the sub-rung of (m-1)/2
     nodes below it has exactly twice its spacing; the sub-rung is solved
-    once, by inverse iteration from the bottom rung's quotients.  Each rung
-    after m nodes has 2m+1 on the same domain, so h halves, and is solved
-    by inverse iteration from the Richardson prediction v_m + (v_m -
-    v_prev) / 4 of the two rungs below it.  With v_1 .. v_4 the quotients
+    once, by inverse iteration from the bottom rung's quotients and its
+    vectors at the odd nodes.  Each rung after m nodes has 2m+1 on the same
+    domain, so h halves, and is solved by inverse iteration from the
+    Richardson prediction v_m + (v_m - v_prev) / 4 of the two rungs below
+    it and from the vectors of the rung below, prolonged (see
+    :func:`_prolong`).  With v_1 .. v_4 the quotients
     of the top four rungs, bottom up, the first test, two rungs above the
     bottom one, reports R2 = (4 v_4 - v_3) / 3 with the error bar |R2 -
     R2'| / 15, R2' being the same formula one rung down; from the fifth
@@ -427,9 +483,10 @@ def fd_eigensolve(problem: RadialProblem, grid: Grid, k: int) -> Spectrum:
         raise ValueError("need at least one eigenvalue")
     if k > grid.n // 4:
         raise ValueError(f"k = {k} exceeds n/4 = {grid.n // 4}")
-    ((mu, _, _),), m, n, hi, _ = _contain([problem], grid, grid.n, k)
+    ((mu, chi, _),), m, n, hi, _ = _contain([problem], grid, grid.n, k)
     lo = problem.domain[0]
-    sub, _, _ = _shifted(_assemble(problem, grid, lo, hi, m // 2), 0.0, 0, k - 1, mu)
+    # the sub-rung's nodes are the bottom rung's odd nodes
+    sub, _, _ = _shifted(_assemble(problem, grid, lo, hi, m // 2), 0.0, 0, k - 1, mu, chi[1::2])
     # quotients and eps sum_k |d_k| chi_k^2 of each rung, bottom up; no bar
     # reads the rounding of the sub-rung or the bottom rung
     rungs = [(sub, None), (mu, None)]
@@ -437,7 +494,7 @@ def fd_eigensolve(problem: RadialProblem, grid: Grid, k: int) -> Spectrum:
         estimates = mu + (mu - rungs[-2][0]) / 4.0
         m = 2 * m + 1
         pencil = _assemble(problem, grid, lo, hi, m)
-        mu, chi, _ = _shifted(pencil, 0.0, 0, k - 1, estimates)
+        mu, chi, _ = _shifted(pencil, 0.0, 0, k - 1, estimates, _prolong(chi))
         rungs.append((mu, _EPS * np.einsum("k,kj,kj->j", np.abs(pencil[0]), chi, chi)))
         if len(rungs) == 4:  # the first test: R2
             (v1, _), (v2, r2), (v3, r3) = rungs[-3:]
@@ -595,22 +652,23 @@ def _match_root(pencils, i: int, j: int, energy: float, lo: float, hi: float, kn
     further solve; so is a step below the rounding floor of the root, eps
     (sum_k |d_k| chi_k^2 of T_u and of T_v) / |F'| (the rounding of the two
     Rayleigh quotients over the slope), below which Newton would cycle.
-    ``known`` is ``(E0, ((mu_u, slope_u), (mu_v, slope_v)))``, the two
-    branches' eigenvalue estimates and slopes at an energy E0; each
-    evaluation passes the linear extrapolation from the previous one as its
-    eigenvalue estimates, so an evaluation bisects only if its inverse
-    iteration fails the checks of :func:`eigh_tridiagonal`.  Returns the
-    root, P = mu_v[j] there (carried along the slope), the rounding floor at
-    the last evaluation, the number of evaluations and the last evaluation
-    in the form of ``known``.
+    ``known`` is ``(E0, ((mu_u, slope_u, chi_u), (mu_v, slope_v,
+    chi_v)))``, the two branches' eigenvalue estimates, slopes and
+    eigenvectors (one column each, on these pencils' nodes) at an energy
+    E0; each evaluation starts inverse iteration from the previous one's
+    vectors and from the linear extrapolation of its eigenvalues, so an
+    evaluation bisects only if that fails the checks of
+    :func:`eigh_tridiagonal`.  Returns the root, P = mu_v[j] there (carried
+    along the slope), the rounding floor at the last evaluation, the number
+    of evaluations and the last evaluation in the form of ``known``.
     """
     at, known = known
     for evals in range(1, _MAX_NEWTON + 1):
         (mu_u, chi_u, s_u), (mu_v, chi_v, s_v) = (
-            _shifted(p, energy, b, b, mu + s * (energy - at))
-            for p, b, (mu, s) in zip(pencils, (i, j), known)
+            _shifted(p, energy, b, b, mu + s * (energy - at), chi)
+            for p, b, (mu, s, chi) in zip(pencils, (i, j), known)
         )
-        at, known = energy, ((mu_u, s_u), (mu_v, s_v))
+        at, known = energy, ((mu_u, s_u, chi_u), (mu_v, s_v, chi_v))
         f = mu_u[0] + mu_v[0]
         slope = s_u[0] + s_v[0]
         if f > 0.0:
@@ -675,8 +733,9 @@ def parabolic_joint_solve(
     three states have decayed to e^-20 at the least-bound end of the
     bracket.  The pilot is the bottom rung, and it does the whole search:
     its E_hi eigenpairs and slopes come from :func:`_contain`, and its E_lo
-    solve starts from those, scaled as the Sturmian charge below for sho
-    factors and extrapolated along their slopes otherwise.
+    solve starts from those vectors and from those eigenvalues, scaled as
+    the Sturmian charge below for sho factors and extrapolated along their
+    slopes otherwise.
 
     Each pair whose endpoint mismatch changes sign on the pilot is solved
     there by bracket-safeguarded Newton (:func:`_match_root`).  The charge
@@ -686,14 +745,14 @@ def parabolic_joint_solve(
     to discretization error when that charge grows as sqrt(-E) (sho
     factors) and only a first guess otherwise; it starts at the secant
     point of the bracket when Z <= 0, F(E_hi) + Z <= 0 or E* lies outside
-    the bracket, and its first evaluation starts from the E_hi eigenvalues
-    carried to the start as for E_lo.  The pair then climbs rungs of 2m+1
-    nodes after m, so h halves, with one unbounded Newton root per rung:
-    started from the pilot root on the first climb and from the Richardson
-    prediction r + (r - r') / 4 of the two rungs below on every later one,
-    with the eigenvalue estimates of the rung below carried along their
-    slopes, and most often stopped after one evaluation (see
-    :func:`_match_root`).
+    the bracket, and its first evaluation starts from the E_hi eigenpairs,
+    the eigenvalues carried to the start as for E_lo.  The pair then
+    climbs rungs of 2m+1 nodes after m, so h halves, with one unbounded
+    Newton root per rung: started from the pilot root on the first climb
+    and from the Richardson prediction r + (r - r') / 4 of the two rungs
+    below on every later one, with the eigenvalue estimates of the rung
+    below carried along their slopes and its vectors prolonged, and most
+    often stopped after one evaluation (see :func:`_match_root`).
 
     A root's error on a rung of spacing h runs in the even powers h^2, h^4,
     h^6 of a regular problem and, from the w = 0 pole of each equation, in
@@ -722,7 +781,7 @@ def parabolic_joint_solve(
         for kind in ("para_u", "para_v")
     ]
     at_hi, m, n, hi, solves = _contain(problems, grid, max(grid.n, int(hi / 0.1)), _BRANCHES, e_hi)
-    (mu_u_hi, _, s_u_hi), (mu_v_hi, _, s_v_hi) = at_hi
+    (mu_u_hi, chi_u_hi, s_u_hi), (mu_v_hi, chi_v_hi, s_v_hi) = at_hi
 
     @functools.cache
     def pencils(nodes):
@@ -743,8 +802,8 @@ def parabolic_joint_solve(
         return [mu + s * (energy - e_hi) for mu, _, s in at_hi]
 
     (mu_u_lo, _, _), (mu_v_lo, _, _) = (
-        _shifted(pencil, e_lo, 0, _BRANCHES - 1, mu)
-        for pencil, mu in zip(pencils(m), carried(e_lo))
+        _shifted(pencil, e_lo, 0, _BRANCHES - 1, mu, chi)
+        for pencil, mu, (_, chi, _) in zip(pencils(m), carried(e_lo), at_hi)
     )
     solves += 2  # E_lo on the pilot
     mismatch = {
@@ -772,7 +831,8 @@ def parabolic_joint_solve(
             start = e_lo + (e_hi - e_lo) * f_lo / (f_lo - f_hi) if f_lo else e_lo
         u, v = slice(i, i + 1), slice(j, j + 1)
         mu_u, mu_v = carried(start)
-        known = (start, ((mu_u[u], s_u_hi[u]), (mu_v[v], s_v_hi[v])))
+        branches = (mu_u[u], s_u_hi[u], chi_u_hi[:, u]), (mu_v[v], s_v_hi[v], chi_v_hi[:, v])
+        known = (start, branches)
         nodes = m
         *root, evals, known = _match_root(pencils(nodes), i, j, start, e_lo, e_hi, known)
         roots = [root]  # (E, P, rounding floor) on each rung, bottom up
@@ -780,6 +840,8 @@ def parabolic_joint_solve(
             below = roots[-1][0]
             start = below if len(roots) == 1 else below + (below - roots[-2][0]) / 4.0
             nodes = 2 * nodes + 1
+            at, branches = known
+            known = (at, tuple((mu, s, _prolong(chi)) for mu, s, chi in branches))
             *root, more, known = _match_root(
                 pencils(nodes), i, j, start, -math.inf, math.inf, known
             )

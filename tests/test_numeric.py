@@ -24,6 +24,7 @@ from hurwitz_kepler.numeric import (
     RadialProblem,
     _assemble,
     _count_nodes,
+    _prolong,
     build_radial_problem,
     eigh_tridiagonal,
     fd_eigensolve,
@@ -522,16 +523,17 @@ _FD_CASES = {
     "qes-super2": (_qes_problem("super2", 2, 0.05), Grid(n=3000), 4),
     "qes-sub2": (_qes_problem("sub2", 2, 1.0), Grid(n=3000), 4),
 }
-# stein passes per warm solve, the sub-rung's first: every case meets the
-# target below the cap, the uniform-grid Coulomb states on the sixth rung
-# (counting the sub-rung) and the others on the fifth
-_FD_PASSES = {
-    "osc8": [2, 1, 1, 1],
-    "coul9-uniform": [2, 2, 1, 1, 1],
-    "coul9-log": [2, 1, 1, 1],
-    "theta": [2, 1, 1, 1],
-    "qes-super2": [2, 1, 1, 1],
-    "qes-sub2": [2, 1, 1, 1],
+# gtsv solves per kernel call, the bottom rung's bisection first and the
+# sub-rung's next: every case meets the target below the cap, the
+# uniform-grid Coulomb states on the sixth rung (counting the sub-rung) and
+# the others on the fifth
+_FD_SOLVES = {
+    "osc8": [0, 7, 6, 6, 3],
+    "coul9-uniform": [0, 6, 4, 4, 4, 2],
+    "coul9-log": [2, 4, 4, 2, 2],
+    "theta": [0, 6, 3, 3, 3],
+    "qes-super2": [0, 8, 8, 6, 4],
+    "qes-sub2": [0, 8, 8, 8, 4],
 }
 
 
@@ -547,12 +549,12 @@ def solves(monkeypatch, rows):
     counts = {"calls": 0, "cold": 0, "bisections": 0}
     kernel, bisect = numeric.eigh_tridiagonal, scipy.linalg.eigh_tridiagonal
 
-    def counted_kernel(d, e, first, last, estimates=None):
+    def counted_kernel(d, e, first, last, estimates=None, vectors=None):
         counts["calls"] += 1
         counts["cold"] += estimates is None
         if estimates is not None:
             rows["warm"].append(len(d))
-        return kernel(d, e, first, last, estimates)
+        return kernel(d, e, first, last, estimates, vectors)
 
     def counted_bisect(d, *args, **kwargs):
         counts["bisections"] += 1
@@ -566,23 +568,27 @@ def solves(monkeypatch, rows):
 
 @pytest.fixture
 def passes(monkeypatch, solves):
-    """The stein passes run by each kernel call made with estimates, in call order."""
+    """The gtsv solves of each kernel call, in call order.
+
+    A warm call solves each of its columns once per pass, so a call whose
+    columns all certify on their first pass makes one solve per column; a
+    cold call makes none unless its loose bisection fails the certificates.
+    """
     record = []
     lookup, kernel = scipy.linalg.get_lapack_funcs, numeric.eigh_tridiagonal
 
     def counted_lookup(names, arrays=()):
-        (stein,) = lookup(names, arrays)
+        (gtsv,) = lookup(names, arrays)
 
-        def counted_stein(*args):
+        def counted_gtsv(*args):
             record[-1] += 1
-            return stein(*args)
+            return gtsv(*args)
 
-        return (counted_stein,)
+        return (counted_gtsv,)
 
-    def recorded_kernel(d, e, first, last, estimates=None):
-        if estimates is not None:
-            record.append(0)
-        return kernel(d, e, first, last, estimates)
+    def recorded_kernel(d, e, first, last, estimates=None, vectors=None):
+        record.append(0)
+        return kernel(d, e, first, last, estimates, vectors)
 
     monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", counted_lookup)
     monkeypatch.setattr(numeric, "eigh_tridiagonal", recorded_kernel)
@@ -613,15 +619,17 @@ def _cold(case, first, last):
 
 class TestWarmStart:
     @pytest.mark.parametrize("case", list(_KERNEL_CASES))
-    def test_warm_matches_cold(self, solves, case):
-        # the coarse grid's quotients start inverse iteration on the fine
-        # grid, as in fd_eigensolve, and no bisection follows
+    def test_warm_matches_cold(self, solves, passes, case):
+        # the coarse grid's quotients, and its vectors prolonged onto the
+        # fine grid's 2n + 1 nodes, start inverse iteration as in
+        # fd_eigensolve, and no bisection follows
         problem, grid, k, energy = _KERNEL_CASES[case]
         fine = _fine(case)
-        estimates, _ = numeric.eigh_tridiagonal(*_matrix(problem, grid, grid.n, energy), 0, k - 1)
+        mu, chi = numeric.eigh_tridiagonal(*_matrix(problem, grid, grid.n, energy), 0, k - 1)
         cold = numeric.eigh_tridiagonal(*fine, 0, k - 1)
-        warm = numeric.eigh_tridiagonal(*fine, 0, k - 1, estimates)
+        warm = numeric.eigh_tridiagonal(*fine, 0, k - 1, mu, _prolong(chi))
         assert solves == {"calls": 3, "cold": 2, "bisections": 2}
+        assert passes[-1] == k  # every column certifies on its first solve
         _assert_same_eigenpairs(warm, cold, fine[0])
 
     @settings(max_examples=30, deadline=None)
@@ -629,33 +637,51 @@ class TestWarmStart:
         case=st_.sampled_from(["osc8", "coul9-log", "para_v"]),
         first=st_.integers(0, 2),
         shifts=st_.lists(st_.floats(-0.5, 0.5), min_size=1, max_size=3),
+        noise=st_.floats(0.0, 1.0),
+        seed=st_.integers(0, 2**32 - 1),
     )
-    # midway between two log-grid eigenvalues, two passes of inverse
-    # iteration leave 9e-6 of the neighbour in the vector and its quotient
-    # 2.8e-11 off: the residual is 1e-15 of |T| but 1.5e-11 of the
-    # diagonal's scale where the state lives, so the call bisects
-    @example(case="coul9-log", first=1, shifts=[0.5])
-    def test_estimates_within_half_a_gap(self, case, first, shifts):
-        # whether it keeps inverse iteration or falls back to bisection, the
-        # kernel returns the requested eigenpairs
+    # midway between two log-grid eigenvalues and with noise of half the
+    # vector's norm, the column certifies on its third and last solve
+    @example(case="coul9-log", first=1, shifts=[0.5], noise=0.5, seed=0)
+    def test_estimates_within_half_a_gap(self, case, first, shifts, noise, seed):
+        # from estimates up to half a gap off and the eigenvectors with noise
+        # of norm up to about ``noise`` added, the kernel returns the
+        # requested eigenpairs, whether they certify or it bisects
         last = first + len(shifts) - 1
-        mu, _ = _cold(case, 0, last + 1)
+        mu, chi = _cold(case, 0, last + 1)
         gaps = np.diff(mu)[first : last + 1]
         estimates = mu[first : last + 1] + np.array(shifts) * gaps
-        warm = eigh_tridiagonal(*_fine(case), first, last, estimates)
+        start = chi[:, first : last + 1]
+        rng = np.random.default_rng(seed)
+        start = start + noise * rng.standard_normal(start.shape) / math.sqrt(len(start))
+        warm = eigh_tridiagonal(*_fine(case), first, last, estimates, start)
         _assert_same_eigenpairs(warm, _cold(case, first, last), _fine(case)[0])
 
     @pytest.mark.parametrize("index, neighbour", [(0, 1), (1, 0), (1, 2)])
-    def test_neighbour_estimate_falls_back(self, solves, index, neighbour):
-        # inverse iteration from another state's eigenvalue finds that state;
-        # its sign changes give it away and the call bisects instead
-        mu, _ = _cold("osc8", 0, 2)
+    def test_neighbour_estimate_falls_back(self, solves, passes, index, neighbour):
+        # inverse iteration from another state's eigenvalue and vector stays
+        # on that state; its sign changes give it away on each of the three
+        # passes, and the call bisects instead
+        mu, chi = _cold("osc8", 0, 2)
         solves.update(dict.fromkeys(solves, 0))  # count the call under test only
-        estimate = mu[neighbour : neighbour + 1]
-        mu_w, chi_w = numeric.eigh_tridiagonal(*_fine("osc8"), index, index, estimate)
+        other = slice(neighbour, neighbour + 1)
+        fine = _fine("osc8")
+        mu_w, chi_w = numeric.eigh_tridiagonal(*fine, index, index, mu[other], chi[:, other])
         assert solves == {"calls": 1, "cold": 0, "bisections": 1}
+        assert passes == [3]
         assert _count_nodes(chi_w[:, 0]) == index
         assert mu_w[0] == pytest.approx(mu[index], rel=1e-12)
+
+    def test_zero_pivot_falls_back(self, solves, passes):
+        # T - 0 = [[1, -1], [-1, 1]] is singular and its elimination meets an
+        # exact zero pivot (gtsv's info = 2); the call bisects instead of
+        # raising and returns the null vector
+        d, e = np.array([1.0, 1.0]), np.array([-1.0])
+        mu, chi = numeric.eigh_tridiagonal(d, e, 0, 0, [0.0], np.array([[1.0], [0.0]]))
+        assert solves == {"calls": 1, "cold": 0, "bisections": 1}
+        assert passes == [1]
+        assert mu[0] == pytest.approx(0.0, abs=1e-15)
+        np.testing.assert_allclose(np.abs(chi[:, 0]), [math.sqrt(0.5)] * 2, rtol=1e-15)
 
     @pytest.mark.parametrize(
         "n, bisected, warm",
@@ -676,35 +702,39 @@ class TestWarmStart:
 
     @pytest.mark.parametrize("case", list(_FD_CASES))
     def test_fd_eigensolve_keeps_the_first_certified_pass(self, solves, rows, passes, case):
-        # the sub-rung starts from the bottom rung's quotients, which are off
-        # by a quarter of its own discretization error, and takes a second
-        # stein pass; every rung above the bottom starts from the Richardson
-        # prediction of the two below it and certifies on its first pass,
-        # except the first climb of the uniform Coulomb grid, whose sub-rung
-        # (125 nodes, h = 2) is too coarse for that prediction.  Only the
-        # bottom rung bisects
+        # the sub-rung starts from the bottom rung's quotients, off by a
+        # quarter of its own discretization error, and from its odd nodes,
+        # and its columns take two or three solves; every rung above the bottom
+        # starts from the Richardson prediction of the two below it and from
+        # the rung below prolonged, and from the third rung above the bottom
+        # on nearly every column certifies on its first solve.  Only the
+        # bottom rung bisects; on the log grid its loose bisection misses
+        # the certificates and each vector takes one more solve
         problem, grid, k = _FD_CASES[case]
         fd_eigensolve(problem, grid, k)
         rungs = [max(grid.n // 16, 16 * k, 64) | 1]
-        for _ in passes[1:]:
+        for _ in passes[2:]:
             rungs.append(2 * rungs[-1] + 1)
         assert rows == {"bisected": rungs[:1], "warm": [rungs[0] // 2] + rungs[1:]}
-        assert passes == _FD_PASSES[case]
+        assert passes == _FD_SOLVES[case]
+        assert all(solved <= 2 * k for solved in passes[2:])
 
     @pytest.mark.parametrize(
-        "bracket, calls, second_passes", [((-0.045, -0.024), 28, 8), ((-0.024, -0.017), 50, 12)]
+        "bracket, calls, e_hi, e_lo, solved",
+        [((-0.045, -0.024), 28, 3, 9, 60), ((-0.024, -0.017), 50, 6, 8, 100)],
+        ids=["level0", "level1"],
     )
     def test_joint_search_bisects_at_e_hi_only(
-        self, solves, rows, passes, bracket, calls, second_passes
+        self, solves, rows, passes, bracket, calls, e_hi, e_lo, solved
     ):
         # one bisection per equation, on the pilot of the first domain (143
         # or 169 rows), which widens once to hold the two-node state, and no
         # warm solve of the Coulomb levels falls back.  The search runs on the
         # widened pilot and every later solve is on a rung of 2m + 1 nodes
-        # after m.  The E_lo solve, the first Newton evaluation of each pair
-        # and the first evaluations of the lowest climbs take a second stein
-        # pass; from the fourth rung above the pilot on, every solve keeps
-        # its first
+        # after m.  The widened pilot starts from the first domain's vectors,
+        # interpolated, and takes one or two solves per branch; the E_lo
+        # solve, started from the E_hi vectors, takes up to three, and each
+        # Newton evaluation at most two
         parabolic_joint_solve(_sho_model(), MiczParams(Z=1.0), Grid(n=1500), bracket)
         assert solves == {"calls": calls, "cold": 2, "bisections": 2}
         pilot = {-0.024: 143, -0.017: 169}[bracket[1]]
@@ -712,9 +742,9 @@ class TestWarmStart:
         assert rows["bisected"] == [pilot, pilot]
         assert rows["warm"][:2] == [widened] * 2
         assert {n for n in rows["warm"]} == {(widened + 1) * 2**k - 1 for k in range(6)}
-        assert len(passes) == len(rows["warm"]) == calls - 2
-        assert all(p == 1 for p, n in zip(passes, rows["warm"]) if n > 8 * widened)
-        assert passes[:4] == [1, 1, 2, 2] and sum(passes) == len(passes) + second_passes
+        assert len(passes) == len(rows["warm"]) + 2 == calls
+        assert passes[:6] == [0, 0, e_hi, e_hi, e_lo, e_lo] and sum(passes) == solved
+        assert all(p <= 2 for p in passes[6:])
 
     def test_joint_search_lower_end_estimates_hold(self, solves, rows):
         # with sho factors the charge each equation binds grows as sqrt(-E),

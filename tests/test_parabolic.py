@@ -120,9 +120,9 @@ def test_domain_settles_on_the_pilot(monkeypatch):
     calls = []
     shifted = numeric._shifted
 
-    def record(pencil, energy, first, last, estimates=None):
+    def record(pencil, energy, first, last, estimates=None, vectors=None):
         calls.append((len(pencil[0]), energy, estimates is None))
-        return shifted(pencil, energy, first, last, estimates)
+        return shifted(pencil, energy, first, last, estimates, vectors)
 
     monkeypatch.setattr(numeric, "_shifted", record)
     p = Potential8D("sub2", omega=1.0, a=-0.2)
