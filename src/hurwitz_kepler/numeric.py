@@ -417,15 +417,9 @@ def _contain(problems, grid: Grid, n: int, k: int, energy: float = 0.0):
     lo, hi = problems[0].domain
     fixed = any(p.weight_kind == "sin7" for p in problems)
     m = max(n // _PILOT_RATIO, 16 * k, 64) | 1
-    solved, solves = [], 0
+    starts, solves = [(None, None)] * len(problems), 0
     for attempt in range(_MAX_EXTENSIONS + 1):
         pencils = [_assemble(p, grid, lo, hi, m) for p in problems]
-        # a wider domain starts from the previous one's quotients and vectors
-        starts = [
-            (mu, np.column_stack([np.interp(pencils[0][2], x, c, 0.0, 0.0) for c in chi.T]))
-            for mu, chi, _ in solved
-        ] or [(None, None)] * len(problems)
-        x = pencils[0][2]
         solved = [
             _shifted(pencil, energy, 0, k - 1, *start) for pencil, start in zip(pencils, starts)
         ]
@@ -437,6 +431,13 @@ def _contain(problems, grid: Grid, n: int, k: int, energy: float = 0.0):
         hi = lo + (hi - lo) * 1.5
         m = int(m * 1.5) | 1
         n = min(int(n * 1.5), _PILOT_RATIO * (m + 1) - 1)
+        # the wider domain starts from these quotients and from these vectors
+        # interpolated onto its nodes, zero past the old end
+        x, wide = pencils[0][2], _mapped_nodes(grid, lo, hi, m)[0]
+        starts = [
+            (mu, np.column_stack([np.interp(wide, x, c, 0.0, 0.0) for c in chi.T]))
+            for mu, chi, _ in solved
+        ]
 
 
 def _ladder_error(state, nodes: int, bar: float) -> AccuracyError:
