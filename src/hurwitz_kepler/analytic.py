@@ -148,14 +148,13 @@ def dual_map_inverse(E: float, Z: float) -> DualPair:
 
 @dataclass(frozen=True)
 class QesPrimedParams:
-    """Primed-table parameters (a', b', c', l') with block size N and Dim."""
+    """Primed-table parameters (a', b', c') with block size N and Dim."""
 
     a_p: float
     b_p: float
     c_p: float = 0.0
     N: int = 1
     dim: int = 8
-    l_p: float = 0.0
 
     def __post_init__(self):
         if self.N < 1 or self.N != int(self.N):
@@ -270,7 +269,7 @@ class QesSolution:
     of p_{N-1} in r for sub2, in r^2 for super2).  For the sub2 family all
     states share the energy -d while ``charges[i]`` holds the admissible
     1/rho coefficient of state i; for super2 ``charges`` is None and the
-    mapped potential is shared.  ``gauge`` stores (a', b', l' - c') and
+    mapped potential is shared.  ``gauge`` stores (a', b') and
     ``power`` the reduced-function exponent actually used.
     """
 
@@ -377,7 +376,7 @@ def _qes_solve_sub2(p: QesPrimedParams) -> QesSolution:
         family="sub2",
         energies=tuple([energy] * N),
         polynomials=tuple(tuple(c) for c in polys),
-        gauge=(p.a_p, p.b_p, p.l_p - p.c_p),
+        gauge=(p.a_p, p.b_p),
         power=m,
         charges=tuple(charges),
         closure_residual=worst,
@@ -427,7 +426,7 @@ def _qes_solve_super2(p: QesPrimedParams) -> QesSolution:
         family="super2",
         energies=tuple(energies),
         polynomials=tuple(tuple(c) for c in polys),
-        gauge=(p.a_p, p.b_p, p.l_p - p.c_p),
+        gauge=(p.a_p, p.b_p),
         power=m,
         charges=None,
         closure_residual=stray / max(scale, 1e-300),
@@ -437,7 +436,7 @@ def _qes_solve_super2(p: QesPrimedParams) -> QesSolution:
 def qes_wavefunction(sol: QesSolution, i: int, r):
     """Reduced radial function f_i(r) = p_i(.) r^power exp(-phi(r))."""
     r = np.asarray(r, dtype=float)
-    a_p, b_p, _ = sol.gauge
+    a_p, b_p = sol.gauge
     coeffs = sol.polynomials[i]
     if sol.family == "super2":
         arg = r**2

@@ -261,6 +261,12 @@ def _spectrum_micz(cfg: dict) -> tuple:
             raise ConfigError("model charge Z1+Z2 disagrees with the micz block Z")
     n_states = int_key(cfg, "n_states", 2, minimum=1)
     grid, rmax = _grid_from(cfg, 4000)
+    polar = Grid(n=3000)  # the polar equation's grid, not the config's
+    if n_states > polar.n // 4:
+        raise ConfigError(
+            f"config key 'n_states' asks for {n_states} states per solve, "
+            f"but the polar solve's fixed grid of n = {polar.n} takes at most {polar.n // 4}"
+        )
     _check_states("n_states", n_states, grid)
     smax = n_states + 5.0
     rmax = float(rmax or 55.0 * smax / micz.Z)
@@ -268,7 +274,7 @@ def _spectrum_micz(cfg: dict) -> tuple:
         micz,
         n_theta=n_states,
         n_radial=n_states,
-        grid_theta=Grid(n=3000),
+        grid_theta=polar,
         grid_radial=grid,
         rmax=rmax,
     )
@@ -324,7 +330,7 @@ def cmd_spectrum(args) -> int:
 def cmd_qes(args) -> int:
     cfg = _load_config(
         args.config,
-        {"family", "a_prime", "b_prime", "c_prime", "l_prime", "N", "dim", "grid"},
+        {"family", "a_prime", "b_prime", "c_prime", "N", "dim", "grid"},
         {"family", "a_prime", "b_prime", "N"},
     )
     family = str(cfg["family"]).lower()
@@ -334,7 +340,6 @@ def cmd_qes(args) -> int:
         c_p=float_key(cfg, "c_prime", 0.0),
         N=int_key(cfg, "N", minimum=1),
         dim=int_key(cfg, "dim", 8, minimum=1),
-        l_p=float_key(cfg, "l_prime", 0.0),
     )
     if family == "sub2":
         pot, d_const = qes_map_sub2(params)
@@ -381,7 +386,6 @@ def cmd_qes(args) -> int:
             "a_prime": params.a_p,
             "b_prime": params.b_p,
             "c_prime": params.c_p,
-            "l_prime": params.l_p,
             "N": params.N,
             "dim": params.dim,
         },

@@ -23,14 +23,14 @@ Accuracy strategy: the scheme is second order, and on these regular
 problems its eigenvalue error runs in even powers of h (Paine, de Hoog &
 Anderssen 1981).  A fixed-grid solve climbs a ladder of grids on one
 domain, each rung of 2m+1 nodes after one of m, so h halves exactly
-(nested iteration, Brandt 1977); a sub-rung of twice the bottom rung's
-spacing starts it.  Two rungs above the bottom one it tests R2 = (4 v_top
-- v_below)/3 with the error bar |R2 - R2'|/15, R2' being the same value
-one rung down; from the next rung on it reports R3 = (16 R2 - R2')/15,
-good to h^6, with the bar |R3 - R3'|/63.  Each bar adds the rounding of
+(nested iteration, Brandt 1977).  From the third rung above the bottom
+one it reports R3, the Richardson value of the top three rungs that
+removes h^2 and h^4 and is good to h^6, with the error bar |R3 - R3'|/63,
+R3' being the same value one rung down.  Each bar adds the rounding of
 the quotients; the climb stops at a target accuracy, at rounding level,
 or at 2n+1 nodes, so the grid's n caps the resolution instead of fixing
-it.  The joint search climbs the same kind of ladder, one root per rung.
+it.  The joint search climbs the same kind of ladder, one root per rung,
+and both ladders extrapolate with :func:`_richardson`.
 On every grid each eigenvalue is the Rayleigh quotient of its
 eigenvector, accurate to rounding where the state lives;
 a bisection value is only good to eps |T| over the whole domain, which
@@ -69,9 +69,9 @@ start-up.  Only that small grid of each problem bisects, and only on
 the first domain, to a loose tolerance.  Every other solve already has
 an eigenvector and an eigenvalue estimate in hand for each state: a
 widened domain the previous domain's vectors, interpolated, and
-quotients; the sub-rung the bottom rung's values at its odd nodes and
-its quotients; every rung above the bottom one the rung below prolonged
-(its nodes are the odd nodes of the next rung) and the Richardson
+quotients; every rung above the bottom one the rung below prolonged
+(its nodes are the odd nodes of the next rung) and, on the first climb,
+the bottom rung's quotients, on every later one the Richardson
 prediction from the two rungs below it; the joint search's lower
 bracket end and the first Newton evaluation of each pair the E_hi
 vectors and their Sturmian scaling (sho factors) or their linear
@@ -291,12 +291,11 @@ class Spectrum:
     """Lowest eigenpairs of a radial problem, ascending.
 
     ``eigenvalues`` are Richardson-extrapolated from the Rayleigh quotients
-    of the ladder's top rungs (see :func:`fd_eigensolve`): R3 from the top
-    three, or R2 from the top two when the ladder stopped at its first
-    test, scaled by the problem's ``eigenvalue_scale``; ``convergence``
-    holds the estimated remaining error per state (|R3 - R3'| / 63 or |R2
-    - R2'| / 15, the primed value from one rung down, plus the rounding of
-    the quotients) in the same units.
+    of the ladder's top three rungs (R3, see :func:`fd_eigensolve`), scaled
+    by the problem's ``eigenvalue_scale``; ``convergence`` holds the
+    estimated remaining error per state (|R3 - R3'| / 63, R3' the same
+    value one rung down, plus the rounding of the quotients) in the same
+    units.
     ``node_counts`` are the sign changes of the top rung's eigenvectors,
     and ``grid`` holds that rung's nodes, which give the domain after
     widening.
@@ -396,23 +395,21 @@ def _contain(problems, grid: Grid, n: int, k: int, energy: float = 0.0):
     """Settle a domain that holds the lowest ``k`` states at ``energy`` on one bisected small grid.
 
     The small grid has m = max(n / ``_PILOT_RATIO``, 16 k, 64) nodes of the
-    problems' domain, rounded up to an odd count, so that (m-1)/2 nodes
-    have exactly twice its spacing (the sub-rung of :func:`fd_eigensolve`).
-    Each problem is assembled on it at E = 0 and its lowest ``k``
-    eigenpairs of T0 - (energy/2) diag(x) are solved through
-    :func:`_shifted`, by bisection on the first domain.  While some state
-    keeps more than e^-20 of its peak at the last node, the domain is
-    extended times 1.5 at fixed node spacing, m (kept odd) and the caller's
-    n growing in step, at most ``_MAX_EXTENSIONS`` times (the sin^7 polar
-    domain is never extended); each wider domain starts inverse iteration
-    from the previous domain's quotients and from its vectors interpolated
-    onto the new nodes, zero past the old end.  n grows to at most 16 (m +
-    1) - 1, so the fifth rung above m (rungs of 2m+1 nodes after m) still
-    has 2n+1 nodes or more: rounding m down would otherwise leave that rung
-    a few nodes short of a ladder's 2n+1 cap, and the ladder would climb a
-    whole rung more.  Returns the ``(mu, chi, dmu/dE)`` of each problem on
-    the final small grid, its node count m, the grown n, the upper end of
-    the domain and the number of eigensolves made.
+    problems' domain, rounded up to an odd count.  Each problem is assembled
+    on it at E = 0 and its lowest ``k`` eigenpairs of T0 - (energy/2)
+    diag(x) are solved through :func:`_shifted`, by bisection on the first
+    domain.  While some state keeps more than e^-20 of its peak at the last
+    node, the domain is extended times 1.5 at fixed node spacing, m (kept
+    odd) and the caller's n growing in step, at most ``_MAX_EXTENSIONS``
+    times (the sin^7 polar domain is never extended); each wider domain
+    starts inverse iteration from the previous domain's quotients and from
+    its vectors interpolated onto the new nodes, zero past the old end.  n
+    grows to at most 16 (m + 1) - 1, so the fifth rung above m (rungs of
+    2m+1 nodes after m) still has 2n+1 nodes or more: rounding m down would
+    otherwise leave that rung a few nodes short of a ladder's 2n+1 cap, and
+    the ladder would climb a whole rung more.  Returns the ``(mu, chi,
+    dmu/dE)`` of each problem on the final small grid, its node count m, the
+    grown n, the upper end of the domain and the number of eigensolves made.
     """
     lo, hi = problems[0].domain
     fixed = any(p.weight_kind == "sin7" for p in problems)
@@ -452,33 +449,50 @@ def _ladder_error(state, nodes: int, bar: float) -> AccuracyError:
     )
 
 
+def _richardson(exponents, values, floors, divisor: float):
+    """Richardson value of a ladder's top rungs, and its grid and rounding parts.
+
+    ``values`` holds one row per rung, bottom up: the top len(exponents) + 1
+    rungs and the rung below them; ``floors`` holds the rounding floors of
+    the top rungs.  Each exponent p in turn combines neighbouring values v
+    into (2^p v_k - v_{k-1}) / (2^p - 1), which removes an error term in h^p
+    when h halves from rung to rung; applied to unit vectors this gives the
+    weights w of the top rungs' values in R.  Returns R, the grid part |R -
+    R'| / ``divisor``, R' being the same value one rung down, and the
+    rounding part |w| @ floors.
+    """
+    weights = np.eye(len(exponents) + 1)
+    for p in exponents:
+        weights = (2.0**p * weights[1:] - weights[:-1]) / (2.0**p - 1.0)
+    value = weights[0] @ values[1:]
+    grid_part = np.abs(value - weights[0] @ values[:-1]) / divisor
+    return value, grid_part, np.abs(weights[0]) @ floors
+
+
 def fd_eigensolve(problem: RadialProblem, grid: Grid, k: int) -> Spectrum:
     """Lowest ``k`` eigenpairs of ``problem``, on a ladder of grids capped by ``grid``.
 
     The bottom rung is the small grid of :func:`_contain` for n =
     ``grid.n``, the only grid that bisects: it settles the domain, where
     the requested states have decayed to e^-20 at the upper end, and n
-    grows with it.  Its node count m is odd, so the sub-rung of (m-1)/2
-    nodes below it has exactly twice its spacing; the sub-rung is solved
-    once, by inverse iteration from the bottom rung's quotients and its
-    vectors at the odd nodes.  Each rung after m nodes has 2m+1 on the same
-    domain, so h halves, and is solved by inverse iteration from the
+    grows with it.  Each rung after m nodes has 2m+1 on the same domain,
+    so h halves, and is solved by inverse iteration from the vectors of
+    the rung below, prolonged (see :func:`_prolong`), and from eigenvalue
+    estimates: the bottom rung's quotients on the first climb, and the
     Richardson prediction v_m + (v_m - v_prev) / 4 of the two rungs below
-    it and from the vectors of the rung below, prolonged (see
-    :func:`_prolong`).  With v_1 .. v_4 the quotients
-    of the top four rungs, bottom up, the first test, two rungs above the
-    bottom one, reports R2 = (4 v_4 - v_3) / 3 with the error bar |R2 -
-    R2'| / 15, R2' being the same formula one rung down; from the fifth
-    rung on (counting the sub-rung) it reports R3 = (16 R2 - R2') / 15 =
-    (64 v_4 - 20 v_3 + v_2) / 45 with the bar |R3 - R3'| / 63.  Each bar
-    adds the rounding of the quotients, r = eps sum_k |d_k| chi_k^2 per
-    rung, weighted as in its value: (4 r_4 + r_3) / 3 or (64 r_4 + 20 r_3
-    + r_2) / 45.  The error runs in even powers of h on these problems
-    (Paine, de Hoog & Anderssen 1981), so R3 is good to h^6.  The climb
-    stops when every bar is at most ``_TARGET`` times its value, when
-    every bar that is not is at rounding level (the grid part below the
-    rounding part), or on the first rung of at least 2n+1 nodes.  A bar
-    above ``_CONV_TOL * max(1, |value|)`` raises :class:`AccuracyError`.
+    on every later one.  With v_1 .. v_4 the quotients of the top four
+    rungs, bottom up, each test from the third rung above the bottom one
+    on reports R3 = (64 v_4 - 20 v_3 + v_2) / 45, which removes the h^2
+    and h^4 terms of the error, with the bar |R3 - R3'| / 63, R3' being
+    the same value one rung down (see :func:`_richardson`).  The bar adds
+    the rounding of the quotients, r = eps sum_k |d_k| chi_k^2 per rung,
+    weighted as in R3: (64 r_4 + 20 r_3 + r_2) / 45.  The error runs in
+    even powers of h on these problems (Paine, de Hoog & Anderssen 1981),
+    so R3 is good to h^6.  The climb stops when every bar is at most
+    ``_TARGET`` times its value, when every bar that is not is at rounding
+    level (the grid part below the rounding part), or on the first rung of
+    at least 2n+1 nodes.  A bar above ``_CONV_TOL * max(1, |value|)``
+    raises :class:`AccuracyError`.
     """
     if k < 1:
         raise ValueError("need at least one eigenvalue")
@@ -486,29 +500,19 @@ def fd_eigensolve(problem: RadialProblem, grid: Grid, k: int) -> Spectrum:
         raise ValueError(f"k = {k} exceeds n/4 = {grid.n // 4}")
     ((mu, chi, _),), m, n, hi, _ = _contain([problem], grid, grid.n, k)
     lo = problem.domain[0]
-    # the sub-rung's nodes are the bottom rung's odd nodes
-    sub, _, _ = _shifted(_assemble(problem, grid, lo, hi, m // 2), 0.0, 0, k - 1, mu, chi[1::2])
-    # quotients and eps sum_k |d_k| chi_k^2 of each rung, bottom up; no bar
-    # reads the rounding of the sub-rung or the bottom rung
-    rungs = [(sub, None), (mu, None)]
+    # quotients of each rung and eps sum_k |d_k| chi_k^2 of each rung above
+    # the bottom one, bottom up
+    quotients, floors = [mu], []
     while True:
-        estimates = mu + (mu - rungs[-2][0]) / 4.0
+        estimates = mu if len(quotients) == 1 else mu + (mu - quotients[-2]) / 4.0
         m = 2 * m + 1
         pencil = _assemble(problem, grid, lo, hi, m)
         mu, chi, _ = _shifted(pencil, 0.0, 0, k - 1, estimates, _prolong(chi))
-        rungs.append((mu, _EPS * np.einsum("k,kj,kj->j", np.abs(pencil[0]), chi, chi)))
-        if len(rungs) == 4:  # the first test: R2
-            (v1, _), (v2, r2), (v3, r3) = rungs[-3:]
-            values = (4.0 * v3 - v2) / 3.0
-            grid_part = np.abs(values - (4.0 * v2 - v1) / 3.0) / 15.0
-            rounding = (4.0 * r3 + r2) / 3.0
-        elif len(rungs) > 4:  # R3 = (16 R2 - R2') / 15
-            (v1, _), (v2, r2), (v3, r3), (v4, r4) = rungs[-4:]
-            values = (64.0 * v4 - 20.0 * v3 + v2) / 45.0
-            grid_part = np.abs(values - (64.0 * v3 - 20.0 * v2 + v1) / 45.0) / 63.0
-            rounding = (64.0 * r4 + 20.0 * r3 + r2) / 45.0
-        else:
+        quotients.append(mu)
+        floors.append(_EPS * np.einsum("k,kj,kj->j", np.abs(pencil[0]), chi, chi))
+        if len(quotients) < 4:
             continue
+        values, grid_part, rounding = _richardson((2.0, 4.0), quotients[-4:], floors[-3:], 63.0)
         conv = grid_part + rounding
         done = (conv <= _TARGET * np.abs(values)) | (grid_part <= rounding)
         if m >= 2 * n + 1 or np.all(done):
@@ -693,19 +697,6 @@ def _match_root(pencils, i: int, j: int, energy: float, lo: float, hi: float, kn
     )
 
 
-def _richardson_weights(exponents) -> np.ndarray:
-    """Weights of the roots of len(exponents) + 1 rungs, bottom up, in their Richardson value.
-
-    Each exponent p in turn combines neighbouring values v into (2^p v_k -
-    v_{k-1}) / (2^p - 1), which removes an error term in h^p when h halves
-    from rung to rung; applied to the unit vectors this gives the weights.
-    """
-    weights = np.eye(len(exponents) + 1)
-    for p in exponents:
-        weights = (2.0**p * weights[1:] - weights[:-1]) / (2.0**p - 1.0)
-    return weights[0]
-
-
 def parabolic_joint_solve(
     model: OscillatorModel,
     micz: MiczParams,
@@ -762,7 +753,7 @@ def parabolic_joint_solve(
     (alpha from :func:`micz_centrifugal_strengths`).  From the sixth root on
     (the pilot's counted), E is the Richardson value of the top five roots
     that removes the four lowest of these powers (see
-    :func:`_richardson_weights`; h^2, h^3, h^4 and h^5 for c1 = c2 = 0),
+    :func:`_richardson`; h^2, h^3, h^4 and h^5 for c1 = c2 = 0),
     likewise P, and E_error = |E - E'| / 15 plus the rounding floors of the
     five roots weighted as in E, E' being the same value one rung down. The
     climb stops when E_error is at most ``_TARGET`` |E|, when its grid part
@@ -816,7 +807,7 @@ def parabolic_joint_solve(
     # equation, in h^(q + j), j = 0, 1, 2, with q = 3 + 2 s = sqrt(9 + 4 alpha)
     poles = [math.sqrt(9.0 + 4.0 * a) for a in micz_centrifugal_strengths(micz)]
     series = {2.0, 4.0, 6.0} | {q + j for q in poles for j in range(3)}
-    weights = _richardson_weights(sorted(series)[:4])
+    exponents = sorted(series)[:4]
 
     states, tops = [], {}
     z = model.Z
@@ -851,9 +842,9 @@ def parabolic_joint_solve(
             if len(roots) < 6:
                 continue
             top = np.array(roots[-6:])
-            energy, p = weights @ top[1:, :2]
-            grid_part = abs(energy - weights @ top[:-1, 0]) / 15.0
-            rounding = np.abs(weights) @ top[1:, 2]
+            (energy, p), (grid_part, _), rounding = _richardson(
+                exponents, top[:, :2], top[1:, 2], 15.0
+            )
             bar = grid_part + rounding
             if bar <= _TARGET * abs(energy) or grid_part <= rounding or nodes >= 2 * n + 1:
                 break

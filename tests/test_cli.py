@@ -236,6 +236,14 @@ class TestQes:
         assert doc["energies"][0] == pytest.approx(9.0, rel=1e-10)
         assert doc["fd_max_rel_dev"] <= 1e-5
 
+    def test_l_prime_is_an_unknown_key(self, tmp_path, capsys):
+        # l' only enters through Dim = d' + 2 l' - 1, which the config sets as dim
+        cfg = _write(tmp_path, "q.json", {**_QES, "l_prime": 0.0})
+        out = tmp_path / "out"
+        assert main(["qes", cfg, "--out", str(out)]) == 2
+        assert "unknown key(s) in config: ['l_prime']" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_super2_precondition_exit_4(self, tmp_path, capsys):
         cfg = _write(
             tmp_path,
@@ -531,7 +539,6 @@ _SUPER2 = {"variant": "super2", "omega": 1.0}
         ("qes", {**_QES, "a_prime": "0.05"}, "a_prime"),
         ("qes", {**_QES, "b_prime": True}, "b_prime"),
         ("qes", {**_QES, "c_prime": float("nan")}, "c_prime"),
-        ("qes", {**_QES, "l_prime": "0"}, "l_prime"),
         ("duality", {"omega": "1.0"}, "omega"),
         ("duality", {"omega": 0.25, "omega2": True}, "omega2"),
         ("duality", {"omega": 0.25, "cases": [{"c1": "1"}]}, "c1"),
@@ -555,7 +562,6 @@ _SUPER2 = {"variant": "super2", "omega": 1.0}
         "a_prime-string",
         "b_prime-bool",
         "c_prime-nan",
-        "l_prime-string",
         "omega-string",
         "omega2-bool",
         "case-c1-string",
@@ -660,6 +666,18 @@ def test_more_states_than_a_quarter_of_the_grid_exit_2(tmp_path, capsys, cfg, ke
     err = capsys.readouterr().err
     assert f"config key {key!r} asks for {states} states per solve" in err
     assert f"grid block key 'n' >= {4 * states}, got 40" in err
+    assert not out.exists()
+
+
+def test_micz_states_beyond_a_quarter_of_the_polar_grid_exit_2(tmp_path, capsys):
+    # the polar equation is solved on a fixed grid of n = 3000 whatever the
+    # config's grid, so 751 states fail there although n = 4000 holds them
+    path = _write(tmp_path, "s.json", {**_MICZ, "n_states": 751, "grid": {"n": 4000}})
+    out = tmp_path / "out"
+    assert main(["spectrum", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config key 'n_states' asks for 751 states per solve" in err
+    assert "polar solve's fixed grid of n = 3000 takes at most 750" in err
     assert not out.exists()
 
 

@@ -209,7 +209,7 @@ class TestSolverMechanics:
 
     def test_nonconvergence_error(self):
         prob = build_radial_problem(
-            "osc8", potential=Potential8D("sub2", omega=1.0, b=-4.0), L=0, rmax=12.0
+            "osc8", potential=Potential8D("sub2", omega=1.0, b=-40.0), L=0, rmax=12.0
         )
         with pytest.raises(AccuracyError, match="grid doubling did not converge"):
             fd_eigensolve(prob, Grid(n=64), 1)
@@ -288,46 +288,37 @@ def test_spherical_micz_energy_composition():
 
 
 def test_spherical_micz_energies_keeps_polar_eigenvalue():
-    # on Grid(n=64) the c1 = c2 = 0 polar ground eigenvalue comes out slightly
-    # negative; the radial solve must use it as computed, not clamped to 0
+    # on Grid(n=1280) the c1 = c2 = 0 polar ground eigenvalue comes out
+    # slightly negative; the radial solve must use it as computed, not clamped to 0
     micz = MiczParams(Z=1.0)
-    lam = fd_eigensolve(build_radial_problem("theta", micz=micz), Grid(n=64), 1).eigenvalues[0]
+    lam = fd_eigensolve(build_radial_problem("theta", micz=micz), Grid(n=1280), 1).eigenvalues[0]
     assert lam < 0.0
-    ((E, it, N, lam_out),) = spherical_micz_energies(micz, 1, 1, Grid(n=64), Grid(n=1000), rmax=260.0)
+    ((E, it, N, lam_out),) = spherical_micz_energies(
+        micz, 1, 1, Grid(n=1280), Grid(n=1000), rmax=260.0
+    )
     assert (it, N, lam_out) == (0, 0, lam)
     radial = build_radial_problem("coul9", Z=1.0, lam=lam, rmax=260.0)
     assert E == fd_eigensolve(radial, Grid(n=1000), 1).eigenvalues[0]
 
 
 def _bisected_ladder(problem, grid, spec, k):
-    """The value ``spec`` reports, its bar and rounding term with the top rungs bisected, and node counts.
-
-    That value is R2 on a ladder that stopped at its first test, four rungs
-    above the sub-rung, and R3 on a higher one.
-    """
-    from hurwitz_kepler.numeric import _contain, _mapped_nodes
+    """R3 of ``spec``'s top four rungs, bisected: value, bar, rounding term and node counts."""
+    from hurwitz_kepler.numeric import _mapped_nodes
 
     top = len(spec.grid)
     hi = spec.grid[-1] / _mapped_nodes(grid, 0.0, 1.0, top)[0][-1]
-    bottom = _contain([problem], grid, grid.n, k)[1]
     sizes = [top]
-    while len(sizes) < (3 if top == 4 * bottom + 3 else 4):
+    while len(sizes) < 4:
         sizes.insert(0, (sizes[0] - 1) // 2)
     rungs = []
     for m in sizes:
         d, e, _ = _assemble(problem, grid, 0.0, hi, m)
         mu, chi = eigh_tridiagonal(d, e, 0, k - 1)
         rungs.append((mu, np.finfo(float).eps * (np.abs(d) @ chi**2)))
-    if len(rungs) == 3:
-        (v1, _), (v2, r2), (v3, r3) = rungs
-        values = (4.0 * v3 - v2) / 3.0
-        rounding = (4.0 * r3 + r2) / 3.0
-        conv = np.abs(values - (4.0 * v2 - v1) / 3.0) / 15.0 + rounding
-    else:
-        (v1, _), (v2, r2), (v3, r3), (v4, r4) = rungs
-        values = (64.0 * v4 - 20.0 * v3 + v2) / 45.0
-        rounding = (64.0 * r4 + 20.0 * r3 + r2) / 45.0
-        conv = np.abs(values - (64.0 * v3 - 20.0 * v2 + v1) / 45.0) / 63.0 + rounding
+    (v1, _), (v2, r2), (v3, r3), (v4, r4) = rungs
+    values = (64.0 * v4 - 20.0 * v3 + v2) / 45.0
+    rounding = (64.0 * r4 + 20.0 * r3 + r2) / 45.0
+    conv = np.abs(values - (64.0 * v3 - 20.0 * v2 + v1) / 45.0) / 63.0 + rounding
     nodes = tuple(_count_nodes(chi[:, j]) for j in range(k))
     scale = problem.eigenvalue_scale
     return values * scale, conv * scale, rounding * scale, nodes
@@ -389,13 +380,6 @@ class TestCoarseGridSearch:
         exact = [(n + shift) * (n + shift + 7.0) for n in range(3)]
         prob = build_radial_problem("theta", micz=MiczParams(Z=1.0, c1=c1, c2=c2))
         self._check(prob, Grid(n=3000), 3, exact)
-
-    def test_osc8_first_test(self):
-        # on a fine cap the first test, two rungs above the bottom one,
-        # already meets the target and reports R2
-        prob = build_radial_problem("osc8", potential=Potential8D("sho", omega=1.0))
-        spec = self._check(prob, Grid(n=16384), 1, [4.0])
-        assert len(spec.grid) == 4 * 1025 + 3
 
     def _check_qes(self, problem, k, energies):
         # each QES energy against the nearest of the lowest k eigenvalues
@@ -523,17 +507,17 @@ _FD_CASES = {
     "qes-super2": (_qes_problem("super2", 2, 0.05), Grid(n=3000), 4),
     "qes-sub2": (_qes_problem("sub2", 2, 1.0), Grid(n=3000), 4),
 }
-# gtsv solves per kernel call, the bottom rung's bisection first and the
-# sub-rung's next: every case meets the target below the cap, the
-# uniform-grid Coulomb states on the sixth rung (counting the sub-rung) and
-# the others on the fifth
+# gtsv solves per kernel call, the bottom rung's bisection first: every case
+# meets the target below the cap, the uniform-grid Coulomb states at the
+# second R3 test, four rungs above the bottom one, and the others at the
+# first, three rungs up
 _FD_SOLVES = {
-    "osc8": [0, 7, 6, 6, 3],
-    "coul9-uniform": [0, 6, 4, 4, 4, 2],
-    "coul9-log": [2, 4, 4, 2, 2],
-    "theta": [0, 6, 3, 3, 3],
-    "qes-super2": [0, 8, 8, 6, 4],
-    "qes-sub2": [0, 8, 8, 8, 4],
+    "osc8": [0, 6, 6, 3],
+    "coul9-uniform": [0, 4, 4, 4, 2],
+    "coul9-log": [2, 4, 2, 2],
+    "theta": [0, 5, 3, 3],
+    "qes-super2": [0, 8, 6, 4],
+    "qes-sub2": [0, 8, 8, 4],
 }
 
 
@@ -685,16 +669,16 @@ class TestWarmStart:
 
     @pytest.mark.parametrize(
         "n, bisected, warm",
-        [(1000, [65], [32, 131, 263, 527, 1055]), (16384, [1025], [512, 2051, 4103])],
+        [(1000, [65], [131, 263, 527, 1055]), (16384, [1025], [2051, 4103, 8207])],
         ids=["n=1000", "n=16384"],
     )
     def test_fd_eigensolve_bisects_the_bottom_rung_only(self, solves, rows, n, bisected, warm):
         # the bottom rung of max(n / 16, 16 k, 64) nodes, made odd, bisects,
-        # however many nodes it has; the sub-rung of half as many has twice
-        # its spacing, and every rung after m nodes has 2m + 1 and starts
-        # from the rungs below it.  On n = 1000 this state's bar stays above
-        # the target, so the climb runs to the first rung of at least 2n + 1
-        # nodes; on n = 16384 it meets the target two rungs up
+        # however many nodes it has, and every rung after m nodes has 2m + 1
+        # and starts from the rungs below it.  On n = 1000 this state's bar
+        # stays above the target, so the climb runs to the first rung of at
+        # least 2n + 1 nodes; on n = 16384 it meets the target at the first
+        # R3 test, three rungs up
         prob = build_radial_problem("osc8", potential=Potential8D("sho", omega=1.0))
         fd_eigensolve(prob, Grid(n=n), 1)
         assert solves == {"calls": 1 + len(warm), "cold": 1, "bisections": 1}
@@ -702,21 +686,19 @@ class TestWarmStart:
 
     @pytest.mark.parametrize("case", list(_FD_CASES))
     def test_fd_eigensolve_keeps_the_first_certified_pass(self, solves, rows, passes, case):
-        # the sub-rung starts from the bottom rung's quotients, off by a
-        # quarter of its own discretization error, and from its odd nodes,
-        # and its columns take two or three solves; every rung above the
-        # bottom starts from the Richardson prediction of the two below it
-        # and from the rung below prolonged, takes at most two solves per
-        # column, and from the third rung above the bottom on one (two up
-        # to the fourth on the uniform Coulomb grid).  Only the bottom rung
-        # bisects; on the log grid its loose bisection misses the
-        # certificates and each vector takes one more solve
+        # the first rung above the bottom one starts from the bottom rung's
+        # quotients and every later one from the Richardson prediction of
+        # the two below it, each from the rung below prolonged; a column
+        # takes at most two solves, and from the third rung above the bottom
+        # on one (two up to the fourth on the uniform Coulomb grid).  Only
+        # the bottom rung bisects; on the log grid its loose bisection
+        # misses the certificates and each vector takes one more solve
         problem, grid, k = _FD_CASES[case]
         fd_eigensolve(problem, grid, k)
         rungs = [max(grid.n // 16, 16 * k, 64) | 1]
-        for _ in passes[2:]:
+        for _ in passes[1:]:
             rungs.append(2 * rungs[-1] + 1)
-        assert rows == {"bisected": rungs[:1], "warm": [rungs[0] // 2] + rungs[1:]}
+        assert rows == {"bisected": rungs[:1], "warm": rungs[1:]}
         assert passes == _FD_SOLVES[case]
 
     @pytest.mark.parametrize(
