@@ -1,7 +1,7 @@
 """Command-line front end: JSON run configs, machine-readable outputs.
 
 Subcommands: ``transform`` (bilinear map sweeps), ``spectrum`` (analytic
-vs finite-difference eigenvalues), ``qes`` (quasi-exactly-solvable
+vs numerical eigenvalues), ``qes`` (quasi-exactly-solvable
 blocks) and ``duality`` (three-way oscillator / spherical / parabolic
 agreement).  Each takes a config path, ``--tol`` and ``--out``; ``qes``
 adds ``--verify`` and ``duality`` adds ``--no-verify``.  Each accepts
@@ -261,7 +261,7 @@ def _spectrum_micz(cfg: dict) -> tuple:
             raise ConfigError("model charge Z1+Z2 disagrees with the micz block Z")
     n_states = int_key(cfg, "n_states", 2, minimum=1)
     grid, rmax = _grid_from(cfg, 4000)
-    polar = Grid(n=3000)  # the polar equation's grid, not the config's
+    polar = Grid(n=3000)  # the polar solve's cap, not the config's
     if n_states > polar.n // 4:
         raise ConfigError(
             f"config key 'n_states' asks for {n_states} states per solve, "
@@ -471,8 +471,8 @@ def _duality_case(
     st = parabolic_joint_solve(
         model, micz, grid, bracket=(1.3 * e_dual, 0.8 * e_dual)
     )
-    # The polar equation has no Z in it and the radial domain scales as 1/Z,
-    # so the discrete spherical ground energy scales as Z^2 to rounding.
+    # The polar equation has no Z in it and the radial basis scales as 1/Z,
+    # so the numerical spherical ground energy scales as Z^2 to rounding.
     e_fixed = e_sph * (z_fixed / z_charge) ** 2
     case.update(
         {
@@ -546,7 +546,7 @@ def cmd_duality(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="hurwitz-kepler",
-        description="Oscillator-Kepler duality workflows with FD verification.",
+        description="Oscillator-Kepler duality workflows with numerical verification.",
     )
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -595,7 +595,7 @@ def main(argv=None) -> int:
         print(f"accuracy error: {exc}", file=sys.stderr)
         if exc.state is not None:
             print(
-                f"  state {exc.state}: error bar {exc.bar:.3g} on {exc.nodes} nodes, tol {exc.tol:.1g}",
+                f"  state {exc.state}: error bar {exc.bar:.3g}, size {exc.nodes}, tol {exc.tol:.1g}",
                 file=sys.stderr,
             )
         return 1

@@ -73,13 +73,14 @@ class BracketError(HurwitzKeplerError):
 
 
 class AccuracyError(HurwitzKeplerError):
-    """Grid refinement failed to converge to the requested tolerance, or the eigensolver failed.
+    """A solve failed to converge to the requested tolerance, or the eigensolver failed.
 
-    When a grid ladder's gate trips, ``state`` is the state that failed (its
-    index for a fixed-grid solve, its branch pair (i, j) for a parabolic
-    joint search), ``nodes`` the node count of the ladder's top rung,
-    ``bar`` that state's error bar and ``tol`` the bar allowed relative to
-    the value; otherwise all four are None.
+    When a solve's gate trips, ``state`` is the state that failed (its
+    index for a fixed-problem solve, its branch pair (i, j) for a
+    parabolic joint search), ``nodes`` the size of the solve (the number
+    of basis functions, or the node count of the joint search's top
+    rung), ``bar`` that state's error bar and ``tol`` the bar allowed
+    relative to the value; otherwise all four are None.
     """
 
     def __init__(

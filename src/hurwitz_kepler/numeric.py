@@ -1,13 +1,28 @@
-"""Finite-difference Sturm-Liouville eigensolvers for the separated ODEs.
+"""Sturm-Liouville eigensolvers for the separated ODEs.
 
 Every separated equation in this package has the self-adjoint form
 
     -(1/w(x)) d/dx ( w(x) dR/dx ) + q(x) R = mu m(x) R
 
-on an interval (lo, hi) with a power-law or sin^7 weight w, an optional
-positive eigenvalue weight m (the parabolic equations carry m = 1/w with
-w the parabolic coordinate), and Dirichlet values at both ends.  The
-conservative three-point scheme
+with a power-law or sin^7 weight w and an optional positive eigenvalue
+weight m (the parabolic equations carry m = 1/w with w the parabolic
+coordinate).
+
+The fixed problems (the 8-D singular oscillator, the spherical-chart
+radial and polar equations and the QES cross-checks) are solved by
+:func:`fd_eigensolve` in a Galerkin basis that carries each problem's
+regular pole exponent and decay: x^s e^(-t/2) times Laguerre polynomials
+in t = (x/beta)^p on a power weight, and z^sigma (1 - z)^tau times Jacobi
+polynomials in z = sin^2(theta/2) on the sin^7 weight (Baye, Phys. Rep.
+565 (2015) 1).  The Gauss rule of each basis comes from one symmetric
+eigensolve of its Jacobi matrix (Golub & Welsch, Math. Comp. 23 (1969)
+221), so the fixed problems need numpy alone, and its nodes and the exact
+stiffness are cached per weight and basis size.  Their Ritz values fall
+geometrically with the basis size, and a solve stops where they change
+by no more than their rounding.
+
+The parabolic joint search solves on grids.  Its conservative three-point
+scheme
 
     A_ii  = (w_{i-1/2} + w_{i+1/2}) / h^2 + q_i w_i
     A_i,i+1 = -w_{i+1/2} / h^2
@@ -16,30 +31,17 @@ is symmetrized exactly by the diagonal similarity diag(sqrt(w_i)) (the
 discrete version of substituting R = w^{-1/2} chi), so the assembled
 matrix is symmetric tridiagonal to machine precision and a direct
 selected-eigenvalue solve is cheap.  Vanishing endpoint weights make the
-Dirichlet ghost values the natural regular boundary condition at
-coordinate singularities (r = 0, theta in {0, pi}).
-
-Accuracy strategy: the scheme is second order, and on these regular
-problems its eigenvalue error runs in even powers of h (Paine, de Hoog &
-Anderssen 1981).  A fixed-grid solve climbs a ladder of grids on one
-domain, each rung of 2m+1 nodes after one of m, so h halves exactly
-(nested iteration, Brandt 1977).  From the third rung above the bottom
-one it reports R3, the Richardson value of the top three rungs that
-removes h^2 and h^4 and is good to h^6, with the error bar |R3 - R3'|/63,
-R3' being the same value one rung down.  Each bar adds the rounding of
-the quotients; the climb stops at a target accuracy, at rounding level,
-or at 2n+1 nodes, so the grid's n caps the resolution instead of fixing
-it.  The joint search climbs the same kind of ladder, one root per rung,
-and both ladders extrapolate with :func:`_richardson`.
-On every grid each eigenvalue is the Rayleigh quotient of its
-eigenvector, accurate to rounding where the state lives;
-a bisection value is only good to eps |T| over the whole domain, which
-sets a floor under the extrapolation on the optional log-stretched grid,
-which clusters nodes near the origin for Coulomb-like tails.  Every
-domain except the polar (0, pi) is widened until the requested states
-have decayed.  Both solvers settle it the same way, on one bisected
-small grid of about a sixteenth of their nodes (:func:`_contain`): the
-ladder's bottom rung, or the joint search's pilot.
+Dirichlet ghost values the natural regular boundary condition at w = 0.
+The scheme is second order, and on these regular problems its error runs
+in powers of h (Paine, de Hoog & Anderssen 1981).  The search climbs a
+ladder of grids on one domain, each rung of 2m+1 nodes after one of m, so
+h halves exactly (nested iteration, Brandt 1977), and extrapolates with
+:func:`_richardson`.  On every grid each eigenvalue is the Rayleigh
+quotient of its eigenvector, accurate to rounding where the state lives;
+a bisection value is only good to eps |T| over the whole domain.  The
+domain is widened until the requested states have decayed, on one
+bisected small grid of about a sixteenth of the nodes, the pilot
+(:func:`_contain`).
 
 The two parabolic equations depend on the energy only through -E w/2, so
 on a fixed grid each is the linear pencil T(E) = T0 - (E/2) diag(w) of a
@@ -61,29 +63,26 @@ branch pair binds there; with sho factors that charge grows as sqrt(-E)
 discretization error of the root.  Any other factor only makes the seed
 a first guess, and a pair without a seed starts from the secant point.
 
-Every eigensolve goes through :func:`_shifted`, the one caller of
+Every grid eigensolve goes through :func:`_shifted`, the one caller of
 :func:`eigh_tridiagonal`, the one call into LAPACK, which imports scipy on
 its first call: importing this module (and the package, and its CLI)
-loads numpy only, so work that solves nothing never pays scipy's
-start-up.  Only that small grid of each problem bisects, and only on
-the first domain, to a loose tolerance.  Every other solve already has
-an eigenvector and an eigenvalue estimate in hand for each state: a
-widened domain the previous domain's vectors, interpolated, and
-quotients; every rung above the bottom one the rung below prolonged
-(its nodes are the odd nodes of the next rung) and, on the first climb,
-the bottom rung's quotients, on every later one the Richardson
-prediction from the two rungs below it; the joint search's lower
-bracket end and the first Newton evaluation of each pair the E_hi
+loads numpy only, so work that runs no joint search never pays scipy's
+start-up.  Only the pilot of each search bisects, and only on the first
+domain, to a loose tolerance.  Every other solve already has an
+eigenvector and an eigenvalue estimate in hand for each state: a widened
+domain the previous domain's vectors, interpolated, and quotients; the
+lower bracket end and the first Newton evaluation of each pair the E_hi
 vectors and their Sturmian scaling (sho factors) or their linear
 extrapolation along the Hellmann-Feynman slopes; and each later Newton
-evaluation, on its rung or on the next one up, the previous one's
-vectors and the linear extrapolation from it.  From a start that good
-one tridiagonal solve with the estimate as shift converges (Ipsen
-1997), and inverse iteration alone gives the eigenpairs, certified by
-the discrete Sturm oscillation theorem (the j-th vector changes sign
-exactly j times) and a residual at rounding level.  A vector that fails
-is solved again from itself and its Rayleigh quotient, at most three
-solves in all; a call with a vector that still fails bisects after all.
+evaluation, on its rung or on the next one up (whose nodes hold the
+rung's as its odd nodes), the previous one's vectors, prolonged, and the
+linear extrapolation from it.  From a start that good one tridiagonal
+solve with the estimate as shift converges (Ipsen 1997), and inverse
+iteration alone gives the eigenpairs, certified by the discrete Sturm
+oscillation theorem (the j-th vector changes sign exactly j times) and a
+residual at rounding level.  A vector that fails is solved again from
+itself and its Rayleigh quotient, at most three solves in all; a call
+with a vector that still fails bisects after all.
 
 Solves share no mutable state; concurrent sector sweeps are safe.
 """
@@ -103,7 +102,6 @@ from .potentials import (
     MiczParams,
     OscillatorModel,
     Potential8D,
-    eval_potential,
     factor_potential,
     micz_centrifugal_strengths,
 )
@@ -121,17 +119,34 @@ __all__ = [
 ]
 
 _TAIL_LIMIT = math.exp(-20.0)
-# Grid nodes per node of the one grid of each problem that bisects: the
-# bottom rung of fd_eigensolve and the pilot of the joint search.
+# Grid nodes per node of the one grid of a joint search that bisects, its pilot.
 _PILOT_RATIO = 16
-# Error bar, relative to |value|, at which fd_eigensolve stops climbing: the
-# tightest accuracy asked of a fixed-grid value (coul9 on a log grid).
+# Error bar, relative to |E|, at which the joint search stops climbing.
 _TARGET = 1e-10
 _MAX_EXTENSIONS = 6
 _EPS = float(np.finfo(float).eps)
-# Largest grid-doubling change accepted, relative to max(1, |mu|) in
-# fd_eigensolve and to |E| in the joint search.
+# Largest error bar accepted, relative to max(1, |mu|) in fd_eigensolve and
+# to |E| in the joint search.
 _CONV_TOL = 1e-5
+# Basis functions of the first Galerkin block of fd_eigensolve, functions
+# added between two of its Ritz tests, and Gauss nodes beyond the basis size.
+_BLOCK = 32
+_STEP = 4
+_EXTRA = 4
+# Largest basis of fd_eigensolve for up to 128 states (4 k functions for
+# more): the tables of 512 functions take about 15 MB and a second to
+# build, and a Ritz value that has not settled by then meets a rounding
+# floor that grows with the basis, while the bench's solves settle on 8 to
+# 40 functions.
+_MAX_BASIS = 512
+# Share of its peak below which a Ritz function's sign is not counted: its
+# tail, where the basis cannot follow the decay, keeps wiggles up to about
+# 1e-7 of the peak.
+_NODE_FLOOR = 1e-6
+# Basis scale of a Coulomb radial problem times Z: its functions decay as
+# exp(-Z r / 6), as a level of principal number 6 does, between the ground
+# level (4) and the micz radial levels of the tests (up to about 10).
+_COULOMB_SCALE = 3.0
 # Largest residual |T chi - mu chi| accepted from inverse iteration or a loose
 # bisection, relative to sum_k |d_k| chi_k^2, the scale of T where the state
 # lives (|T| itself is set by the smallest cells of a log-stretched grid).
@@ -233,9 +248,11 @@ def eigh_tridiagonal(d, e, first: int, last: int, estimates=None, vectors=None):
 class Grid:
     """Node count and placement (uniform or log-stretched).
 
-    :func:`fd_eigensolve` and the joint search climb from about n/16 nodes
-    and stop at their target accuracy or on the first rung of at least
-    2n+1 nodes (n widened with the domain), so n caps the resolution.
+    :func:`fd_eigensolve` reads only n, the largest basis size it may use.
+    The joint search climbs from about n/16 nodes, placed as ``spacing``
+    and ``stretch`` say, and stops at its target accuracy or on the first
+    rung of at least 2n+1 nodes (n widened with the domain), so n caps
+    the resolution.
     """
 
     n: int = 2000
@@ -258,11 +275,16 @@ class RadialProblem:
 
     ``weight_exponent`` is the power k of the x^k weight (7, 8 or 4 here);
     ``weight_kind = 'sin7'`` selects the sin^7 weight of the polar
-    equation instead, whose domain (0, pi) is the only one never
-    extended.  ``centrifugal_coeff`` multiplies 1/x^2; ``effective_term``
-    is the remaining vectorized source.  The raw eigenvalue mu is
-    reported as ``eigenvalue_scale * mu`` (0.5 turns 2Z into Z and 2E
-    into E).
+    equation on (0, pi) instead.  ``centrifugal_coeff`` multiplies 1/x^2;
+    ``effective_term`` is the remaining vectorized source, and
+    ``mass_term`` an optional eigenvalue weight (the parabolic equations).
+    The raw eigenvalue mu is reported as ``eigenvalue_scale * mu`` (0.5
+    turns 2Z into Z and 2E into E).  The basis of :func:`fd_eigensolve`
+    decays as exp(-(x / ``basis_scale``)^``basis_power`` / 2) on a power
+    weight, and on the sin^7 weight its pole exponents come from
+    ``pole_strengths`` (alpha_u, alpha_v), the coefficients of
+    1/cos^2(theta/2) and 1/sin^2(theta/2) in ``effective_term``.  The
+    joint search reads the domain, which the fixed solves leave aside.
     """
 
     weight_exponent: int
@@ -272,6 +294,9 @@ class RadialProblem:
     weight_kind: str = "power"
     mass_term: Callable | None = None
     eigenvalue_scale: float = 1.0
+    basis_scale: float = 1.0
+    basis_power: int = 2
+    pole_strengths: tuple = (0.0, 0.0)
 
     def __post_init__(self):
         lo, hi = self.domain
@@ -279,10 +304,11 @@ class RadialProblem:
             raise ValueError("domain must satisfy hi > lo >= 0")
         if self.weight_kind not in ("power", "sin7"):
             raise ValueError("weight_kind must be 'power' or 'sin7'")
+        if not (0.0 < self.basis_scale < math.inf and self.basis_power in (1, 2)):
+            raise ValueError("basis_scale must be positive and finite and basis_power 1 or 2")
 
     def weight(self, x):
-        if self.weight_kind == "sin7":
-            return np.sin(x) ** 7
+        """The power weight x^k; the sin^7 weight is never assembled on a grid."""
         return x ** float(self.weight_exponent)
 
 
@@ -290,19 +316,15 @@ class RadialProblem:
 class Spectrum:
     """Lowest eigenpairs of a radial problem, ascending.
 
-    ``eigenvalues`` are Richardson-extrapolated from the Rayleigh quotients
-    of the ladder's top three rungs (R3, see :func:`fd_eigensolve`), scaled
-    by the problem's ``eigenvalue_scale``; ``convergence`` holds the
-    estimated remaining error per state (|R3 - R3'| / 63, R3' the same
-    value one rung down, plus the rounding of the quotients) in the same
-    units.
-    ``node_counts`` are the sign changes of the top rung's eigenvectors,
-    and ``grid`` holds that rung's nodes, which give the domain after
-    widening.
+    ``eigenvalues`` are the Ritz values of the last basis size of
+    :func:`fd_eigensolve`, scaled by the problem's ``eigenvalue_scale``;
+    ``convergence`` holds each one's error bar in the same units: its
+    change from the basis size before plus the rounding of the
+    eigensolve.  ``node_counts`` are the sign changes of the Ritz
+    functions.
     """
 
     eigenvalues: np.ndarray
-    grid: np.ndarray
     convergence: np.ndarray
     node_counts: tuple
 
@@ -385,9 +407,10 @@ def _tail_fraction(chi: np.ndarray) -> float:
     return float(np.max(np.abs(chi[-1]) / np.max(np.abs(chi), axis=0)))
 
 
-def _count_nodes(vec: np.ndarray) -> int:
+def _count_nodes(vec: np.ndarray, floor: float = 1e-8) -> int:
+    """Sign changes of ``vec`` among its entries above ``floor`` times its largest."""
     mag = np.abs(vec)
-    negative = np.signbit(vec[mag > 1e-8 * mag.max()])
+    negative = np.signbit(vec[mag > floor * mag.max()])
     return int(np.count_nonzero(negative[1:] != negative[:-1]))
 
 
@@ -401,9 +424,9 @@ def _contain(problems, grid: Grid, n: int, k: int, energy: float = 0.0):
     domain.  While some state keeps more than e^-20 of its peak at the last
     node, the domain is extended times 1.5 at fixed node spacing, m (kept
     odd) and the caller's n growing in step, at most ``_MAX_EXTENSIONS``
-    times (the sin^7 polar domain is never extended); each wider domain
-    starts inverse iteration from the previous domain's quotients and from
-    its vectors interpolated onto the new nodes, zero past the old end.  n
+    times; each wider domain starts inverse iteration from the previous
+    domain's quotients and from its vectors interpolated onto the new
+    nodes, zero past the old end.  n
     grows to at most 16 (m + 1) - 1, so the fifth rung above m (rungs of
     2m+1 nodes after m) still has 2n+1 nodes or more: rounding m down would
     otherwise leave that rung a few nodes short of a ladder's 2n+1 cap, and
@@ -412,7 +435,6 @@ def _contain(problems, grid: Grid, n: int, k: int, energy: float = 0.0):
     grown n, the upper end of the domain and the number of eigensolves made.
     """
     lo, hi = problems[0].domain
-    fixed = any(p.weight_kind == "sin7" for p in problems)
     m = max(n // _PILOT_RATIO, 16 * k, 64) | 1
     starts, solves = [(None, None)] * len(problems), 0
     for attempt in range(_MAX_EXTENSIONS + 1):
@@ -421,7 +443,7 @@ def _contain(problems, grid: Grid, n: int, k: int, energy: float = 0.0):
             _shifted(pencil, energy, 0, k - 1, *start) for pencil, start in zip(pencils, starts)
         ]
         solves += len(problems)
-        if fixed or max(_tail_fraction(chi) for _, chi, _ in solved) <= _TAIL_LIMIT:
+        if max(_tail_fraction(chi) for _, chi, _ in solved) <= _TAIL_LIMIT:
             return solved, m, n, hi, solves
         if attempt == _MAX_EXTENSIONS:
             raise AccuracyError(f"domain extension failed to contain the states (hi = {hi:.6g})")
@@ -437,11 +459,14 @@ def _contain(problems, grid: Grid, n: int, k: int, energy: float = 0.0):
         ]
 
 
-def _ladder_error(state, nodes: int, bar: float) -> AccuracyError:
-    """The error a grid ladder raises when a bar exceeds ``_CONV_TOL`` relative."""
+def _gate_error(state, nodes: int, bar: float, basis: bool = False) -> AccuracyError:
+    """The error a grid ladder, or with ``basis`` a basis, raises when a bar exceeds ``_CONV_TOL``."""
+    growth, size = ("grid doubling", f"on a top rung of {nodes} nodes")
+    if basis:
+        growth, size = "basis growth", f"with {nodes} basis functions"
     return AccuracyError(
-        f"grid doubling did not converge: state {state} has error bar {bar:.3g} "
-        f"on a top rung of {nodes} nodes (tol = {_CONV_TOL:.1g} relative)",
+        f"{growth} did not converge: state {state} has error bar {bar:.3g} {size} "
+        f"(tol = {_CONV_TOL:.1g} relative)",
         state=state,
         nodes=nodes,
         bar=float(bar),
@@ -469,64 +494,176 @@ def _richardson(exponents, values, floors, divisor: float):
     return value, grid_part, np.abs(weights[0]) @ floors
 
 
-def fd_eigensolve(problem: RadialProblem, grid: Grid, k: int) -> Spectrum:
-    """Lowest ``k`` eigenpairs of ``problem``, on a ladder of grids capped by ``grid``.
+def _recurrence(a: float, b, m: int):
+    """Three-term recurrence of the orthonormal polynomials of a Laguerre or Jacobi weight.
 
-    The bottom rung is the small grid of :func:`_contain` for n =
-    ``grid.n``, the only grid that bisects: it settles the domain, where
-    the requested states have decayed to e^-20 at the upper end, and n
-    grows with it.  Each rung after m nodes has 2m+1 on the same domain,
-    so h halves, and is solved by inverse iteration from the vectors of
-    the rung below, prolonged (see :func:`_prolong`), and from eigenvalue
-    estimates: the bottom rung's quotients on the first climb, and the
-    Richardson prediction v_m + (v_m - v_prev) / 4 of the two rungs below
-    on every later one.  With v_1 .. v_4 the quotients of the top four
-    rungs, bottom up, each test from the third rung above the bottom one
-    on reports R3 = (64 v_4 - 20 v_3 + v_2) / 45, which removes the h^2
-    and h^4 terms of the error, with the bar |R3 - R3'| / 63, R3' being
-    the same value one rung down (see :func:`_richardson`).  The bar adds
-    the rounding of the quotients, r = eps sum_k |d_k| chi_k^2 per rung,
-    weighted as in R3: (64 r_4 + 20 r_3 + r_2) / 45.  The error runs in
-    even powers of h on these problems (Paine, de Hoog & Anderssen 1981),
-    so R3 is good to h^6.  The climb stops when every bar is at most
-    ``_TARGET`` times its value, when every bar that is not is at rounding
-    level (the grid part below the rounding part), or on the first rung of
-    at least 2n+1 nodes.  A bar above ``_CONV_TOL * max(1, |value|)``
-    raises :class:`AccuracyError`.
+    The weight is t^a e^-t on (0, inf) when ``b`` is None and (1 - x)^a
+    (1 + x)^b on (-1, 1) otherwise.  With x p_n = beta_{n+1} p_{n+1} +
+    alpha_n p_n + beta_n p_{n-1}, returns alpha_0 .. alpha_{m-1}, beta_1 ..
+    beta_m and the log of the weight's integral.
+    """
+    n = np.arange(m + 1, dtype=float)
+    if b is None:
+        return 2.0 * n[:m] + a + 1.0, np.sqrt(n[1:] * (n[1:] + a)), math.lgamma(a + 1.0)
+    s = 2.0 * n + a + b
+    alpha = (b * b - a * a) / (s * (s + 2.0))
+    n, s = n[1:], s[1:]
+    beta = np.sqrt(4.0 * n * (n + a) * (n + b) * (n + a + b) / (s * s * (s + 1.0) * (s - 1.0)))
+    log_mass = (a + b + 1.0) * math.log(2.0) + math.lgamma(a + 1.0) + math.lgamma(b + 1.0)
+    return alpha[:m], beta, log_mass - math.lgamma(a + b + 2.0)
+
+
+@functools.lru_cache(maxsize=64)
+def _basis(a: float, b, size: int):
+    """Quadrature, stiffness and fine sample of the first ``size`` orthonormal polynomials.
+
+    The weight is that of :func:`_recurrence`.  The Gauss rule of
+    ``size + _EXTRA`` nodes comes from Golub-Welsch: its nodes x_i are the
+    eigenvalues of the Jacobi matrix, and its eigenvectors, signed so that
+    p_0 > 0, hold values[n, i] = p_n(x_i) sqrt(w_i), so that sum_i f(x_i)
+    values[m, i] values[n, i] integrates f p_m p_n against the weight,
+    exactly for a polynomial f of degree up to 2 ``_EXTRA`` + 1.  The
+    stiffness is exact, from the recurrence and the matrix of d/dx in the
+    basis: for a Laguerre weight the Gram matrix of t (p_n' - p_n / 2),
+    the derivative of e^(-t/2) p_n over e^(-t/2) / t; for a Jacobi weight
+    with a = 2 tau + 2 and b = 2 sigma + 2 that of sigma (1 - z) p_n - tau
+    z p_n + z (1 - z) dp_n/dz, z = (1 + x) / 2, the derivative of z^sigma
+    (1 - z)^tau p_n over z^(sigma - 1) (1 - z)^(tau - 1).  ``fine`` holds
+    p_n sqrt(weight) at three points inside each gap between neighbouring
+    nodes and at the nodes, for sign counts.  The tables are read-only.
+    """
+    alpha, beta, log_mass = _recurrence(a, b, size + _EXTRA)
+
+    def jacobi(m):
+        return np.diag(alpha[:m]) + np.diag(beta[: m - 1], 1) + np.diag(beta[: m - 1], -1)
+
+    x, vectors = np.linalg.eigh(jacobi(size + _EXTRA))
+    values = vectors[:size] * np.copysign(1.0, vectors[0])
+    # x and d/dx on p_0 .. p_(size+1): b_(n+1) p'_(n+1) = p_n + (x - a_n) p'_n - b_n p'_(n-1)
+    order = size + 2
+    jac, eye, deriv = jacobi(order), np.eye(order), np.zeros((order, order))
+    for n in range(order - 1):  # column -1 is still zero at n = 0
+        step = eye[:, n] + (jac - alpha[n] * eye) @ deriv[:, n] - beta[n - 1] * deriv[:, n - 1]
+        deriv[:, n + 1] = step / beta[n]
+    if b is None:
+        form = jac @ (deriv - 0.5 * eye)
+        edges = np.concatenate(([0.0], x, [2.0 * x[-1] - x[-2]]))
+        log_weight = lambda t: a * np.log(t) - t  # noqa: E731
+    else:
+        sigma, tau = 0.5 * b - 1.0, 0.5 * a - 1.0
+        form = 0.5 * ((sigma - tau) * eye - (sigma + tau) * jac + (eye - jac @ jac) @ deriv)
+        edges = np.concatenate(([-1.0], x, [1.0]))
+        log_weight = lambda t: a * np.log1p(-t) + b * np.log1p(t)  # noqa: E731
+    form = form[: size + 1, :size]
+    inner = edges[:-1, None] + np.diff(edges)[:, None] * [0.25, 0.5, 0.75]
+    points = np.sort(np.concatenate([x, inner.ravel()]))
+    fine = np.zeros((size, len(points)))
+    fine[0] = np.exp(0.5 * (log_weight(points) - log_mass))
+    for n in range(size - 1):  # row -1 is still zero at n = 0
+        fine[n + 1] = ((points - alpha[n]) * fine[n] - beta[n - 1] * fine[n - 1]) / beta[n]
+    tables = (x, values, form.T @ form, fine)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _pole_exponent(d: float, c: float) -> float:
+    """Regular root s of s (s + d) = c, the power of x at a pole with weight x^(d+1) and c / x^2."""
+    disc = d * d + 4.0 * c
+    if not disc > 0.0:
+        raise ValueError(f"pole coefficient {c!r} is at most -{d * d / 4:g}: no regular exponent")
+    return 0.5 * (math.sqrt(disc) - d)
+
+
+def _whitened(problem: RadialProblem, size: int):
+    """Galerkin pencil of ``problem`` on its first ``size`` basis functions, whitened.
+
+    Returns L^-1 A L^-T, L^-1 (L the Cholesky factor of B), the rounding
+    of the whitened matrix, eps times its Frobenius norm, which bounds the
+    error of the assembly and of a symmetric eigensolve of any leading
+    block, and the fine sample of :func:`_basis`.
+
+    A power weight x^k with centrifugal coefficient C takes R_n = x^s
+    e^(-t/2) p_n(t), t = (x / beta)^p, s (s + k - 1) = C and p_n orthonormal
+    for t^a e^-t, a = (2 s + k - 1) / p - 1: after dividing out beta^(k +
+    2 s - 1) / p, A = p^2 (stiffness of :func:`_basis`) + sum_i x_i^2
+    q(x_i) values values^T and B = sum_i beta^2 t_i^(2/p) values values^T,
+    on the nodes x_i = beta t_i^(1/p).  The centrifugal term is inside the
+    stiffness, because s is exact.  The sin^7 weight takes Theta_n =
+    z^sigma (1 - z)^tau p_n(2 z - 1), z = sin^2(theta/2), sigma (sigma +
+    3) = alpha_v and tau (tau + 3) = alpha_u, with p_n orthonormal for
+    (1 - x)^(2 tau + 2) (1 + x)^(2 sigma + 2): A = stiffness + sum_i z_i (1
+    - z_i) q(theta_i) values values^T and B = sum_i z_i (1 - z_i) values
+    values^T, theta_i = arccos(-x_i).  Each entry is exact whenever x^2 q,
+    or z (1 - z) q, is a polynomial of degree up to 2 ``_EXTRA`` + 1.
+    """
+    if problem.weight_kind == "sin7":
+        alpha_u, alpha_v = problem.pole_strengths
+        tau, sigma = _pole_exponent(3.0, alpha_u), _pole_exponent(3.0, alpha_v)
+        x, values, stiffness, fine = _basis(2.0 * tau + 2.0, 2.0 * sigma + 2.0, size)
+        mass = 0.25 * (1.0 - x * x)
+        source = mass * problem.effective_term(np.arccos(-x))
+    else:
+        k, p, beta = problem.weight_exponent, problem.basis_power, problem.basis_scale
+        s = _pole_exponent(k - 1.0, problem.centrifugal_coeff)
+        t, values, stiffness, fine = _basis((2.0 * s + k - 1.0) / p - 1.0, None, size)
+        stiffness = p * p * stiffness
+        r = beta * t ** (1.0 / p)
+        mass, source = r * r, r * r * problem.effective_term(r)
+    a, b = stiffness + (values * source) @ values.T, (values * mass) @ values.T
+    inverse = np.tril(np.linalg.inv(np.linalg.cholesky(b)))
+    whitened = inverse @ a @ inverse.T
+    return whitened, inverse, _EPS * np.linalg.norm(whitened), fine
+
+
+def fd_eigensolve(problem: RadialProblem, grid: Grid, k: int) -> Spectrum:
+    """Lowest ``k`` eigenpairs of ``problem`` in a Galerkin basis of at most ``grid.n`` functions.
+
+    The basis carries the problem's pole exponents and decay (see
+    :func:`_whitened`), so its Ritz values fall geometrically with the
+    basis size N, and every closed-form eigenfunction of the sin^7
+    equation lies in its span.  The pencil is assembled and whitened once
+    on a block of ``_BLOCK`` functions, and its rounding measured; the
+    basis is nested, so each N takes the leading N x N block.  N grows from
+    k by ``_STEP`` until the change of every wanted Ritz value from the
+    last N is at most that rounding, or N reaches its cap, the smaller of
+    ``grid.n`` and max(``_MAX_BASIS``, 4 k); a block that runs out is
+    assembled again at twice the size.  The values are the
+    Ritz values at the last N, each with the bar |change| + rounding, and
+    a bar above ``_CONV_TOL * max(1, |value|)`` raises
+    :class:`AccuracyError`.  The node counts are the sign changes of each
+    Ritz function on the fine sample of :func:`_basis`, where it keeps
+    more than ``_NODE_FLOOR`` of its peak.  The grid's spacing and stretch
+    and the problem's domain play no part.
     """
     if k < 1:
         raise ValueError("need at least one eigenvalue")
     if k > grid.n // 4:
         raise ValueError(f"k = {k} exceeds n/4 = {grid.n // 4}")
-    ((mu, chi, _),), m, n, hi, _ = _contain([problem], grid, grid.n, k)
-    lo = problem.domain[0]
-    # quotients of each rung and eps sum_k |d_k| chi_k^2 of each rung above
-    # the bottom one, bottom up
-    quotients, floors = [mu], []
+    size, values, cap = 0, None, min(grid.n, max(_MAX_BASIS, 4 * k))
+    n = -(-k // _STEP) * _STEP
     while True:
-        estimates = mu if len(quotients) == 1 else mu + (mu - quotients[-2]) / 4.0
-        m = 2 * m + 1
-        pencil = _assemble(problem, grid, lo, hi, m)
-        mu, chi, _ = _shifted(pencil, 0.0, 0, k - 1, estimates, _prolong(chi))
-        quotients.append(mu)
-        floors.append(_EPS * np.einsum("k,kj,kj->j", np.abs(pencil[0]), chi, chi))
-        if len(quotients) < 4:
-            continue
-        values, grid_part, rounding = _richardson((2.0, 4.0), quotients[-4:], floors[-3:], 63.0)
-        conv = grid_part + rounding
-        done = (conv <= _TARGET * np.abs(values)) | (grid_part <= rounding)
-        if m >= 2 * n + 1 or np.all(done):
-            break
-    scale = problem.eigenvalue_scale
+        n = min(n, cap)
+        if n > size:
+            size = min(max(2 * size, _BLOCK, n), cap)
+            whitened, inverse, rounding, fine = _whitened(problem, size)
+        ritz, vectors = np.linalg.eigh(whitened[:n, :n])
+        if values is not None:
+            change = np.abs(ritz[:k] - values)
+            if np.all(change <= rounding) or n == cap:
+                break
+        values = ritz[:k]
+        n += _STEP
+    values, conv, scale = ritz[:k], change + rounding, problem.eigenvalue_scale
     rel = conv / np.maximum(1.0, np.abs(values))
     if np.any(rel > _CONV_TOL):
         worst = int(np.argmax(rel))
-        raise _ladder_error(worst, m, conv[worst] * scale)
+        raise _gate_error(worst, n, conv[worst] * scale, basis=True)
+    functions = fine[:n].T @ (inverse[:n, :n].T @ vectors[:, :k])
     return Spectrum(
         eigenvalues=values * scale,
-        grid=pencil[2],
         convergence=conv * scale,
-        node_counts=tuple(_count_nodes(chi[:, j]) for j in range(k)),
+        node_counts=tuple(_count_nodes(f, _NODE_FLOOR) for f in functions.T),
     )
 
 
@@ -560,17 +697,22 @@ def build_radial_problem(kind: str, **params) -> RadialProblem:
             effective_term=lambda r: 2.0 * factor_potential(potential, E, r**2),
             domain=(0.0, rmax),
             eigenvalue_scale=0.5,
+            **_oscillator_basis(potential),
         )
     if kind == "coul9":
         Z = float(params["Z"])
         lam = float(params["lam"])
         rmax = float(params["rmax"])
+        if not 0.0 < Z < math.inf:
+            raise ValueError(f"coul9 needs a positive finite charge, got Z = {Z!r}")
         return RadialProblem(
             weight_exponent=8,
             centrifugal_coeff=lam,
             effective_term=lambda r: -2.0 * Z / r,
             domain=(0.0, rmax),
             eigenvalue_scale=0.5,
+            basis_scale=_COULOMB_SCALE / Z,
+            basis_power=1,
         )
     if kind == "theta":
         micz: MiczParams = params["micz"]
@@ -582,6 +724,7 @@ def build_radial_problem(kind: str, **params) -> RadialProblem:
             centrifugal_coeff=0.0,
             effective_term=lambda th: alpha_u / np.cos(th / 2.0) ** 2 + alpha_v / np.sin(th / 2.0) ** 2,
             domain=(0.0, math.pi),
+            pole_strengths=(alpha_u, alpha_v),
         )
     if kind in ("para_u", "para_v"):
         model: OscillatorModel = params["model"]
@@ -604,13 +747,34 @@ def build_radial_problem(kind: str, **params) -> RadialProblem:
 
 
 def qes_verification_problem(potential: Potential8D, dim: int, rmax: float) -> RadialProblem:
-    """Radial problem matching the QES reduced operator -f'' - (dim/r)f' + V f."""
+    """Radial problem matching the QES reduced operator -f'' - (dim/r)f' + V f.
+
+    The c/r^2 part of V is the centrifugal term, so that the basis carries
+    the exact pole exponent.
+    """
     return RadialProblem(
         weight_exponent=int(dim),
-        centrifugal_coeff=0.0,
-        effective_term=lambda r: eval_potential(potential, r),
+        centrifugal_coeff=potential.c,
+        effective_term=lambda r: factor_potential(potential, -0.5 * potential.omega**2, r * r),
         domain=(0.0, rmax),
+        **_oscillator_basis(potential),
     )
+
+
+def _oscillator_basis(potential: Potential8D) -> dict:
+    """Basis scale and power of an oscillator-family radial problem, from its length 1/sqrt(omega).
+
+    sho and super2 take t = omega r^2, in which r^2 V is a polynomial.
+    sub2 has odd powers of r, so it takes t = r / beta; its states still
+    decay as Gaussians, within about ten lengths, and the Laguerre nodes of
+    a few dozen functions reach t of about 100, so beta is a tenth of the
+    length (on the QES sub2 blocks of the tests 20-28 functions reach
+    3e-13 at a tenth, 60-68 at half).
+    """
+    length = 1.0 / math.sqrt(potential.omega)
+    if potential.variant == "sub2":
+        return {"basis_scale": 0.1 * length, "basis_power": 1}
+    return {"basis_scale": length, "basis_power": 2}
 
 
 # ---------------------------------------------------------------------------
@@ -870,7 +1034,7 @@ def parabolic_joint_solve(
     group = [s for s in states if abs(s.E - best_e) <= 1e-8 * abs(best_e)]
     for s in group:
         if s.E_error > _CONV_TOL * abs(s.E):
-            raise _ladder_error((s.node_u, s.node_v), tops[s.node_u, s.node_v], s.E_error)
+            raise _gate_error((s.node_u, s.node_v), tops[s.node_u, s.node_v], s.E_error)
     return replace(min(group, key=lambda s: abs(s.P)), solves=solves)
 
 

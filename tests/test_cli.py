@@ -694,23 +694,24 @@ def test_qes_verify_states_beyond_a_quarter_of_the_grid_exit_2(tmp_path, capsys)
 
 
 def test_lapack_failure_exit_1(tmp_path, capsys, monkeypatch):
-    # numpy's LinAlgError is a ValueError, which would print as a config error
+    # numpy's LinAlgError is a ValueError, which would print as a config
+    # error; the duality joint search is the run that calls LAPACK's bisection
     import scipy.linalg
 
     def fail(*args, **kwargs):
         raise scipy.linalg.LinAlgError("stebz (eigh_tridiagonal) did not converge")
 
     monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", fail)
-    path = _write(tmp_path, "s.json", {**_OSC, "grid": {"n": 2000, "rmax": 12.0}})
+    path = _write(tmp_path, "d.json", {"omega": 0.25, "grid": {"n": 400}})
     out = tmp_path / "out"
-    assert main(["spectrum", path, "--out", str(out)]) == 1
+    assert main(["duality", path, "--out", str(out)]) == 1
     assert "accuracy error: tridiagonal eigensolve failed: stebz" in capsys.readouterr().err
     assert not out.exists()
 
 
 def test_failed_gate_exit_1_with_its_fields(tmp_path, capsys, monkeypatch):
     # a gate no bar can pass: the second line gives the state, its bar, the
-    # ladder's top rung and the tolerance
+    # size of the solve (8 basis functions) and the tolerance
     import hurwitz_kepler.numeric as numeric
 
     monkeypatch.setattr(numeric, "_CONV_TOL", 1e-20)
@@ -718,8 +719,8 @@ def test_failed_gate_exit_1_with_its_fields(tmp_path, capsys, monkeypatch):
     out = tmp_path / "out"
     assert main(["spectrum", path, "--out", str(out)]) == 1
     first, second = capsys.readouterr().err.splitlines()
-    assert first.startswith("accuracy error: grid doubling did not converge: state 0 ")
-    assert second.startswith("  state 0: error bar ") and second.endswith(" nodes, tol 1e-20")
+    assert first.startswith("accuracy error: basis growth did not converge: state 0 ")
+    assert second.startswith("  state 0: error bar ") and second.endswith(", size 8, tol 1e-20")
     assert not out.exists()
 
 
@@ -746,12 +747,14 @@ def test_log_stretch_overflow_exit_2(tmp_path, capsys):
 
 
 def test_log_stretch_underflow_exit_2(tmp_path, capsys):
-    # a stretch of 300 underflows the weights of the first nodes to 0
-    path = _write(tmp_path, "s.json", {**_OSC, "grid": {"n": 400, "spacing": "log", "stretch": 300}})
+    # a stretch of 300 underflows the weights of the first nodes of the
+    # duality joint search's grid to 0
+    cfg = {"omega": 0.25, "grid": {"n": 400, "spacing": "log", "stretch": 300}}
+    path = _write(tmp_path, "d.json", cfg)
     out = tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main(["spectrum", path, "--out", str(out)]) == 2
+        assert main(["duality", path, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: node weights on ") and err.count("\n") == 1
     assert "log stretch 300.0 is too steep" in err
@@ -771,12 +774,17 @@ def test_qes_grid_rmax_checked_in_both_modes(tmp_path, capsys, rmax, verify):
 _STARTUP = """
 import json, sys
 import hurwitz_kepler, hurwitz_kepler.cli as cli
+from hurwitz_kepler import numeric
 cfg, out = json.loads(sys.argv[1]), sys.argv[2]
+assert "numpy.polynomial" not in sys.modules
+assert numeric._basis.cache_info().currsize == 0
 loaded = {"import": "scipy" in sys.modules}
 for name, argv in (
     ("transform", ["transform", cfg["transform"]]),
     ("duality --no-verify", ["duality", cfg["duality"], "--no-verify"]),
     ("spectrum", ["spectrum", cfg["spectrum"]]),
+    ("qes --verify", ["qes", cfg["qes"], "--verify"]),
+    ("duality", ["duality", cfg["duality"]]),
 ):
     assert cli.main(argv + ["--out", out]) == 0, name
     loaded[name] = "scipy" in sys.modules
@@ -785,11 +793,15 @@ print(json.dumps(loaded))
 
 
 def test_scipy_loaded_only_by_a_solve(tmp_path):
-    # a fresh interpreter: this one has scipy loaded by other tests
+    # a fresh interpreter: this one has scipy loaded by other tests.  Only
+    # the parabolic joint search of a verified duality run solves with
+    # LAPACK's tridiagonal kernels; the fixed problems of spectrum and qes
+    # --verify need numpy alone, and importing the package builds no basis
     cfg = {
         "transform": _write(tmp_path, "t.json", {"count": 5}),
-        "duality": _write(tmp_path, "d.json", {"omega": 0.25}),
+        "duality": _write(tmp_path, "d.json", {"omega": 0.25, "grid": {"n": 400}}),
         "spectrum": _write(tmp_path, "s.json", {**_OSC, "grid": {"n": 2000, "rmax": 12.0}}),
+        "qes": _write(tmp_path, "q.json", _QES),
     }
     src = str(Path(hurwitz_kepler.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
@@ -804,5 +816,7 @@ def test_scipy_loaded_only_by_a_solve(tmp_path):
         "import": False,
         "transform": False,
         "duality --no-verify": False,
-        "spectrum": True,
+        "spectrum": False,
+        "qes --verify": False,
+        "duality": True,
     }
