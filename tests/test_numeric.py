@@ -496,15 +496,6 @@ _FD_CASES = {  # (problem, grid, states, basis size the solve stops at)
 }
 
 
-@pytest.mark.parametrize("case", list(_FD_CASES))
-def test_fd_eigensolve_basis_size(monkeypatch, solves, case):
-    # a fixed problem makes no tridiagonal eigensolve, and stops at its basis size
-    problem, grid, k, size = _FD_CASES[case]
-    fd_eigensolve(problem, grid, k)
-    assert solves == {"calls": 0, "cold": 0, "bisections": 0}
-    assert _basis_size(monkeypatch, problem, grid, k) == size
-
-
 def test_solver_inputs_and_result_fields():
     # every parameter has a caller outside the tests and every field a reader
     import dataclasses
@@ -658,6 +649,36 @@ class TestWarmStart:
         assert solves == {"calls": 3, "cold": 2, "bisections": 2}
         assert passes[-1] == k  # every column certifies on its first solve
         _assert_same_eigenpairs(warm, cold, fine[0])
+
+    @pytest.mark.parametrize("case", list(_FD_CASES))
+    def test_fd_eigensolve_keeps_the_first_certified_pass(self, monkeypatch, solves, case):
+        # a fixed problem makes no tridiagonal eigensolve.  Its basis grows
+        # by _STEP from the first multiple of _STEP at or above k; every pass
+        # before the last changes some wanted Ritz value by more than the
+        # rounding of the block it reads, and the solve keeps the Ritz
+        # values of the first pass whose changes all stay within it
+        problem, grid, k, size = _FD_CASES[case]
+        blocks, whitened = [], numeric._whitened
+
+        def recorded(problem, n):
+            out = whitened(problem, n)
+            blocks.append(out)
+            return out
+
+        monkeypatch.setattr(numeric, "_whitened", recorded)
+        spec = fd_eigensolve(problem, grid, k)
+        assert solves == {"calls": 0, "cold": 0, "bisections": 0}
+        sizes = list(range(-(-k // numeric._STEP) * numeric._STEP, size + 1, numeric._STEP))
+        certified = []
+        for n in sizes:
+            matrix, _, rounding, _ = next(b for b in blocks if len(b[0]) >= n)
+            ritz = np.linalg.eigh(matrix[:n, :n])[0][:k]
+            if n > sizes[0]:
+                certified.append(bool(np.all(np.abs(ritz - previous) <= rounding)))
+            previous = ritz
+        assert certified == [False] * (len(sizes) - 2) + [True]
+        np.testing.assert_array_equal(spec.eigenvalues, ritz * problem.eigenvalue_scale)
+        assert _basis_size(monkeypatch, problem, grid, k) == size
 
     @settings(max_examples=30, deadline=None)
     @given(
