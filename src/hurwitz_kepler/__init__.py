@@ -5,9 +5,9 @@ tied to 9-D generalized MICZ-Kepler systems through an octonionic
 bilinear transformation.  The package provides the transformation, the
 coordinate charts that separate both sides, closed-form spectra
 (singular oscillator and quasi-exactly-solvable anharmonic families) and
-independent eigensolvers (a Galerkin basis for the fixed separated
-equations, finite differences for the parabolic joint search) that verify
-every claim in spherical and parabolic charts.
+independent eigensolvers (Galerkin bases for the fixed separated
+equations and for the parabolic joint search) that verify every claim in
+spherical and parabolic charts.
 """
 
 from .algebra import build_gamma_set, hurwitz_forward, hurwitz_forward_batch

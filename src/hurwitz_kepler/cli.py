@@ -130,7 +130,8 @@ def _grid_from(cfg: dict, default_n: int, with_rmax: bool = True) -> tuple:
     """The ``grid`` block as (Grid, its ``rmax`` or None); ``with_rmax=False`` rejects that key.
 
     Every value is checked here, whether or not the run goes on to solve;
-    ``stretch`` is taken only with ``spacing`` "log", the one grid it shapes.
+    ``stretch`` is taken only with ``spacing`` "log".  The solvers read only
+    ``n``, which caps their basis.
     """
     keys = {"n", "spacing", "stretch"} | ({"rmax"} if with_rmax else set())
     g = check_keys(cfg.get("grid", {}), keys, what="grid block")

@@ -77,10 +77,9 @@ class AccuracyError(HurwitzKeplerError):
 
     When a solve's gate trips, ``state`` is the state that failed (its
     index for a fixed-problem solve, its branch pair (i, j) for a
-    parabolic joint search), ``nodes`` the size of the solve (the number
-    of basis functions, or the node count of the joint search's top
-    rung), ``bar`` that state's error bar and ``tol`` the bar allowed
-    relative to the value; otherwise all four are None.
+    parabolic joint search), ``nodes`` the size of the solve (its number
+    of basis functions), ``bar`` that state's error bar and ``tol`` the bar
+    allowed relative to the value; otherwise all four are None.
     """
 
     def __init__(

@@ -18,13 +18,10 @@ from hurwitz_kepler.analytic import (
     qes_solve,
     singular_oscillator_energy,
 )
-from hurwitz_kepler.errors import AccuracyError, SeparabilityError
+from hurwitz_kepler.errors import AccuracyError, BracketError, SeparabilityError
 from hurwitz_kepler.numeric import (
     Grid,
     RadialProblem,
-    _assemble,
-    _count_nodes,
-    _prolong,
     build_radial_problem,
     eigh_tridiagonal,
     fd_eigensolve,
@@ -160,33 +157,6 @@ class TestThetaOracle:
 
 
 class TestSolverMechanics:
-    def test_scheme_consistency_order(self):
-        # apply the assembled operator to exp(-r^2/2), the exact ground
-        # state of -(1/r^7)(r^7 f')' + r^2 f with eigenvalue 8; the
-        # pointwise defect must shrink like h^2
-        from hurwitz_kepler.numeric import _mapped_nodes
-
-        prob = RadialProblem(
-            weight_exponent=7,
-            centrifugal_coeff=0.0,
-            effective_term=lambda r: r**2,
-            domain=(0.0, 10.0),
-        )
-        errs = []
-        for n in (500, 1000, 2000):
-            g = Grid(n=n)
-            x, gn, xh, gh, ht = _mapped_nodes(g, 0.0, 10.0, n)
-            f = np.exp(-(x**2) / 2.0)
-            s_half = prob.weight(xh) / gh
-            wm = prob.weight(x) * gn
-            ff = np.concatenate([[1.0], f, [math.exp(-50.0)]])
-            lap = (s_half[:-1] * (ff[:-2] - f) + s_half[1:] * (ff[2:] - f)) / (ht**2 * wm)
-            op = -lap + x**2 * f
-            interior = slice(n // 10, -n // 2 + n // 10)
-            errs.append(np.max(np.abs(op - 8.0 * f)[interior]))
-        assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
-        assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.2)
-
     def test_grid_convergence_invariant(self):
         pot = Potential8D("sho", omega=1.0)
         prob = build_radial_problem("osc8", potential=pot, L=0, rmax=12.0)
@@ -206,12 +176,14 @@ class TestSolverMechanics:
 
     def test_extension_limit(self):
         # a negative quartic coupling turns the u-equation's potential over,
-        # so no domain holds its states: six extensions of the joint search's
-        # first domain, w up to 50 / sqrt(-2 E_hi), leave them at its end
+        # so no basis holds its states: its lowest Ritz values on the first
+        # basis already sit near -90 and no branch pair's mismatch changes
+        # sign
         p1 = Potential8D("super2", omega=1.0, b=-1e-2)
         model = OscillatorModel(p1=p1, p2=Potential8D("sho", omega=1.0), Z1=0.5, Z2=0.5)
-        with pytest.raises(AccuracyError, match="domain extension failed"):
+        with pytest.raises(BracketError) as info:
             parabolic_joint_solve(model, MiczParams(Z=1.0), Grid(n=200), (-0.045, -0.024))
+        assert all(f_lo < -30.0 and f_hi < -30.0 for f_lo, f_hi in info.value.endpoint_mismatch.values())
 
     def test_nonconvergence_error(self):
         # a 1/r well this deep binds a state far narrower than the basis
@@ -279,7 +251,7 @@ class TestParaBuilders:
             Z2=0.6,
         )
         micz = MiczParams(Z=1.0, c1=0.5)
-        prob = build_radial_problem("para_u", model=model, micz=micz, energy=-0.5, wmax=50.0)
+        prob = build_radial_problem("para_u", model=model, micz=micz, energy=-0.5)
         u = np.array([0.5, 1.0, 2.0, 8.0])
         w_direct = -0.5 * u * (-0.5) + 0.2 * np.sqrt(2.0 / u) + 0.3 * np.sqrt(u / 2.0) - 0.4
         assert np.allclose(prob.effective_term(u) * u, w_direct, rtol=1e-13)
@@ -289,7 +261,7 @@ class TestParaBuilders:
     def test_para_v_slot(self):
         model = _sho_model()
         prob = build_radial_problem(
-            "para_v", model=model, micz=MiczParams(Z=1.0, c2=2.0), energy=-0.5, wmax=50.0
+            "para_v", model=model, micz=MiczParams(Z=1.0, c2=2.0), energy=-0.5
         )
         assert prob.centrifugal_coeff == pytest.approx(4.0)
 
@@ -478,8 +450,8 @@ _COUL9 = build_radial_problem("coul9", Z=1.0, lam=0.0, rmax=260.0)
 _FD_CASES = {  # (problem, grid, states, basis size the solve stops at)
     # the sho and polar bases hold the eigenfunctions, so their Ritz values
     # sit at rounding level from the first test on; the others settle
-    # geometrically, the super2 case in a second block of 64 functions.
-    # A log grid changes nothing.
+    # geometrically, all within the first block of 32 functions.  A log grid
+    # changes nothing.
     "osc8": (
         build_radial_problem("osc8", potential=Potential8D("sho", omega=1.0, c=1.0), L=1),
         Grid(n=2000),
@@ -491,7 +463,7 @@ _FD_CASES = {  # (problem, grid, states, basis size the solve stops at)
     "theta": (
         build_radial_problem("theta", micz=MiczParams(Z=1.0, c1=1.0, c2=2.0)), Grid(n=3000), 3, 8
     ),
-    "qes-super2": (_qes_problem("super2", 2, 0.05), Grid(n=3000), 4, 40),
+    "qes-super2": (_qes_problem("super2", 2, 0.05), Grid(n=3000), 4, 28),
     "qes-sub2": (_qes_problem("sub2", 2, 1.0), Grid(n=3000), 4, 36),
 }
 
@@ -521,135 +493,29 @@ def test_solver_inputs_and_result_fields():
 
 
 # ---------------------------------------------------------------------------
-# The eigensolver kernel: bisection without estimates, inverse iteration with
-
-
-def _matrix(problem, grid, n, energy=0.0):
-    """(d, e) of ``problem`` on ``n`` nodes of its domain, shifted to ``energy``."""
-    d0, e, x = _assemble(problem, grid, *problem.domain, n)
-    return d0 - 0.5 * energy * x, e
-
-
-_PARA_MICZ = MiczParams(Z=1.0, c1=1.0, c2=2.0)
-
-
-def _para_case(kind, micz=_PARA_MICZ, grid=Grid(n=1500), model=None, energy=-0.02):
-    problem = build_radial_problem(
-        kind, model=model or _sho_model(), micz=micz, energy=0.0, wmax=250.0
-    )
-    return problem, grid, 3, energy
-
-
-_LOG = Grid(n=1500, spacing="log", stretch=4.0)
-_KERNEL_CASES = {  # (problem, grid, states, energy of the pencil shift)
-    "para_u": _para_case("para_u"),
-    "para_v": _para_case("para_v"),
-    "para_u-log": _para_case("para_u", grid=_LOG),
-    "para_v-log": _para_case("para_v", grid=_LOG),
-    "para_v-sub2": _para_case(
-        "para_v",
-        model=OscillatorModel(
-            Potential8D("sho", omega=1.0), Potential8D("sub2", omega=1.0, a=-0.2), 0.5, 0.5
-        ),
-    ),
-}
+# Basis growth: each size starts from the results of the size before
 
 
 @pytest.fixture
-def rows():
-    """Row counts of the matrices bisected and of those solved from estimates."""
-    return {"bisected": [], "warm": []}
-
-
-@pytest.fixture
-def solves(monkeypatch, rows):
-    """Counts of kernel calls, of those without estimates and of bisections run."""
-    counts = {"calls": 0, "cold": 0, "bisections": 0}
+def solves(monkeypatch):
+    """Counts of calls of the tridiagonal kernel and of scipy's bisection, which no solver makes."""
+    counts = {"calls": 0, "bisections": 0}
     kernel, bisect = numeric.eigh_tridiagonal, scipy.linalg.eigh_tridiagonal
 
-    def counted_kernel(d, e, first, last, estimates=None, vectors=None):
+    def counted_kernel(*args):
         counts["calls"] += 1
-        counts["cold"] += estimates is None
-        if estimates is not None:
-            rows["warm"].append(len(d))
-        return kernel(d, e, first, last, estimates, vectors)
+        return kernel(*args)
 
-    def counted_bisect(d, *args, **kwargs):
+    def counted_bisect(*args, **kwargs):
         counts["bisections"] += 1
-        rows["bisected"].append(len(d))
-        return bisect(d, *args, **kwargs)
+        return bisect(*args, **kwargs)
 
     monkeypatch.setattr(numeric, "eigh_tridiagonal", counted_kernel)
     monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counted_bisect)
     return counts
 
 
-@pytest.fixture
-def passes(monkeypatch, solves):
-    """The gtsv solves of each kernel call, in call order.
-
-    A warm call solves each of its columns once per pass, so a call whose
-    columns all certify on their first pass makes one solve per column; a
-    cold call makes none unless its loose bisection fails the certificates.
-    """
-    record = []
-    lookup, kernel = scipy.linalg.get_lapack_funcs, numeric.eigh_tridiagonal
-
-    def counted_lookup(names, arrays=()):
-        (gtsv,) = lookup(names, arrays)
-
-        def counted_gtsv(*args):
-            record[-1] += 1
-            return gtsv(*args)
-
-        return (counted_gtsv,)
-
-    def recorded_kernel(d, e, first, last, estimates=None, vectors=None):
-        record.append(0)
-        return kernel(d, e, first, last, estimates, vectors)
-
-    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", counted_lookup)
-    monkeypatch.setattr(numeric, "eigh_tridiagonal", recorded_kernel)
-    return record
-
-
-def _assert_same_eigenpairs(warm, cold, d):
-    # a quotient chi . T chi sums n products whose rounding errors of
-    # eps |d_k| chi_k^2 add up like a random walk: that floor, not 1e-12
-    # relative, bounds the agreement where |mu| is small against d
-    (mu_w, chi_w), (mu, chi) = warm, cold
-    floor = np.finfo(float).eps * np.linalg.norm(d[:, None] * chi**2, axis=0)
-    np.testing.assert_allclose(mu_w, mu, rtol=1e-12, atol=4.0 * np.max(floor))
-    signs = np.sign(np.sum(chi_w * chi, axis=0))
-    np.testing.assert_allclose(chi_w * signs, chi, rtol=0.0, atol=1e-8)
-
-
-@functools.lru_cache(maxsize=None)
-def _fine(case):
-    problem, grid, _, energy = _KERNEL_CASES[case]
-    return _matrix(problem, grid, 2 * grid.n + 1, energy)
-
-
-@functools.lru_cache(maxsize=None)
-def _cold(case, first, last):
-    return eigh_tridiagonal(*_fine(case), first, last)
-
-
 class TestWarmStart:
-    @pytest.mark.parametrize("case", list(_KERNEL_CASES))
-    def test_warm_matches_cold(self, solves, passes, case):
-        # the coarse grid's quotients, and its vectors prolonged onto the
-        # fine grid's 2n + 1 nodes, start inverse iteration as on the joint
-        # search's ladder, and no bisection follows
-        problem, grid, k, energy = _KERNEL_CASES[case]
-        fine = _fine(case)
-        mu, chi = numeric.eigh_tridiagonal(*_matrix(problem, grid, grid.n, energy), 0, k - 1)
-        cold = numeric.eigh_tridiagonal(*fine, 0, k - 1)
-        warm = numeric.eigh_tridiagonal(*fine, 0, k - 1, mu, _prolong(chi))
-        assert solves == {"calls": 3, "cold": 2, "bisections": 2}
-        assert passes[-1] == k  # every column certifies on its first solve
-        _assert_same_eigenpairs(warm, cold, fine[0])
-
     @pytest.mark.parametrize("case", list(_FD_CASES))
     def test_fd_eigensolve_keeps_the_first_certified_pass(self, monkeypatch, solves, case):
         # a fixed problem makes no tridiagonal eigensolve.  Its basis grows
@@ -667,11 +533,11 @@ class TestWarmStart:
 
         monkeypatch.setattr(numeric, "_whitened", recorded)
         spec = fd_eigensolve(problem, grid, k)
-        assert solves == {"calls": 0, "cold": 0, "bisections": 0}
+        assert solves == {"calls": 0, "bisections": 0}
         sizes = list(range(-(-k // numeric._STEP) * numeric._STEP, size + 1, numeric._STEP))
         certified = []
         for n in sizes:
-            matrix, _, rounding, _ = next(b for b in blocks if len(b[0]) >= n)
+            matrix, _, rounding, _, _ = next(b for b in blocks if len(b[0]) >= n)
             ritz = np.linalg.eigh(matrix[:n, :n])[0][:k]
             if n > sizes[0]:
                 certified.append(bool(np.all(np.abs(ritz - previous) <= rounding)))
@@ -680,89 +546,56 @@ class TestWarmStart:
         np.testing.assert_array_equal(spec.eigenvalues, ritz * problem.eigenvalue_scale)
         assert _basis_size(monkeypatch, problem, grid, k) == size
 
-    @settings(max_examples=30, deadline=None)
-    @given(
-        case=st_.sampled_from(["para_u", "para_u-log", "para_v"]),
-        first=st_.integers(0, 2),
-        shifts=st_.lists(st_.floats(-0.5, 0.5), min_size=1, max_size=3),
-        noise=st_.floats(0.0, 1.0),
-        seed=st_.integers(0, 2**32 - 1),
-    )
-    # midway between two log-grid eigenvalues and with noise of half the
-    # vector's norm
-    @example(case="para_u-log", first=1, shifts=[0.5], noise=0.5, seed=0)
-    def test_estimates_within_half_a_gap(self, case, first, shifts, noise, seed):
-        # from estimates up to half a gap off and the eigenvectors with noise
-        # of norm up to about ``noise`` added, the kernel returns the
-        # requested eigenpairs, whether they certify or it bisects
-        last = first + len(shifts) - 1
-        mu, chi = _cold(case, 0, last + 1)
-        gaps = np.diff(mu)[first : last + 1]
-        estimates = mu[first : last + 1] + np.array(shifts) * gaps
-        start = chi[:, first : last + 1]
-        rng = np.random.default_rng(seed)
-        start = start + noise * rng.standard_normal(start.shape) / math.sqrt(len(start))
-        warm = eigh_tridiagonal(*_fine(case), first, last, estimates, start)
-        _assert_same_eigenpairs(warm, _cold(case, first, last), _fine(case)[0])
-
-    @pytest.mark.parametrize("index, neighbour", [(0, 1), (1, 0), (1, 2)])
-    def test_neighbour_estimate_falls_back(self, solves, passes, index, neighbour):
-        # inverse iteration from another state's eigenvalue and vector stays
-        # on that state; its sign changes give it away on each of the three
-        # passes, and the call bisects instead
-        mu, chi = _cold("para_u", 0, 2)
-        solves.update(dict.fromkeys(solves, 0))  # count the call under test only
-        other = slice(neighbour, neighbour + 1)
-        fine = _fine("para_u")
-        mu_w, chi_w = numeric.eigh_tridiagonal(*fine, index, index, mu[other], chi[:, other])
-        assert solves == {"calls": 1, "cold": 0, "bisections": 1}
-        assert passes == [3]
-        assert _count_nodes(chi_w[:, 0]) == index
-        assert mu_w[0] == pytest.approx(mu[index], rel=1e-12)
-
-    def test_zero_pivot_falls_back(self, solves, passes):
-        # T - 0 = [[1, -1], [-1, 1]] is singular and its elimination meets an
-        # exact zero pivot (gtsv's info = 2); the call bisects instead of
-        # raising and returns the null vector
-        d, e = np.array([1.0, 1.0]), np.array([-1.0])
-        mu, chi = numeric.eigh_tridiagonal(d, e, 0, 0, [0.0], np.array([[1.0], [0.0]]))
-        assert solves == {"calls": 1, "cold": 0, "bisections": 1}
-        assert passes == [1]
-        assert mu[0] == pytest.approx(0.0, abs=1e-15)
-        np.testing.assert_allclose(np.abs(chi[:, 0]), [math.sqrt(0.5)] * 2, rtol=1e-15)
-
     @pytest.mark.parametrize(
-        "bracket, calls, e_hi, e_lo, solved",
-        [((-0.045, -0.024), 28, 3, 9, 60), ((-0.024, -0.017), 50, 6, 8, 100)],
+        "bracket, pairs, evals",
+        [((-0.045, -0.024), [(0, 0)], [1, 1]), ((-0.024, -0.017), [(0, 1), (1, 0)], [1, 1])],
         ids=["level0", "level1"],
     )
-    def test_joint_search_bisects_at_e_hi_only(
-        self, solves, rows, passes, bracket, calls, e_hi, e_lo, solved
-    ):
-        # one bisection per equation, on the pilot of the first domain (143
-        # or 169 rows), which widens once to hold the two-node state, and no
-        # warm solve of the Coulomb levels falls back.  The search runs on the
-        # widened pilot and every later solve is on a rung of 2m + 1 nodes
-        # after m.  The widened pilot starts from the first domain's vectors,
-        # interpolated, and takes one or two solves per branch; the E_lo
-        # solve, started from the E_hi vectors, takes up to three, and each
-        # Newton evaluation at most two
-        parabolic_joint_solve(_sho_model(), MiczParams(Z=1.0), Grid(n=1500), bracket)
-        assert solves == {"calls": calls, "cold": 2, "bisections": 2}
-        pilot = {-0.024: 143, -0.017: 169}[bracket[1]]
-        widened = int(1.5 * pilot) | 1
-        assert rows["bisected"] == [pilot, pilot]
-        assert rows["warm"][:2] == [widened] * 2
-        assert {n for n in rows["warm"]} == {(widened + 1) * 2**k - 1 for k in range(6)}
-        assert len(passes) == len(rows["warm"]) + 2 == calls
-        assert passes[:6] == [0, 0, e_hi, e_hi, e_lo, e_lo] and sum(passes) == solved
-        assert all(p <= 2 for p in passes[6:])
+    def test_joint_search_basis_growth(self, monkeypatch, solves, bracket, pairs, evals):
+        # the bench's Coulomb levels: one 32-function block per equation, no
+        # tridiagonal solve, and each sign-changing pair settles on 16
+        # functions.  The sho seed is the root on 12 functions and the root
+        # on 12 is the start on 16, so each size takes one Newton evaluation
+        calls, match = [], numeric._match_root
+        blocks, whitened = [], numeric._whitened
 
-    def test_joint_search_lower_end_estimates_hold(self, solves, rows):
-        # with sho factors the charge each equation binds grows as sqrt(-E),
-        # which places the E_lo eigenvalues of (c1, c2) = (1, 2) well enough
-        # for inverse iteration; the slopes alone miss them by up to 70%
-        micz = MiczParams(Z=1.0, c1=1.0, c2=2.0)
-        parabolic_joint_solve(_sho_model(), micz, Grid(n=1500), (-0.05, -0.015))
-        assert solves == {"calls": 22, "cold": 2, "bisections": 2}
-        assert rows["bisected"] == [181, 181]  # pilots of the first domain of 2886 nodes
+        def recorded_match(pencils, n, i, j, energy, lo, hi):
+            out = match(pencils, n, i, j, energy, lo, hi)
+            calls.append(((i, j), n, energy, (lo, hi), out[0], out[3]))
+            return out
+
+        def recorded_whitened(problem, size):
+            blocks.append(size)
+            return whitened(problem, size)
+
+        monkeypatch.setattr(numeric, "_match_root", recorded_match)
+        monkeypatch.setattr(numeric, "_whitened", recorded_whitened)
+        st = parabolic_joint_solve(_sho_model(), MiczParams(Z=1.0), Grid(n=1500), bracket)
+        assert solves == {"calls": 0, "bisections": 0}
+        assert blocks == [32, 32]
+        assert sorted({pair for pair, *_ in calls}) == pairs
+        for pair in pairs:
+            (_, n0, _, ends0, root0, evals0), (_, n1, start1, ends1, _, evals1) = (
+                c for c in calls if c[0] == pair
+            )
+            assert (n0, n1) == (12, 16)
+            assert ends0 == bracket and ends1 == (-math.inf, math.inf)
+            assert start1 == root0
+            assert [evals0, evals1] == evals
+        assert st.solves == 4 + 2 * sum(e for *_, e in calls)
+
+
+def test_eigh_tridiagonal_wraps_scipy(monkeypatch):
+    # the tracer of the bench binds the kernel by name; it is scipy's
+    # bisection with select="i", and a LAPACK failure is an AccuracyError
+    d, e = np.array([2.0, 2.0, 2.0]), np.array([-1.0, -1.0])
+    mu, chi = eigh_tridiagonal(d, e, 0, 1)
+    np.testing.assert_allclose(mu, [2.0 - math.sqrt(2.0), 2.0], rtol=1e-14)
+    np.testing.assert_allclose(np.abs(chi[:, 0]), [0.5, math.sqrt(0.5), 0.5], rtol=1e-12)
+
+    def fail(*args, **kwargs):
+        raise scipy.linalg.LinAlgError("stebz did not converge")
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", fail)
+    with pytest.raises(AccuracyError, match="tridiagonal eigensolve failed: stebz"):
+        eigh_tridiagonal(d, e, 0, 0)
