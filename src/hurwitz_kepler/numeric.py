@@ -142,7 +142,7 @@ class RadialProblem:
     ``effective_term`` is the remaining vectorized source, and
     ``mass_term`` an optional eigenvalue weight (the parabolic equations).
     The raw eigenvalue mu is reported as ``eigenvalue_scale * mu`` (0.5
-    turns 2Z into Z and 2E into E).  The basis of :func:`fd_eigensolve`
+    turns 2Z into Z and 2E into E).  The basis of :func:`_whitened`
     decays as exp(-(x / ``basis_scale``)^``basis_power`` / 2) on a power
     weight, and on the sin^7 weight its pole exponents come from
     ``pole_strengths`` (alpha_u, alpha_v), the coefficients of
