@@ -676,7 +676,7 @@ def parabolic_joint_solve(
         (mu_u_lo, mu_v_lo), (mu_u_hi, mu_v_hi) = (
             [_shifted(p, _FIRST_BASIS, e, slice(_BRANCHES))[0] for p in block] for e in bracket
         )
-        solves = 4
+        solves = 4  # each equation at E_lo and at E_hi
         mismatch = {
             (i, j): (float(mu_u_lo[i] + mu_v_lo[j]), float(mu_u_hi[i] + mu_v_hi[j]))
             for i in range(_BRANCHES)

@@ -93,6 +93,15 @@ class TestPureCoulomb:
         err = info.value
         assert (err.state, err.nodes, err.bar, err.tol) == ((0, 0), 16, st.E_error, 1e-20)
 
+    def test_node_counts_certify_the_pair(self, monkeypatch):
+        # the pair's branch indices must be the sign changes of its two last
+        # Ritz functions; a count that differs is an accuracy error
+        monkeypatch.setattr(numeric, "_count_nodes", lambda vec: 1)
+        with pytest.raises(AccuracyError, match=r"branch pair \(0, 0\) on 16 basis functions have 1 and 1"):
+            parabolic_joint_solve(
+                _coulomb_model(), MiczParams(Z=1.0), Grid(n=1500), bracket=(-0.045, -0.024)
+            )
+
     def test_lapack_failure_is_an_accuracy_error(self, monkeypatch):
         # numpy's LinAlgError is a ValueError, which the CLI would report as
         # a config error
