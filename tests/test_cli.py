@@ -786,6 +786,17 @@ print(json.dumps(loaded))
 """
 
 
+def _fresh(script, *args):
+    """The JSON of the last line ``script`` prints in a fresh interpreter with the package on its path."""
+    src = str(Path(hurwitz_kepler.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run(
+        [sys.executable, "-c", script, *args], env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout.splitlines()[-1])
+
+
 def test_no_subcommand_loads_scipy(tmp_path):
     # a fresh interpreter: this one has scipy loaded by other tests.  The
     # fixed problems of spectrum, qes --verify and duality and the joint
@@ -797,16 +808,7 @@ def test_no_subcommand_loads_scipy(tmp_path):
         "spectrum": _write(tmp_path, "s.json", {**_OSC, "grid": {"n": 2000, "rmax": 12.0}}),
         "qes": _write(tmp_path, "q.json", _QES),
     }
-    src = str(Path(hurwitz_kepler.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    run = subprocess.run(
-        [sys.executable, "-c", _STARTUP, json.dumps(cfg), str(tmp_path / "out")],
-        env=env,
-        capture_output=True,
-        text=True,
-    )
-    assert run.returncode == 0, run.stderr
-    assert json.loads(run.stdout.splitlines()[-1]) == {
+    assert _fresh(_STARTUP, json.dumps(cfg), str(tmp_path / "out")) == {
         "import": False,
         "transform": False,
         "duality --no-verify": False,
@@ -814,3 +816,24 @@ def test_no_subcommand_loads_scipy(tmp_path):
         "qes --verify": False,
         "duality": False,
     }
+
+
+_KERNEL = """
+import json, pkgutil, sys
+import numpy as np
+import hurwitz_kepler
+from hurwitz_kepler import numeric
+for module in pkgutil.iter_modules(hurwitz_kepler.__path__):
+    __import__("hurwitz_kepler." + module.name)
+loaded = ["scipy" in sys.modules]
+numeric.eigh_tridiagonal(np.array([2.0, 2.0]), np.array([-1.0]), 0, 0)
+loaded.append("scipy" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def test_scipy_loaded_only_by_a_solve():
+    # a fresh interpreter: importing every module of the package leaves
+    # scipy unloaded, and the one function that needs it, the tridiagonal
+    # kernel kept for the bench's tracer, imports it when it solves
+    assert _fresh(_KERNEL) == [False, True]

@@ -8,6 +8,7 @@ import pytest
 import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st_
+from scipy.optimize import brentq
 
 from hurwitz_kepler import numeric
 from hurwitz_kepler.analytic import (
@@ -515,7 +516,137 @@ def solves(monkeypatch):
     return counts
 
 
+_EPS = np.finfo(float).eps
+_PARA_MICZ = MiczParams(Z=1.0, c1=1.0, c2=2.0)
+
+
+def _para_problems(model=None, micz=_PARA_MICZ, e_hi=-0.02):
+    """The joint search's problems (u, v) for a bracket ending at ``e_hi``: basis scale 1 / sqrt(-2 E_hi)."""
+    return [
+        replace(
+            build_radial_problem(kind, model=model or _sho_model(), micz=micz, energy=0.0),
+            basis_scale=1.0 / math.sqrt(-2.0 * e_hi),
+        )
+        for kind in ("para_u", "para_v")
+    ]
+
+
+def _para_level(level, micz=_PARA_MICZ, Z=1.0):
+    """Closed-form energy -Z^2 / (2 (delta_u + delta_v + 4 + level)^2) of the sho model."""
+    du, dv = (0.5 * (-3.0 + math.sqrt(9.0 + 8.0 * c)) for c in (micz.c1, micz.c2))
+    return -(Z**2) / (2.0 * (du + dv + 4.0 + level) ** 2)
+
+
+_SUB2_MODEL = OscillatorModel(
+    Potential8D("sho", omega=1.0), Potential8D("sub2", omega=1.0, a=-0.2), 0.5, 0.5
+)
+_LOG = Grid(n=24, spacing="log", stretch=4.0)
+_KERNEL_CASES = {  # (equation, model, grid that caps the block, quadrature share of the bound)
+    "para_u": (0, _sho_model(), Grid(n=1500), 0.0),
+    "para_v": (1, _sho_model(), Grid(n=1500), 0.0),
+    "para_u-log": (0, _sho_model(), _LOG, 0.0),
+    "para_v-log": (1, _sho_model(), _LOG, 0.0),
+    "para_v-sub2": (1, _SUB2_MODEL, Grid(n=1500), 1e-9),
+}
+
+
 class TestWarmStart:
+    @pytest.mark.parametrize("case", list(_KERNEL_CASES))
+    def test_warm_matches_cold(self, solves, case):
+        # the joint search assembles each equation once, on _BLOCK functions
+        # or on the grid's cap if that is smaller (24 for the log grids,
+        # whose spacing plays no part), and every basis size up to it reads
+        # a leading block of that pencil (warm).  The basis is nested, so
+        # that is the pencil assembled on n functions (cold): at a shifted
+        # energy the three branches' eigenvalues agree to their rounding,
+        # as do their Hellmann-Feynman slopes, and their Ritz functions have
+        # 0, 1 and 2 sign changes.  The sho factors make w^2 q a polynomial
+        # that both Gauss rules integrate exactly; the sub2 factors' linear
+        # term does not, and the cold rule of n + _EXTRA nodes moves the
+        # eigenvalues by up to 2e-10
+        equation, model, grid, quadrature = _KERNEL_CASES[case]
+        problem = _para_problems(model)[equation]
+        cap = min(grid.n, numeric._MAX_BASIS)
+        block = numeric._block([problem], numeric._FIRST_BASIS, cap)
+        size = len(block[0][0])
+        assert size == min(numeric._BLOCK, grid.n)
+        for n in range(numeric._FIRST_BASIS, size + 1, numeric._STEP):
+            assert numeric._block([problem], n, cap, block) is block
+            cold = numeric._whitened(problem, n)
+            (mu_w, chi_w, slope_w, r_w), (mu_c, chi_c, slope_c, r_c) = (
+                numeric._shifted(pencil, n, -0.02, slice(3)) for pencil in (block[0], cold)
+            )
+            np.testing.assert_allclose(mu_w, mu_c, rtol=0.0, atol=4.0 * (r_w + r_c) + quadrature)
+            np.testing.assert_allclose(slope_w, slope_c, rtol=1e-13 + quadrature)
+            assert numeric._node_counts(block[0], n, chi_w) == [0, 1, 2]
+            assert numeric._node_counts(cold, n, chi_c) == [0, 1, 2]
+        assert solves == {"calls": 0, "bisections": 0}
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        pair=st_.sampled_from([(0, 0), (1, 0), (0, 1)]),
+        n=st_.sampled_from([12, 16]),
+        shift=st_.floats(-0.5, 0.5),
+    )
+    # midway between the first excited level and the ground level
+    @example(pair=(1, 0), n=12, shift=-0.5)
+    def test_estimates_within_half_a_gap(self, pair, n, shift):
+        # Newton from an estimate up to half a gap to the next level off
+        # returns the pair's root on the pencils to within twice its
+        # rounding floor, in at most five evaluations, and its Ritz
+        # functions have the pair's node counts: the branch index, not the
+        # start, picks the eigenvalues.  The sizes after the first search
+        # without a bracket, as here
+        level = sum(pair)
+        energy = _para_level(level)
+        gap = min(abs(energy - _para_level(other)) for other in (level - 1, level + 1) if other >= 0)
+        pencils = numeric._block(_para_problems(e_hi=0.8 * energy), n, numeric._MAX_BASIS)
+
+        def mismatch(e):
+            return sum(numeric._shifted(p, n, e, b)[0] for p, b in zip(pencils, pair))
+
+        ref = brentq(mismatch, energy - gap, energy + gap, xtol=1e-300, rtol=4.0 * _EPS)
+        root, _, floor, evals, vectors = numeric._match_root(
+            pencils, n, *pair, energy + shift * gap, -math.inf, math.inf
+        )
+        assert abs(root - ref) <= 2.0 * floor
+        assert evals <= 5
+        counts = [numeric._node_counts(p, n, v[:, None])[0] for p, v in zip(pencils, vectors)]
+        assert counts == list(pair)
+
+    def test_joint_search_lower_end_estimates_hold(self, monkeypatch):
+        # with sho factors the charge F(E) + Z that each branch pair binds
+        # grows as sqrt(-E), the scaling behind the Sturmian seed.  On the
+        # first basis, whose scale is set at E_hi, the search's E_lo
+        # mismatches of (c1, c2) = (1, 2) follow from its E_hi mismatches
+        # by that scaling to within 1e-5 of the charge, and from above, as
+        # Ritz values do; the Hellmann-Feynman slopes at E_hi alone miss
+        # them by 18% of it
+        calls, shifted = [], numeric._shifted
+
+        def recorded(pencil, n, energy, branches):
+            out = shifted(pencil, n, energy, branches)
+            calls.append((n, energy, branches, out))
+            return out
+
+        monkeypatch.setattr(numeric, "_shifted", recorded)
+        e_lo, e_hi = -0.05, -0.015
+        parabolic_joint_solve(_sho_model(), _PARA_MICZ, Grid(n=1500), (e_lo, e_hi))
+        ends = calls[:4]
+        assert [(n, e, b) for n, e, b, _ in ends] == [
+            (numeric._FIRST_BASIS, e, slice(numeric._BRANCHES)) for e in (e_lo, e_lo, e_hi, e_hi)
+        ]
+        (mu_u_lo, _, _, _), (mu_v_lo, _, _, _), hi_u, hi_v = (out for *_, out in ends)
+        (mu_u_hi, _, s_u, _), (mu_v_hi, _, s_v, _) = hi_u, hi_v
+        for i in range(3):
+            for j in range(3 - i):
+                f_lo, f_hi = mu_u_lo[i] + mu_v_lo[j], mu_u_hi[i] + mu_v_hi[j]
+                charge = f_lo + 1.0
+                scaled = (f_hi + 1.0) * math.sqrt(e_lo / e_hi) - 1.0
+                assert 0.0 <= f_lo - scaled <= 1e-5 * charge
+                linear = f_hi + (s_u[i] + s_v[j]) * (e_lo - e_hi)
+                assert abs(linear - f_lo) > 0.15 * charge
+
     @pytest.mark.parametrize("case", list(_FD_CASES))
     def test_fd_eigensolve_keeps_the_first_certified_pass(self, monkeypatch, solves, case):
         # a fixed problem makes no tridiagonal eigensolve.  Its basis grows

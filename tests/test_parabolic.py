@@ -114,6 +114,33 @@ class TestPureCoulomb:
                 _coulomb_model(), MiczParams(Z=1.0), Grid(n=1500), bracket=(-0.045, -0.024)
             )
 
+    def test_first_domain_holds_for_three_branches(self, monkeypatch):
+        # the endpoint mismatches are read on the first basis, 12 functions
+        # on (0, inf) with scale 1 / sqrt(-2 E_hi): at E_hi that is the
+        # Sturmian basis, whose functions are the pure Coulomb states, so the
+        # three branches of each equation are the closed forms kappa (i + 2)
+        # - Z_a to rounding; at E_lo, a scale 37% off, to 1e-10.  Their
+        # Ritz functions have 0, 1 and 2 sign changes at both ends
+        calls, shifted = [], numeric._shifted
+
+        def record(pencil, n, energy, branches):
+            out = shifted(pencil, n, energy, branches)
+            calls.append((pencil, n, energy, branches, out))
+            return out
+
+        monkeypatch.setattr(numeric, "_shifted", record)
+        e_lo, e_hi = -0.045, -0.024
+        parabolic_joint_solve(_coulomb_model(), MiczParams(Z=1.0), Grid(n=1500), bracket=(e_lo, e_hi))
+        ends = calls[:4]
+        assert [(n, e, b) for _, n, e, b, _ in ends] == [
+            (12, e, slice(3)) for e in (e_lo, e_lo, e_hi, e_hi)
+        ]
+        for pencil, n, energy, _, (mu, vectors, _, rounding) in ends:
+            exact = math.sqrt(-2.0 * energy) * (np.arange(3) + 2.0) - 0.5
+            tol = 2.0 * rounding if energy == e_hi else 1e-10
+            np.testing.assert_allclose(mu, exact, rtol=0.0, atol=tol)
+            assert numeric._node_counts(pencil, n, vectors) == [0, 1, 2]
+
 
 class TestGeneralizedMicz:
     def test_cross_chart_ground(self):
