@@ -126,29 +126,13 @@ def _load_config(path: str, allowed: set, required: set = frozenset()) -> dict:
     return check_keys(cfg, allowed, required)
 
 
-def _grid_from(cfg: dict, default_n: int, with_rmax: bool = True) -> tuple:
-    """The ``grid`` block as (Grid, its ``rmax`` or None); ``with_rmax=False`` rejects that key.
+def _grid_from(cfg: dict, default_n: int) -> Grid:
+    """The ``grid`` block as a Grid: its one key ``n`` caps the basis of every solve.
 
-    Every value is checked here, whether or not the run goes on to solve;
-    ``stretch`` is taken only with ``spacing`` "log".  The solvers read only
-    ``n``, which caps their basis.
+    It is checked here, whether or not the run goes on to solve.
     """
-    keys = {"n", "spacing", "stretch"} | ({"rmax"} if with_rmax else set())
-    g = check_keys(cfg.get("grid", {}), keys, what="grid block")
-    spacing = str(g.get("spacing", "uniform"))
-    if "stretch" in g and spacing != "log":
-        raise ConfigError("grid block key 'stretch' needs spacing 'log'")
-    grid = Grid(
-        n=int_key(g, "n", default_n, what="grid block"),
-        spacing=spacing,
-        stretch=float_key(g, "stretch", 6.0, what="grid block"),
-    )
-    rmax = g.get("rmax")
-    if rmax is not None and not (
-        isinstance(rmax, (int, float)) and not isinstance(rmax, bool) and 0.0 < rmax < math.inf
-    ):
-        raise ConfigError(f"grid block key 'rmax' must be a positive finite number, got {rmax!r}")
-    return grid, rmax
+    g = check_keys(cfg.get("grid", {}), {"n"}, what="grid block")
+    return Grid(n=int_key(g, "n", default_n, what="grid block"))
 
 
 def _out_dir(args) -> Path:
@@ -229,7 +213,7 @@ def _spectrum_oscillator(cfg: dict) -> tuple:
         )
     n_max = int_key(cfg, "n_max", 2, minimum=0)
     l_max = int_key(cfg, "l_max", 1, minimum=0)
-    grid, rmax = _grid_from(cfg, 4000)
+    grid = _grid_from(cfg, 4000)
     _check_states("n_max", n_max + 1, grid)
     # closed forms before the first solve: a complex L' is a config error
     exact = {
@@ -240,7 +224,7 @@ def _spectrum_oscillator(cfg: dict) -> tuple:
     rows = []
     worst = 0.0
     for L in range(l_max + 1):
-        prob = build_radial_problem("osc8", potential=pot, L=L, rmax=rmax)
+        prob = build_radial_problem("osc8", potential=pot, L=L)
         spec = fd_eigensolve(prob, grid, n_max + 1)
         for N in range(n_max + 1):
             z_exact = exact[N, L]
@@ -261,7 +245,7 @@ def _spectrum_micz(cfg: dict) -> tuple:
         if model.Z != 0.0 and abs(model.Z - micz.Z) > 1e-12 * max(1.0, abs(micz.Z)):
             raise ConfigError("model charge Z1+Z2 disagrees with the micz block Z")
     n_states = int_key(cfg, "n_states", 2, minimum=1)
-    grid, rmax = _grid_from(cfg, 4000)
+    grid = _grid_from(cfg, 4000)
     polar = Grid(n=3000)  # the polar solve's cap, not the config's
     if n_states > polar.n // 4:
         raise ConfigError(
@@ -269,15 +253,8 @@ def _spectrum_micz(cfg: dict) -> tuple:
             f"but the polar solve's fixed grid of n = {polar.n} takes at most {polar.n // 4}"
         )
     _check_states("n_states", n_states, grid)
-    smax = n_states + 5.0
-    rmax = float(rmax or 55.0 * smax / micz.Z)
     states = spherical_micz_energies(
-        micz,
-        n_theta=n_states,
-        n_radial=n_states,
-        grid_theta=polar,
-        grid_radial=grid,
-        rmax=rmax,
+        micz, n_theta=n_states, n_radial=n_states, grid_theta=polar, grid_radial=grid
     )
     rows = []
     worst = 0.0
@@ -350,7 +327,7 @@ def cmd_qes(args) -> int:
         raise ConfigError("family must be 'sub2' or 'super2'")
     sol = qes_solve(params, family)
 
-    grid, rmax = _grid_from(cfg, 3000)
+    grid = _grid_from(cfg, 3000)
     if args.verify:
         _check_states("N", len(sol.energies) + 2, grid)
     rows = []
@@ -361,8 +338,7 @@ def cmd_qes(args) -> int:
         fd_dev = ""
         if args.verify:
             if pot_i not in spectra:
-                span = float(rmax or (12.0 / math.sqrt(pot_i.omega)))
-                prob = qes_verification_problem(pot_i, params.dim, span)
+                prob = qes_verification_problem(pot_i, params.dim)
                 spectra[pot_i] = fd_eigensolve(prob, grid, len(sol.energies) + 2)
             spec = spectra[pot_i]
             fd_dev = float(np.min(np.abs(spec.eigenvalues - energy)) / abs(energy))
@@ -423,15 +399,8 @@ def cmd_qes(args) -> int:
 
 def _spherical_ground(z: float, c1: float, c2: float, grid: Grid) -> float:
     micz = MiczParams(Z=z, c1=c1, c2=c2)
-    lam_scale = effective_lprime(0, 4.0 * c1) + effective_lprime(0, 4.0 * c2)
-    rmax = 55.0 * (6.0 + 0.5 * lam_scale) / z
     states = spherical_micz_energies(
-        micz,
-        n_theta=1,
-        n_radial=1,
-        grid_theta=Grid(n=3000),
-        grid_radial=grid,
-        rmax=rmax,
+        micz, n_theta=1, n_radial=1, grid_theta=Grid(n=3000), grid_radial=grid
     )
     return states[0][0]
 
@@ -497,7 +466,7 @@ def cmd_duality(args) -> int:
     for key, value in (("omega", omega), ("omega2", omega2)):
         if value <= 0.0:
             raise ConfigError(f"config key {key!r} must be positive, got {value!r}")
-    grid, _ = _grid_from(cfg, 2000, with_rmax=False)
+    grid = _grid_from(cfg, 2000)
     cases_cfg = cfg.get("cases", [{"c1": 0.0, "c2": 0.0}])
     if not (isinstance(cases_cfg, list) and cases_cfg):
         raise ConfigError(f"config key 'cases' must be a non-empty list, got {cases_cfg!r}")

@@ -47,7 +47,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import AccuracyError, BracketError
+from .errors import AccuracyError, BracketError, check_keys
 from .potentials import (
     MiczParams,
     OscillatorModel,
@@ -420,23 +420,30 @@ def fd_eigensolve(problem: RadialProblem, grid: Grid, k: int) -> Spectrum:
 def build_radial_problem(kind: str, **params) -> RadialProblem:
     """Assemble a :class:`RadialProblem` for one separated equation.
 
-    kind = 'osc8'   : 8-D radial oscillator; needs potential, optional L,
-                      rmax.  Eigenvalue Z (weight r^7, raw eigenvalue 2Z).
-    kind = 'coul9'  : spherical-chart radial equation; needs Z, lam (the
-                      angular eigenvalue) and rmax.  Eigenvalue E (weight
-                      r^8, raw 2E).
+    kind = 'osc8'   : 8-D radial oscillator; needs potential, optional L
+                      (a nonnegative integer, default 0) and rmax.
+                      Eigenvalue Z (weight r^7, raw eigenvalue 2Z).
+    kind = 'coul9'  : spherical-chart radial equation; needs Z and lam (the
+                      angular eigenvalue), optional rmax.  Eigenvalue E
+                      (weight r^8, raw 2E).
     kind = 'theta'  : polar equation; needs micz.  Eigenvalue Lambda.
     kind = 'para_u' : parabolic u-equation; needs model, micz, energy.
                       Eigenvalue -P, with the 1/w mass; its basis scale
                       is 1 until the joint search sets it.
     kind = 'para_v' : parabolic v-equation, eigenvalue +P.
+
+    ``rmax`` only sets the problem's domain (0, rmax), which no solver
+    reads; it defaults to the half-line the basis spans.  Any other
+    keyword is a :class:`ConfigError`.
     """
     kind = kind.lower()
     if kind == "osc8":
+        check_keys(params, {"potential", "L", "rmax"}, what="osc8 problem")
         potential: Potential8D = params["potential"]
-        L = int(params.get("L", 0))
-        rmax = params.get("rmax")
-        rmax = 14.0 / math.sqrt(potential.omega) if rmax is None else rmax
+        L = params.get("L", 0)
+        if L != int(L) or L < 0:
+            raise ValueError(f"osc8 needs a nonnegative integer L, got {L!r}")
+        rmax = params.get("rmax", math.inf)
         E = -0.5 * potential.omega**2
         return RadialProblem(
             weight_exponent=7,
@@ -447,9 +454,10 @@ def build_radial_problem(kind: str, **params) -> RadialProblem:
             **_oscillator_basis(potential),
         )
     if kind == "coul9":
+        check_keys(params, {"Z", "lam", "rmax"}, what="coul9 problem")
         Z = float(params["Z"])
         lam = float(params["lam"])
-        rmax = float(params["rmax"])
+        rmax = float(params.get("rmax", math.inf))
         if not 0.0 < Z < math.inf:
             raise ValueError(f"coul9 needs a positive finite charge, got Z = {Z!r}")
         return RadialProblem(
@@ -462,6 +470,7 @@ def build_radial_problem(kind: str, **params) -> RadialProblem:
             basis_power=1,
         )
     if kind == "theta":
+        check_keys(params, {"micz"}, what="theta problem")
         micz: MiczParams = params["micz"]
         alpha_u, alpha_v = micz_centrifugal_strengths(micz)
 
@@ -474,6 +483,7 @@ def build_radial_problem(kind: str, **params) -> RadialProblem:
             pole_strengths=(alpha_u, alpha_v),
         )
     if kind in ("para_u", "para_v"):
+        check_keys(params, {"model", "micz", "energy"}, what=f"{kind} problem")
         model: OscillatorModel = params["model"]
         micz: MiczParams = params["micz"]
         energy = float(params["energy"])
@@ -493,11 +503,12 @@ def build_radial_problem(kind: str, **params) -> RadialProblem:
     raise ValueError(f"unknown problem kind {kind!r}")
 
 
-def qes_verification_problem(potential: Potential8D, dim: int, rmax: float) -> RadialProblem:
+def qes_verification_problem(potential: Potential8D, dim: int, rmax: float = math.inf) -> RadialProblem:
     """Radial problem matching the QES reduced operator -f'' - (dim/r)f' + V f.
 
     The c/r^2 part of V is the centrifugal term, so that the basis carries
-    the exact pole exponent.
+    the exact pole exponent; ``rmax`` only sets the domain, as in
+    :func:`build_radial_problem`.
     """
     return RadialProblem(
         weight_exponent=int(dim),
@@ -739,10 +750,11 @@ def spherical_micz_energies(
     n_radial: int,
     grid_theta: Grid,
     grid_radial: Grid,
-    rmax: float,
+    rmax: float = math.inf,
 ) -> list:
     """Spherical-chart energies: polar eigenvalues then radial solves.
 
+    ``rmax`` is the radial problems' domain, which no solver reads.
     Returns tuples (E, n_theta_index, N, Lambda) sorted by energy.
     """
     theta_spec = fd_eigensolve(build_radial_problem("theta", micz=micz), grid_theta, n_theta)

@@ -1,6 +1,8 @@
 import argparse
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -157,7 +159,7 @@ class TestSpectrum:
                 "potential": {"variant": "sho", "omega": 1.0},
                 "n_max": 2,
                 "l_max": 1,
-                "grid": {"n": 3000, "rmax": 12.0},
+                "grid": {"n": 3000},
             },
         )
         rc = main(["spectrum", cfg, "--out", str(tmp_path)])
@@ -426,8 +428,9 @@ _OSC = {
     "potential": {"variant": "sho", "omega": 1.0},
     "n_max": 0,
     "l_max": 0,
-    "grid": {"n": 400, "rmax": 12.0},
+    "grid": {"n": 400},
 }
+_QES = {"family": "super2", "a_prime": 0.05, "b_prime": 1.0, "N": 1}
 
 
 def _exit_code(argv):
@@ -437,18 +440,29 @@ def _exit_code(argv):
         return exc.code
 
 
+# the node-placement and domain keys of a finite-difference grid, which no
+# basis solve reads
+_FD_GRID = {"spacing": "log", "stretch": 300, "rmax": 0.5}
+_FD_KEYS = "in grid block: ['rmax', 'spacing', 'stretch']"
+
+
 @pytest.mark.parametrize(
-    "sub, cfg, flags",
+    "sub, cfg, flags, message",
     [
-        ("transform", {"count": 5}, ["--format", "json"]),
-        ("spectrum", _OSC, ["--seed", "3"]),
-        ("spectrum", _OSC, ["--verify"]),
-        ("duality", {"omega": 0.25}, ["--format", "csv"]),
-        ("spectrum", {**_OSC, "tolerance": 1.0}, []),
-        ("duality", {"omega": 0.25, "tolerance": 1.0}, []),
-        ("duality", {"omega": 0.25, "grid": {"n": 400, "rmax": 50.0}}, []),
-        ("spectrum", {**_OSC, "micz": {"Z": 1.0}}, []),
-        ("transform", {"u": [1.0] + [0.0] * 7, "v": [0.0] * 8, "count": 5}, []),
+        ("transform", {"count": 5}, ["--format", "json"], "unrecognized arguments: --format json"),
+        ("spectrum", _OSC, ["--seed", "3"], "unrecognized arguments: --seed 3"),
+        ("spectrum", _OSC, ["--verify"], "unrecognized arguments: --verify"),
+        ("duality", {"omega": 0.25}, ["--format", "csv"], "unrecognized arguments: --format csv"),
+        ("spectrum", {**_OSC, "tolerance": 1.0}, [], "in config: ['tolerance']"),
+        ("duality", {"omega": 0.25, "tolerance": 1.0}, [], "in config: ['tolerance']"),
+        ("duality", {"omega": 0.25, "grid": {"n": 400, "rmax": 50.0}}, [], "in grid block: ['rmax']"),
+        ("spectrum", {**_OSC, "micz": {"Z": 1.0}}, [], "in oscillator config: ['micz']"),
+        ("transform", {"u": [1.0] + [0.0] * 7, "v": [0.0] * 8, "count": 5}, [], "in config: ['count']"),
+        ("spectrum", {**_OSC, "grid": {"n": 400, **_FD_GRID}}, [], _FD_KEYS),
+        ("qes", {**_QES, "grid": _FD_GRID}, [], _FD_KEYS),
+        ("qes", {**_QES, "grid": _FD_GRID}, ["--verify"], _FD_KEYS),
+        ("duality", {"omega": 0.25, "grid": {"n": 400, **_FD_GRID}}, [], _FD_KEYS),
+        ("duality", {"omega": 0.25, "grid": {"n": 400, **_FD_GRID}}, ["--no-verify"], _FD_KEYS),
     ],
     ids=[
         "transform-format",
@@ -460,12 +474,18 @@ def _exit_code(argv):
         "duality-grid-rmax",
         "oscillator-micz-key",
         "transform-uv-and-count",
+        "spectrum-grid-fd-keys",
+        "qes-grid-fd-keys",
+        "qes-verify-grid-fd-keys",
+        "duality-grid-fd-keys",
+        "duality-no-verify-grid-fd-keys",
     ],
 )
-def test_unread_input_exit_2(tmp_path, sub, cfg, flags):
+def test_unread_input_exit_2(tmp_path, capsys, sub, cfg, flags, message):
     path = _write(tmp_path, "c.json", cfg)
     out = tmp_path / "out"
     assert _exit_code([sub, path, "--out", str(out)] + flags) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -482,8 +502,6 @@ def test_subcommand_flags():
         "duality": ["--no-verify", "--out", "--tol"],
     }
 
-
-_QES = {"family": "super2", "a_prime": 0.05, "b_prime": 1.0, "N": 1}
 
 
 @pytest.mark.parametrize(
@@ -545,7 +563,6 @@ _SUPER2 = {"variant": "super2", "omega": 1.0}
         ("duality", {"omega": 0.25, "omega2": True}, "omega2"),
         ("duality", {"omega": 0.25, "cases": [{"c1": "1"}]}, "c1"),
         ("duality", {"omega": 0.25, "cases": [{"c1": 0, "c2": float("inf")}]}, "c2"),
-        ("spectrum", {**_OSC, "grid": {"n": 400, "spacing": "log", "stretch": True}}, "stretch"),
         ("spectrum", {**_OSC, "potential": {**_SHO, "omega": "1.0"}}, "omega"),
         ("spectrum", {**_OSC, "potential": {**_SHO, "c": 10**400}}, "c"),
         ("spectrum", {**_OSC, "potential": {**_SUPER2, "a": False}}, "a"),
@@ -568,7 +585,6 @@ _SUPER2 = {"variant": "super2", "omega": 1.0}
         "omega2-bool",
         "case-c1-string",
         "case-c2-inf",
-        "stretch-bool",
         "potential-omega-string",
         "potential-c-overflow",
         "potential-a-bool",
@@ -707,7 +723,7 @@ def test_lapack_failure_exit_1(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", fail)
     configs = {
         "duality": {"omega": 0.25, "grid": {"n": 400}},
-        "spectrum": {**_OSC, "grid": {"n": 2000, "rmax": 12.0}},
+        "spectrum": {**_OSC, "grid": {"n": 2000}},
     }
     for command, cfg in configs.items():
         path = _write(tmp_path, f"{command}.json", cfg)
@@ -724,7 +740,7 @@ def test_failed_gate_exit_1_with_its_fields(tmp_path, capsys, monkeypatch):
     import hurwitz_kepler.numeric as numeric
 
     monkeypatch.setattr(numeric, "_CONV_TOL", 1e-20)
-    path = _write(tmp_path, "s.json", {**_OSC, "grid": {"n": 2000, "rmax": 12.0}})
+    path = _write(tmp_path, "s.json", {**_OSC, "grid": {"n": 2000}})
     out = tmp_path / "out"
     assert main(["spectrum", path, "--out", str(out)]) == 1
     first, second = capsys.readouterr().err.splitlines()
@@ -735,33 +751,37 @@ def test_failed_gate_exit_1_with_its_fields(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "grid",
-    [{"n": 2000, "rmax": 12.0, "stretch": True}, {"n": 400, "spacing": "uniform", "stretch": 4.0}],
+    [{"n": 2000, "stretch": True}, {"n": 400, "spacing": "uniform", "stretch": 4.0}],
     ids=["default-spacing", "uniform"],
 )
 def test_stretch_without_log_spacing_exit_2(tmp_path, capsys, grid):
+    # the grid block takes n alone: a stretch is rejected by name, whatever
+    # the spacing
     path = _write(tmp_path, "s.json", {**_OSC, "grid": grid})
     out = tmp_path / "out"
     assert main(["spectrum", path, "--out", str(out)]) == 2
-    assert "'stretch' needs spacing 'log'" in capsys.readouterr().err
+    assert f"unknown key(s) in grid block: {sorted(set(grid) - {'n'})}" in capsys.readouterr().err
     assert not out.exists()
 
 
 def test_log_stretch_overflow_exit_2(tmp_path, capsys):
-    # expm1(800) overflows: the grid rejects the stretch, no traceback exits 1
+    # a stretch whose node map would overflow is rejected with every other
+    # stretch, before any grid is built
     path = _write(tmp_path, "s.json", {**_OSC, "grid": {"n": 400, "spacing": "log", "stretch": 800}})
     out = tmp_path / "out"
     assert main(["spectrum", path, "--out", str(out)]) == 2
-    assert "log stretch must lie in (0, log(float max)), got 800.0" in capsys.readouterr().err
+    assert "unknown key(s) in grid block: ['spacing', 'stretch']" in capsys.readouterr().err
     assert not out.exists()
 
 
 @pytest.mark.parametrize("verify", [[], ["--verify"]], ids=["plain", "verify"])
 @pytest.mark.parametrize("rmax", [-1.0, 0.0, float("nan"), float("inf"), "12", True])
 def test_qes_grid_rmax_checked_in_both_modes(tmp_path, capsys, rmax, verify):
+    # no value of rmax is taken, with or without the cross-check
     path = _write(tmp_path, "q.json", {**_QES, "grid": {"rmax": rmax}})
     out = tmp_path / "out"
     assert main(["qes", path, "--out", str(out)] + verify) == 2
-    assert "grid block key 'rmax' must be a positive finite number" in capsys.readouterr().err
+    assert "unknown key(s) in grid block: ['rmax']" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -805,7 +825,7 @@ def test_no_subcommand_loads_scipy(tmp_path):
     cfg = {
         "transform": _write(tmp_path, "t.json", {"count": 5}),
         "duality": _write(tmp_path, "d.json", {"omega": 0.25, "grid": {"n": 400}}),
-        "spectrum": _write(tmp_path, "s.json", {**_OSC, "grid": {"n": 2000, "rmax": 12.0}}),
+        "spectrum": _write(tmp_path, "s.json", {**_OSC, "grid": {"n": 2000}}),
         "qes": _write(tmp_path, "q.json", _QES),
     }
     assert _fresh(_STARTUP, json.dumps(cfg), str(tmp_path / "out")) == {
@@ -837,3 +857,31 @@ def test_scipy_loaded_only_by_a_solve():
     # scipy unloaded, and the one function that needs it, the tridiagonal
     # kernel kept for the bench's tracer, imports it when it solves
     assert _fresh(_KERNEL) == [False, True]
+
+
+def _readme_cli_example():
+    """The config files and ``hurwitz-kepler`` command lines of README.md's CLI example."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    files, commands = {}, []
+    lines = iter(block.splitlines())
+    for line in lines:
+        if m := re.fullmatch(r"echo '(.*)' > (\S+)", line):
+            files[m[2]] = m[1]
+        elif m := re.fullmatch(r"cat > (\S+) <<'EOF'", line):
+            files[m[1]] = "\n".join(iter(lines.__next__, "EOF"))
+        elif line.startswith("hurwitz-kepler "):
+            commands.append(shlex.split(line)[1:])
+    return files, commands
+
+
+def test_readme_cli_example_runs(tmp_path, monkeypatch):
+    # the README's configs run as they are, with its flags, from the
+    # directory its shell lines write them to
+    files, commands = _readme_cli_example()
+    assert sorted({argv[0] for argv in commands}) == ["duality", "qes", "spectrum", "transform"]
+    monkeypatch.chdir(tmp_path)
+    for name, config in files.items():
+        Path(name).write_text(config)
+    for argv in commands:
+        assert main(argv) == 0, argv

@@ -19,7 +19,7 @@ from hurwitz_kepler.analytic import (
     qes_solve,
     singular_oscillator_energy,
 )
-from hurwitz_kepler.errors import AccuracyError, BracketError, SeparabilityError
+from hurwitz_kepler.errors import AccuracyError, BracketError, ConfigError, SeparabilityError
 from hurwitz_kepler.numeric import (
     Grid,
     RadialProblem,
@@ -75,6 +75,13 @@ class TestOscillatorOracle:
         with pytest.raises(ValueError, match="domain"):
             build_radial_problem("osc8", potential=Potential8D("sho", omega=1.0), rmax=0.0)
 
+    @pytest.mark.parametrize("L", [2.7, -1])
+    def test_non_integral_or_negative_L_rejected(self, L):
+        # never truncated: L = 2.7 would solve L = 2, and L = -1 the same
+        # centrifugal term as L = -5
+        with pytest.raises(ValueError, match=f"nonnegative integer L, got {L!r}"):
+            build_radial_problem("osc8", potential=Potential8D("sho", omega=1.0), L=L)
+
     def test_closed_form_sweep(self):
         for omega in (0.5, 2.0):
             for L in (0, 2):
@@ -86,6 +93,27 @@ class TestOscillatorOracle:
                         exact = singular_oscillator_energy(QuantumNumbers(N, L), omega, c)
                         assert spec.eigenvalues[N] == pytest.approx(exact, rel=1e-7)
                     assert spec.node_counts == (0, 1, 2)
+
+
+_MODEL = {"model": _sho_model(), "micz": MiczParams(Z=1.0), "energy": -0.5}
+
+
+@pytest.mark.parametrize(
+    "kind, params, key",
+    [
+        ("osc8", {"potential": Potential8D("sho", omega=1.0), "l": 2}, "l"),
+        ("coul9", {"Z": 1.0, "lam": 0.0, "L": 1}, "L"),
+        ("theta", {"micz": MiczParams(Z=1.0), "rmax": math.pi}, "rmax"),
+        ("para_u", {**_MODEL, "rmax": 50.0}, "rmax"),
+        ("para_v", {**_MODEL, "Z": 1.0}, "Z"),
+    ],
+    ids=["osc8", "coul9", "theta", "para_u", "para_v"],
+)
+def test_builder_rejects_unread_keyword(kind, params, key):
+    # a keyword the kind does not read is an error, not a default: the typo
+    # l=2 would otherwise solve L = 0
+    with pytest.raises(ConfigError, match=rf"unknown key\(s\) in {kind} problem: \['{key}'\]"):
+        build_radial_problem(kind, **params)
 
 
 class TestCoulombOracle:
