@@ -14,8 +14,11 @@ pole exponent and decay: x^s e^(-t/2) times Laguerre polynomials in t =
 polynomials in z = sin^2(theta/2) on the sin^7 weight (Baye, Phys. Rep.
 565 (2015) 1).  The Gauss rule of each basis comes from one symmetric
 eigensolve of its Jacobi matrix (Golub & Welsch, Math. Comp. 23 (1969)
-221), so the solvers need numpy alone, and its nodes and the exact
-stiffness are cached per weight and basis size.  The Ritz values fall
+221), so the solvers need numpy alone.  Its nodes, the exact stiffness,
+the inverse Cholesky factor of the mass and the whitened energy matrix
+depend on the basis alone, up to a power of the basis scale, and are
+cached per weight, basis size and mass power (64 entries at most), so a
+solve assembles and whitens only its potential term.  The Ritz values fall
 geometrically with the basis size, and a solve stops where they change by
 no more than their rounding.  :func:`fd_eigensolve` solves the fixed
 problems: the 8-D singular oscillator, the spherical-chart radial and
@@ -139,15 +142,19 @@ class RadialProblem:
     ``weight_exponent`` is the power k of the x^k weight (7, 8 or 4 here);
     ``weight_kind = 'sin7'`` selects the sin^7 weight of the polar
     equation on (0, pi) instead.  ``centrifugal_coeff`` multiplies 1/x^2;
-    ``effective_term`` is the remaining vectorized source, and
-    ``mass_term`` an optional eigenvalue weight (the parabolic equations).
-    The raw eigenvalue mu is reported as ``eigenvalue_scale * mu`` (0.5
-    turns 2Z into Z and 2E into E).  The basis of :func:`_whitened`
-    decays as exp(-(x / ``basis_scale``)^``basis_power`` / 2) on a power
-    weight, and on the sin^7 weight its pole exponents come from
-    ``pole_strengths`` (alpha_u, alpha_v), the coefficients of
-    1/cos^2(theta/2) and 1/sin^2(theta/2) in ``effective_term``.  The
-    solvers leave the domain aside.
+    ``effective_term`` is the remaining vectorized source, and the
+    eigenvalue weight is x^``mass_power`` on a power weight (0, or -1 for
+    the 1/w mass of the parabolic equations).  The raw
+    eigenvalue mu is reported as ``eigenvalue_scale * mu`` (0.5 turns 2Z
+    into Z and 2E into E).  The basis of :func:`_whitened` decays as
+    exp(-(x / ``basis_scale``)^``basis_power`` / 2) on a power weight, and
+    on the sin^7 weight its pole exponents come from ``pole_strengths``
+    (alpha_u, alpha_v), the coefficients of 1/cos^2(theta/2) and
+    1/sin^2(theta/2) in ``effective_term``.  A solve assembles only the
+    potential term of its pencil: the whitening factor and the energy
+    matrix are cached with the basis, per weight, basis size and mass
+    power, and scaled by the power of ``basis_scale``.  The solvers leave
+    the domain aside.
     """
 
     weight_exponent: int
@@ -155,7 +162,7 @@ class RadialProblem:
     effective_term: Callable
     domain: tuple
     weight_kind: str = "power"
-    mass_term: Callable | None = None
+    mass_power: int = 0
     eigenvalue_scale: float = 1.0
     basis_scale: float = 1.0
     basis_power: int = 2
@@ -167,6 +174,8 @@ class RadialProblem:
             raise ValueError("domain must satisfy hi > lo >= 0")
         if self.weight_kind not in ("power", "sin7"):
             raise ValueError("weight_kind must be 'power' or 'sin7'")
+        if self.weight_kind == "sin7" and self.mass_power:
+            raise ValueError("the sin7 weight takes no mass power")
         if not (0.0 < self.basis_scale < math.inf and self.basis_power in (1, 2)):
             raise ValueError("basis_scale must be positive and finite and basis_power 1 or 2")
 
@@ -226,7 +235,6 @@ def _recurrence(a: float, b, m: int):
     return alpha[:m], beta, log_mass - math.lgamma(a + b + 2.0)
 
 
-@functools.lru_cache(maxsize=64)
 def _basis(a: float, b, size: int):
     """Quadrature, stiffness and fine sample of the first ``size`` orthonormal polynomials.
 
@@ -274,7 +282,45 @@ def _basis(a: float, b, size: int):
     fine[0] = np.exp(0.5 * (log_weight(points) - log_mass))
     for n in range(size - 1):  # row -1 is still zero at n = 0
         fine[n + 1] = ((points - alpha[n]) * fine[n] - beta[n - 1] * fine[n - 1]) / beta[n]
-    tables = (x, values, form.T @ form, fine)
+    return x, values, form.T @ form, fine
+
+
+@functools.lru_cache(maxsize=64)
+def _whitening(a: float, b, size: int, p: int, j: int):
+    """The potential-free part of every pencil on the basis of :func:`_basis`, whitened.
+
+    On the Laguerre weight (``b`` None) a problem with basis scale beta,
+    power p and mass x^j has its nodes at x = beta t^(1/p), its mass sum_i
+    x_i^(2 + j) values values^T = beta^(2 + j) B0 and its energy matrix
+    sum_i x_i^2 values values^T = beta^2 C0, with B0 and C0 the same sums
+    at beta = 1; on the Jacobi weight both are sum_i z_i (1 - z_i) values
+    values^T, and the sin^7 problems pass p = 1 and j = 0.  With L0 the
+    Cholesky factor of B0, returns the nodes at beta = 1 (t^(1/p), or theta
+    = arccos(-x)), the moment that weights each potential value there
+    (t^(2/p), or z (1 - z)), the whitened values L0^-1 values, the whitened
+    stiffness p^2 L0^-1 S L0^-T, L0^-1, the whitened energy matrix L0^-1 C0
+    L0^-T and the fine sample.  L0^-1 is lower triangular, so the leading
+    blocks of every table are the tables of a smaller basis.  The tables
+    are read-only.
+    """
+    x, values, stiffness, fine = _basis(a, b, size)
+    if b is None:
+        nodes, moment, mass = x ** (1.0 / p), x ** (2.0 / p), x ** ((2.0 + j) / p)
+        stiffness = p * p * stiffness
+    else:
+        nodes, moment = np.arccos(-x), 0.25 * (1.0 - x * x)
+        mass = moment
+    inverse = np.tril(np.linalg.inv(np.linalg.cholesky((values * mass) @ values.T)))
+    values = inverse @ values
+    tables = (
+        nodes,
+        moment,
+        values,
+        inverse @ stiffness @ inverse.T,
+        inverse,
+        (values * moment) @ values.T,
+        fine,
+    )
     for table in tables:
         table.setflags(write=False)
     return tables
@@ -302,37 +348,40 @@ def _whitened(problem: RadialProblem, size: int):
     for t^a e^-t, a = (2 s + k - 1) / p - 1: after dividing out beta^(k +
     2 s - 1) / p, A = p^2 (stiffness of :func:`_basis`) + sum_i x_i^2
     q(x_i) values values^T and C = sum_i x_i^2 values values^T, the
-    integral of x^k R_m R_n, on the nodes x_i = beta t_i^(1/p); B is C, or
-    sum_i x_i^2 m(x_i) values values^T with a ``mass_term`` m (sum_i x_i
-    values values^T for the 1/w mass of the parabolic equations).  The
+    integral of x^k R_m R_n, on the nodes x_i = beta t_i^(1/p); B is
+    sum_i x_i^(2 + j) values values^T for the mass x^j of ``mass_power``
+    j (0, or -1 for the 1/w mass of the parabolic equations).  The
     centrifugal term is inside the stiffness, because s is exact.  The
     sin^7 weight takes Theta_n = z^sigma (1 - z)^tau p_n(2 z - 1), z =
     sin^2(theta/2), sigma (sigma + 3) = alpha_v and tau (tau + 3) =
     alpha_u, with p_n orthonormal for (1 - x)^(2 tau + 2) (1 + x)^(2 sigma
     + 2): A = stiffness + sum_i z_i (1 - z_i) q(theta_i) values values^T and
     B = C = sum_i z_i (1 - z_i) values values^T, theta_i = arccos(-x_i).
-    Each entry is exact whenever x^2 q, or z (1 - z) q, and x^2 m are
+    Each entry is exact whenever x^2 q, or z (1 - z) q, and x^(2 + j) are
     polynomials of degree up to 2 ``_EXTRA`` + 1.
+
+    Everything but the potential is cached with the basis
+    (:func:`_whitening`): L^-1 is beta^(-1 - j/2) L0^-1, the whitened
+    stiffness and energy matrix scale as beta^(-2 - j) and beta^-j, and a
+    solve assembles only its potential term, sum_i beta^-j x_i^2 q(x_i)
+    (L0^-1 values) (L0^-1 values)^T, with no Cholesky factor or inverse of
+    its own.
     """
+    j = problem.mass_power
     if problem.weight_kind == "sin7":
         alpha_u, alpha_v = problem.pole_strengths
         tau, sigma = _pole_exponent(3.0, alpha_u), _pole_exponent(3.0, alpha_v)
-        x, values, stiffness, fine = _basis(2.0 * tau + 2.0, 2.0 * sigma + 2.0, size)
-        moment = mass = 0.25 * (1.0 - x * x)
-        source = mass * problem.effective_term(np.arccos(-x))
+        key, beta = (2.0 * tau + 2.0, 2.0 * sigma + 2.0, size, 1, j), 1.0
     else:
         k, p, beta = problem.weight_exponent, problem.basis_power, problem.basis_scale
         s = _pole_exponent(k - 1.0, problem.centrifugal_coeff)
-        t, values, stiffness, fine = _basis((2.0 * s + k - 1.0) / p - 1.0, None, size)
-        stiffness = p * p * stiffness
-        r = beta * t ** (1.0 / p)
-        moment, source = r * r, r * r * problem.effective_term(r)
-        mass = moment if problem.mass_term is None else moment * problem.mass_term(r)
-    a = stiffness + (values * source) @ values.T
-    inverse = np.tril(np.linalg.inv(np.linalg.cholesky((values * mass) @ values.T)))
-    whitened = inverse @ a @ inverse.T
-    energy = inverse @ ((values * moment) @ values.T) @ inverse.T
-    return whitened, inverse, _EPS * np.linalg.norm(whitened), fine, energy
+        key = ((2.0 * s + k - 1.0) / p - 1.0, None, size, p, j)
+    nodes, moment, values, stiffness, inverse, energy, fine = _whitening(*key)
+    scale = beta**-j
+    source = scale * moment * problem.effective_term(beta * nodes)
+    whitened = scale / (beta * beta) * stiffness + (values * source) @ values.T
+    rounding = _EPS * np.linalg.norm(whitened)
+    return whitened, math.sqrt(scale) / beta * inverse, rounding, fine, scale * energy
 
 
 def _block(problems, n: int, cap: int, block=None):
@@ -497,7 +546,7 @@ def build_radial_problem(kind: str, **params) -> RadialProblem:
             centrifugal_coeff=alpha,
             effective_term=lambda w: (factor_potential(p, energy, 0.5 * w) - Za) / w,
             domain=(0.0, math.inf),
-            mass_term=lambda w: 1.0 / w,
+            mass_power=-1,
             basis_power=1,
         )
     raise ValueError(f"unknown problem kind {kind!r}")
@@ -508,8 +557,11 @@ def qes_verification_problem(potential: Potential8D, dim: int, rmax: float = mat
 
     The c/r^2 part of V is the centrifugal term, so that the basis carries
     the exact pole exponent; ``rmax`` only sets the domain, as in
-    :func:`build_radial_problem`.
+    :func:`build_radial_problem`.  ``dim`` must be a nonnegative integer,
+    as ``L`` there.
     """
+    if dim != int(dim) or dim < 0:
+        raise ValueError(f"the QES problem needs a nonnegative integer dim, got {dim!r}")
     return RadialProblem(
         weight_exponent=int(dim),
         centrifugal_coeff=potential.c,

@@ -791,7 +791,7 @@ import hurwitz_kepler, hurwitz_kepler.cli as cli
 from hurwitz_kepler import numeric
 cfg, out = json.loads(sys.argv[1]), sys.argv[2]
 assert "numpy.polynomial" not in sys.modules
-assert numeric._basis.cache_info().currsize == 0
+assert numeric._whitening.cache_info().currsize == 0
 loaded = {"import": "scipy" in sys.modules}
 for name, argv in (
     ("transform", ["transform", cfg["transform"]]),

@@ -285,7 +285,7 @@ class TestParaBuilders:
         w_direct = -0.5 * u * (-0.5) + 0.2 * np.sqrt(2.0 / u) + 0.3 * np.sqrt(u / 2.0) - 0.4
         assert np.allclose(prob.effective_term(u) * u, w_direct, rtol=1e-13)
         assert prob.centrifugal_coeff == pytest.approx((0 + 8 * 0.5) / 4.0)
-        assert prob.mass_term(2.0) == pytest.approx(0.5)
+        assert prob.mass_power == -1
 
     def test_para_v_slot(self):
         model = _sho_model()
@@ -293,6 +293,118 @@ class TestParaBuilders:
             "para_v", model=model, micz=MiczParams(Z=1.0, c2=2.0), energy=-0.5
         )
         assert prob.centrifugal_coeff == pytest.approx(4.0)
+
+
+def _cold_pencil(problem, size):
+    """Whitened pencil, inverse factor and energy matrix of ``problem`` from a Cholesky factor of its own mass.
+
+    The assembly of ``numeric._whitened``'s docstring on the uncached basis
+    tables, at the problem's basis scale, with L^-1 from a triangular solve.
+    """
+    if problem.weight_kind == "sin7":
+        tau, sigma = (numeric._pole_exponent(3.0, alpha) for alpha in problem.pole_strengths)
+        x, values, stiffness, _ = numeric._basis(2.0 * tau + 2.0, 2.0 * sigma + 2.0, size)
+        moment = mass = 0.25 * (1.0 - x * x)
+        source = mass * problem.effective_term(np.arccos(-x))
+    else:
+        k, p, beta = problem.weight_exponent, problem.basis_power, problem.basis_scale
+        s = numeric._pole_exponent(k - 1.0, problem.centrifugal_coeff)
+        t, values, stiffness, _ = numeric._basis((2.0 * s + k - 1.0) / p - 1.0, None, size)
+        stiffness = p * p * stiffness
+        r = beta * t ** (1.0 / p)
+        moment, source, mass = r * r, r * r * problem.effective_term(r), r ** (2 + problem.mass_power)
+    factor = np.linalg.cholesky((values * mass) @ values.T)
+    inverse = scipy.linalg.solve_triangular(factor, np.eye(size), lower=True)
+    pencil = inverse @ (stiffness + (values * source) @ values.T) @ inverse.T
+    return pencil, inverse, inverse @ ((values * moment) @ values.T) @ inverse.T
+
+
+_CACHED_CASES = {
+    "osc8": build_radial_problem("osc8", potential=Potential8D("sho", omega=1.3, c=1.0), L=1),
+    "coul9": build_radial_problem("coul9", Z=1.2, lam=2.5),
+    "para_u": replace(
+        build_radial_problem("para_u", model=_sho_model(), micz=MiczParams(Z=1.0, c1=0.5), energy=0.0),
+        basis_scale=4.0,
+    ),
+    "theta": build_radial_problem("theta", micz=MiczParams(Z=1.0, c1=1.0, c2=2.0)),
+}
+
+
+class TestCachedPencil:
+    # the whitening factor and the energy matrix are cached with the basis
+    # and scaled by a power of beta: p = 2 (osc8), p = 1 (coul9), the 1/w
+    # mass (para_u) and the sin^7 weight (theta) match a cold Cholesky
+    # assembly.  Whitening by L^-1 magnifies the rounding of every entry by
+    # up to cond(L), so a few roundings are eps cond(L) times the norm
+    @pytest.mark.parametrize("case", list(_CACHED_CASES))
+    @pytest.mark.parametrize("scale", [1.0, 0.37, 2.9])
+    def test_matches_cold_assembly(self, case, scale):
+        problem = _CACHED_CASES[case]
+        if problem.weight_kind == "power":
+            problem = replace(problem, basis_scale=scale * problem.basis_scale)
+        for size in (16, 32):
+            pencil, inverse, rounding, fine, energy = numeric._whitened(problem, size)
+            cold = _cold_pencil(problem, size)
+            cond = np.linalg.cond(cold[1])
+            for table, reference in zip((pencil, inverse, energy), cold):
+                bound = 4.0 * cond * _EPS * np.linalg.norm(reference)
+                assert np.max(np.abs(table - reference)) <= bound
+            assert rounding == _EPS * np.linalg.norm(pencil)
+            assert fine.shape[0] == size and not fine.flags.writeable
+
+    @pytest.mark.parametrize("case", ["osc8", "coul9"])
+    def test_second_scale_hits_the_cache(self, case):
+        # a solve at a second beta reads the tables of the first: hits, no miss
+        problem = _CACHED_CASES[case]
+        fd_eigensolve(problem, Grid(n=1000), 2)
+        before = numeric._whitening.cache_info()
+        fd_eigensolve(replace(problem, basis_scale=1.2 * problem.basis_scale), Grid(n=1000), 2)
+        after = numeric._whitening.cache_info()
+        assert after.misses == before.misses and after.hits > before.hits
+
+    def test_second_bracket_hits_the_cache(self):
+        # the joint search scales both bases by 1 / sqrt(-2 E_hi), so a
+        # bracket with another upper end reads the tables of the first
+        model, micz = _sho_model(), MiczParams(Z=1.0)
+        parabolic_joint_solve(model, micz, Grid(n=1500), (-0.045, -0.024))
+        before = numeric._whitening.cache_info()
+        parabolic_joint_solve(model, micz, Grid(n=1500), (-0.04, -0.028))
+        after = numeric._whitening.cache_info()
+        assert after.misses == before.misses and after.hits >= before.hits + 2
+
+    def test_warm_solve_factors_nothing(self, monkeypatch):
+        # a warm osc8 solve makes no Cholesky factor and no inverse
+        problem, calls = _CACHED_CASES["osc8"], []
+
+        def counted(name, wrapped):
+            def call(*args):
+                calls.append(name)
+                return wrapped(*args)
+
+            return call
+
+        first = fd_eigensolve(problem, Grid(n=4000), 4)
+        for name in ("cholesky", "inv"):
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        warm = fd_eigensolve(problem, Grid(n=4000), 4)
+        assert calls == []
+        np.testing.assert_array_equal(warm.eigenvalues, first.eigenvalues)
+        # a basis the cache has not seen factors its mass once per table
+        misses = numeric._whitening.cache_info().misses
+        fd_eigensolve(replace(problem, centrifugal_coeff=problem.centrifugal_coeff + 0.123), Grid(n=4000), 4)
+        misses = numeric._whitening.cache_info().misses - misses
+        assert misses > 0 and calls == ["cholesky", "inv"] * misses
+
+    def test_sin7_takes_no_mass_power(self):
+        with pytest.raises(ValueError, match="sin7 weight takes no mass power"):
+            replace(_CACHED_CASES["theta"], mass_power=-1)
+
+
+@pytest.mark.parametrize("dim", [8.7, -3])
+def test_qes_problem_rejects_non_integral_or_negative_dim(dim):
+    # never truncated: dim = 8.7 solved dim = 8, and dim = -3 returned 4.24
+    with pytest.raises(ValueError, match=f"nonnegative integer dim, got {dim!r}"):
+        qes_verification_problem(Potential8D("sho", omega=1.0), dim)
 
 
 def test_spherical_micz_energy_composition():
