@@ -490,7 +490,7 @@ def build_radial_problem(kind: str, **params) -> RadialProblem:
         check_keys(params, {"potential", "L", "rmax"}, what="osc8 problem")
         potential: Potential8D = params["potential"]
         L = params.get("L", 0)
-        if L != int(L) or L < 0:
+        if not (L >= 0 and float(L).is_integer()):
             raise ValueError(f"osc8 needs a nonnegative integer L, got {L!r}")
         rmax = params.get("rmax", math.inf)
         E = -0.5 * potential.omega**2
@@ -560,7 +560,7 @@ def qes_verification_problem(potential: Potential8D, dim: int, rmax: float = mat
     :func:`build_radial_problem`.  ``dim`` must be a nonnegative integer,
     as ``L`` there.
     """
-    if dim != int(dim) or dim < 0:
+    if not (dim >= 0 and float(dim).is_integer()):
         raise ValueError(f"the QES problem needs a nonnegative integer dim, got {dim!r}")
     return RadialProblem(
         weight_exponent=int(dim),

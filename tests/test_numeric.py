@@ -75,10 +75,10 @@ class TestOscillatorOracle:
         with pytest.raises(ValueError, match="domain"):
             build_radial_problem("osc8", potential=Potential8D("sho", omega=1.0), rmax=0.0)
 
-    @pytest.mark.parametrize("L", [2.7, -1])
+    @pytest.mark.parametrize("L", [2.7, -1, math.inf, math.nan])
     def test_non_integral_or_negative_L_rejected(self, L):
         # never truncated: L = 2.7 would solve L = 2, and L = -1 the same
-        # centrifugal term as L = -5
+        # centrifugal term as L = -5; inf and nan are not integers either
         with pytest.raises(ValueError, match=f"nonnegative integer L, got {L!r}"):
             build_radial_problem("osc8", potential=Potential8D("sho", omega=1.0), L=L)
 
@@ -400,7 +400,7 @@ class TestCachedPencil:
             replace(_CACHED_CASES["theta"], mass_power=-1)
 
 
-@pytest.mark.parametrize("dim", [8.7, -3])
+@pytest.mark.parametrize("dim", [8.7, -3, math.inf, math.nan])
 def test_qes_problem_rejects_non_integral_or_negative_dim(dim):
     # never truncated: dim = 8.7 solved dim = 8, and dim = -3 returned 4.24
     with pytest.raises(ValueError, match=f"nonnegative integer dim, got {dim!r}"):
