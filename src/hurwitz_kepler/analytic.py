@@ -11,7 +11,8 @@ reduced radial operator
 
 (no 1/2 on the kinetic term; Dim is the first-derivative coefficient,
 Dim = d' + 2 l' - 1).  With the gauge factor r^(-c') exp(-phi) the tables
-close exactly:
+close exactly for c' <= (Dim - 1)/2, where -c' is the upper root m of
+m(m + Dim - 1) = c (above it the tables do not close):
 
 * super2 (phi = a' r^4/4 + b' r^2/2): the monomials {r^{2k}} with
   k < N span an invariant space; the N x N block eigenvalues are the N
@@ -21,8 +22,11 @@ close exactly:
   quantizes the 1/rho coefficient; the N x N block eigenvalues are the N
   admissible charges (the table's b-formula is the N = 1 root).
 
-``qes_solve`` builds these blocks by literally applying H to the ansatz
-basis, so closure is verified numerically rather than assumed.
+H(r^j G)/G with G = r^m exp(-phi) is a three-term recurrence, so each
+block is a tridiagonal (Jacobi) matrix that ``qes_solve`` writes in closed
+form; its off-diagonal products are positive, so it is symmetrized and
+solved with ``eigh``.  The coefficients that would leave the span are
+computed from the mapped potential and must vanish.
 
 All functions are pure and thread-safe.
 """
@@ -66,13 +70,13 @@ class QuantumNumbers:
     def __post_init__(self):
         for name in ("N", "L", "J"):
             val = getattr(self, name)
-            if val != int(val) or val < 0:
+            if not (val >= 0 and float(val).is_integer()):
                 raise ValueError(f"{name} must be a nonnegative integer")
 
 
 def kummer_1f1_terminating(n: int, beta: float, z: float) -> float:
     """Exact finite sum 1F1(-n; beta; z) = sum_k (-n)_k / ((beta)_k k!) z^k."""
-    if n != int(n) or n < 0:
+    if not (n >= 0 and float(n).is_integer()):
         raise ValueError("n must be a nonnegative integer")
     total = 1.0
     term = 1.0
@@ -87,7 +91,7 @@ def kummer_1f1_terminating(n: int, beta: float, z: float) -> float:
 
 def effective_lprime(L: int, c: float) -> float:
     """Upper root of L'(L'+6) = L(L+6) + 2c, the regular branch."""
-    if L != int(L) or L < 0:
+    if not (L >= 0 and float(L).is_integer()):
         raise ValueError("L must be a nonnegative integer")
     disc = (L + 3.0) ** 2 + 2.0 * c
     if disc < 0.0:
@@ -157,10 +161,12 @@ class QesPrimedParams:
     dim: int = 8
 
     def __post_init__(self):
-        if self.N < 1 or self.N != int(self.N):
+        if not (self.N >= 1 and float(self.N).is_integer()):
             raise ValueError("block size N must be a positive integer")
-        if self.dim < 1 or self.dim != int(self.dim):
+        if not (self.dim >= 1 and float(self.dim).is_integer()):
             raise ValueError("Dim must be a positive integer")
+        object.__setattr__(self, "N", int(self.N))
+        object.__setattr__(self, "dim", int(self.dim))
 
 
 def qes_map_sub2(p: QesPrimedParams) -> tuple[Potential8D, float]:
@@ -208,57 +214,13 @@ def qes_map_super2(p: QesPrimedParams) -> Potential8D:
     )
 
 
-# -- Laurent-polynomial helpers (dict: integer power -> coefficient) --------
+def _gauge_power(p: QesPrimedParams) -> float:
+    """Upper root m of m(m + Dim - 1) = c'(c' - Dim + 1): -c' or c' - Dim + 1.
 
-
-def _padd(p: dict, q: dict, s: float = 1.0) -> dict:
-    out = dict(p)
-    for k, v in q.items():
-        out[k] = out.get(k, 0.0) + s * v
-    return out
-
-
-def _pmul(p: dict, q: dict) -> dict:
-    out: dict = {}
-    for k1, v1 in p.items():
-        for k2, v2 in q.items():
-            out[k1 + k2] = out.get(k1 + k2, 0.0) + v1 * v2
-    return out
-
-
-def _pdiff(p: dict) -> dict:
-    return {k - 1: k * v for k, v in p.items() if k != 0}
-
-
-def _pclean(p: dict, tol: float = 0.0) -> dict:
-    scale = max((abs(v) for v in p.values()), default=0.0)
-    return {k: v for k, v in p.items() if abs(v) > tol * scale}
-
-
-def _apply_reduced_hamiltonian(y: dict, dim: int, m: float, dphi: dict, V: dict) -> dict:
-    """Laurent coefficients of H(y G)/G for G = r^m exp(-phi), phi' = dphi.
-
-    H f = -f'' - (dim/r) f' + V f.  The gauge power m enters only through
-    G'/G = m/r - phi'(r); the m/r piece is tracked as a formal 1/r term so
-    non-integer m never mixes with the integer Laurent powers.
+    Taken from c' rather than from the mapped c, whose rounding moves a
+    root near the double one at c' = (Dim - 1)/2 by sqrt(eps).
     """
-    glog = _padd({-1: m}, dphi, -1.0)  # G'/G
-    glog2 = _padd(_pmul(glog, glog), _padd({-2: -m}, _pdiff(dphi), -1.0))  # G''/G
-    out = _padd({}, _pdiff(_pdiff(y)), -1.0)
-    out = _padd(out, _pmul(glog, _pdiff(y)), -2.0)
-    out = _padd(out, _pmul(glog2, y), -1.0)
-    out = _padd(out, _pmul({-1: float(dim)}, _pdiff(y)), -1.0)
-    out = _padd(out, _pmul(_pmul({-1: float(dim)}, glog), y), -1.0)
-    out = _padd(out, _pmul(V, y))
-    return _pclean(out, 1e-300)
-
-
-def _gauge_power(c_pot: float, dim: int) -> float:
-    """Upper root of m(m + dim - 1) = c_pot (regular reduced exponent)."""
-    disc = (dim - 1.0) ** 2 / 4.0 + c_pot
-    if disc < 0.0:
-        raise QesPreconditionError("inverse-square strength below the critical bound")
-    return -(dim - 1.0) / 2.0 + math.sqrt(disc)
+    return max(-p.c_p, p.c_p - p.dim + 1.0)
 
 
 @dataclass(frozen=True)
@@ -282,33 +244,53 @@ class QesSolution:
     closure_residual: float
 
 
-def _trim_poly(vec: np.ndarray) -> list[float]:
-    coeffs = list(vec)
-    scale = max(abs(c) for c in coeffs)
-    while len(coeffs) > 1 and abs(coeffs[-1]) <= 1e-12 * scale:
-        coeffs.pop()
-    lead = coeffs[-1]
-    return [c / lead for c in coeffs]
-
-
-def _require_real(vals: np.ndarray, what: str) -> np.ndarray:
-    if np.max(np.abs(vals.imag)) > 1e-9 * max(1.0, np.max(np.abs(vals.real))):
-        raise QesClosureError(f"{what} came out complex; QES structure violated")
-    return vals.real
-
-
 # Largest coefficient left outside the ansatz span, relative to the
 # largest inside it, that still counts as closure.
 _CLOSURE_TOL = 1e-9
 
 
+def _tridiagonal_eig(diag, upper, lower):
+    """Ascending eigenpairs of T (T[k, k], T[k-1, k], T[k, k-1]), vectors monic.
+
+    Every product upper * lower is positive, so with off = sqrt(upper lower)
+    and D = diag(prod lower / off) the matrix D^-1 T D is symmetric with
+    off-diagonal ``off``; ``eigh`` solves it and D maps its vectors back.
+    An unreduced tridiagonal block has no eigenvector with a zero last
+    component, so every polynomial keeps all N coefficients.
+    """
+    off = np.sqrt(upper * lower)
+    vals, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    vecs *= np.cumprod(np.concatenate(([1.0], lower / off)))[:, None]
+    return vals, vecs / vecs[-1]
+
+
 def qes_solve(p: QesPrimedParams, family: str) -> QesSolution:
     """Solve the N-dimensional QES block for the mapped potential.
 
-    The reduced Hamiltonian -f'' - (Dim/r) f' + V f is applied to the
-    ansatz basis {monomial_k * gauge factor}; the expansion must close on
-    the span to ``_CLOSURE_TOL`` relative (for sub2, closure quantizes the
-    1/rho coefficient), or :class:`QesClosureError` is raised.
+    With G = r^m exp(-phi), H(r^j G)/G has three powers of r left once the
+    mapped potential cancels the rest, so the block is a three-term
+    (Jacobi) recurrence written here in closed form, with m the upper root
+    of m(m + Dim - 1) = c and (A, B) = (a', b'):
+
+    * super2, basis r^(2k): diagonal B(4k + 2m + 1 + Dim), T[k-1, k] =
+      -2k(2k - 1 + 2m + Dim), T[k+1, k] = A(4k + 2m + 3 + Dim) - B^2 +
+      omega^2/2, which is the stray coefficient T[N, N-1] minus
+      4A(N - 1 - k).
+    * sub2, r H - r E, basis r^k: diagonal A(2k + 2m + Dim) + b,
+      T[k-1, k] = -k(k - 1 + 2m + Dim), T[k+1, k] = B(2k + 1 + 2m + Dim)
+      - A^2 - E, which is -2B(N - 1 - k) once the top one, T[N, N-1] = 0,
+      fixes E; the charges b are the eigenvalues of minus the b-free block.
+      The terms (omega^2/2 - B^2) r^(k+3) and (a - 2AB) r^(k+2) leak out of
+      the span, and E must be -d, which fails for c' > (Dim - 1)/2.
+
+    The off-diagonal products, 8A k(N - k)(2k - 1 + 2m + Dim) and
+    2B k(N - k)(k - 1 + 2m + Dim) for 0 < k < N, are positive because
+    2m + Dim - 1 = |2c' - Dim + 1| >= 0 for the upper root and A, B > 0
+    are preconditions of the maps, so the block is symmetrizable.  The
+    stray coefficient, the leaks (the mapped a, b, c against the gauge),
+    the gap between E and -d and (sub2) each state's residual of the
+    recurrence must vanish to ``_CLOSURE_TOL`` relative, or
+    :class:`QesClosureError` is raised.
     """
     family = family.lower()
     if family == "sub2":
@@ -319,63 +301,40 @@ def qes_solve(p: QesPrimedParams, family: str) -> QesSolution:
 
 
 def _qes_solve_sub2(p: QesPrimedParams) -> QesSolution:
-    pot, _ = qes_map_sub2(p)
+    pot, d = qes_map_sub2(p)
     N, dim = p.N, p.dim
-    m = _gauge_power(pot.c, dim)
-    dphi = {1: p.b_p, 0: p.a_p}
-    V0 = {2: 0.5 * pot.omega**2, 1: pot.a}  # 1/rho term handled as the unknown
-    if pot.c != 0.0:
-        V0[-2] = pot.c
-
-    # r-multiplied pencil: r H (r^k G) = sum_j P[j,k] r^j G, plus b * r^k G.
-    cols = [
-        _pclean(_pmul({1: 1.0}, _apply_reduced_hamiltonian({k: 1.0}, dim, m, dphi, V0)), 1e-14)
-        for k in range(N)
-    ]
-    energy = cols[N - 1].get(N, 0.0)  # top-degree row fixes the eigenvalue
-
-    mat = np.zeros((N, N))
-    stray = 0.0
-    scale = max(max(abs(v) for v in col.values()) for col in cols)
-    for k, col in enumerate(cols):
-        for j, v in col.items():
-            jj = int(round(j))
-            if jj == N and k == N - 1:
-                continue  # the top-degree row, consumed by the energy
-            if 0 <= jj <= N - 1:
-                mat[jj, k] += v
-            else:
-                stray = max(stray, abs(v))
-        if k + 1 <= N - 1:
-            mat[k + 1, k] -= energy  # -E * (r * r^k) contribution
-    if stray > _CLOSURE_TOL * scale:
-        raise QesClosureError(f"sub2 pencil leaked outside the span (|coef| = {stray:.3g})")
-
-    vals, vecs = np.linalg.eig(-mat)
-    vals = _require_real(vals, "admissible charges")
-    vecs = _require_real(vecs, "polynomial coefficients")
-    order = np.argsort(vals)
-    charges = vals[order]
-    polys = [_trim_poly(vecs[:, i]) for i in order]
-
-    # verify closure state by state with the full operator
-    worst = 0.0
-    for b_i, coeffs in zip(charges, polys):
-        V = dict(V0)
-        V[-1] = b_i
-        y = {k: c for k, c in enumerate(coeffs)}
-        res = _padd(
-            _apply_reduced_hamiltonian(y, dim, m, dphi, V), {k: energy * c for k, c in y.items()}, -1.0
+    A, B, m = p.a_p, p.b_p, _gauge_power(p)
+    k = np.arange(N)
+    energy = B * (2 * N - 1 + 2 * m + dim) - A * A  # the top raise vanishes
+    # minus the block, so that its eigenvalues are the charges.  No sign
+    # check: 2m + dim - 1 >= 0 by the choice of root and B > 0 by the map's
+    # precondition, so every upper * lower is positive.
+    diag = -A * (2 * k + 2 * m + dim)
+    upper = k[1:] * (k[1:] - 1 + 2 * m + dim)
+    lower = 2.0 * B * (N - 1 - k[:-1])
+    block = np.diag(diag) + np.diag(upper, 1) + np.diag(lower, -1)
+    leak = max(
+        abs(0.5 * pot.omega**2 - B * B), abs(pot.a - 2.0 * A * B), abs(pot.c - m * (m + dim - 1))
+    )
+    gap = abs(energy + d)
+    scale = max(_potential_scale(pot), B * B, A * A, abs(energy), np.max(np.abs(block)))
+    if gap > _CLOSURE_TOL * scale:
+        raise QesClosureError(
+            f"sub2 block energy {energy:.6g} is not -d = {-d:.6g}: the gauge power "
+            f"m = {m:.6g} is not -c' (c' > (Dim - 1)/2)"
         )
-        rscale = max(abs(c) for c in y.values()) * max(1.0, abs(energy))
-        worst = max(worst, max((abs(v) for v in res.values()), default=0.0) / rscale)
+
+    charges, vecs = _tridiagonal_eig(diag, upper, lower)
+    # each state against the recurrence as written
+    states = np.max(np.abs(block @ vecs - vecs * charges), axis=0) / np.max(np.abs(vecs), axis=0)
+    worst = float(max(np.max(states), leak, gap) / scale)
     if worst > _CLOSURE_TOL:
         raise QesClosureError(f"sub2 closure residual {worst:.3g} exceeds {_CLOSURE_TOL:.1g}")
 
     return QesSolution(
         family="sub2",
         energies=tuple([energy] * N),
-        polynomials=tuple(tuple(c) for c in polys),
+        polynomials=tuple(tuple(v) for v in vecs.T),
         gauge=(p.a_p, p.b_p),
         power=m,
         charges=tuple(charges),
@@ -388,49 +347,42 @@ def _qes_solve_super2(p: QesPrimedParams) -> QesSolution:
     N, dim = p.N, p.dim
     if pot.a <= 0.0:  # a = a'^2 underflows to 0 for a' > 0 below about 1e-162
         raise QesPreconditionError("super2 needs a positive r^6 coefficient")
-    m = _gauge_power(pot.c, dim)
-    A = math.sqrt(pot.a)
-    B = pot.b / (2.0 * A)
-    dphi = {3: A, 1: B}
-    V = {2: 0.5 * pot.omega**2, 4: pot.b, 6: pot.a}
-    if pot.c != 0.0:
-        V[-2] = pot.c
-
-    basis = [2 * k for k in range(N)]
-    mat = np.zeros((N, N))
-    stray = 0.0
-    scale = 0.0
-    for k, pw in enumerate(basis):
-        col = _pclean(_apply_reduced_hamiltonian({pw: 1.0}, dim, m, dphi, V), 1e-14)
-        scale = max(scale, max(abs(v) for v in col.values()))
-        for j, v in col.items():
-            jj = int(round(j))
-            if jj in basis:
-                mat[basis.index(jj), k] += v
-            else:
-                stray = max(stray, abs(v))
+    A, B, m = p.a_p, p.b_p, _gauge_power(p)
+    k = np.arange(N)
+    diag = B * (4 * k + 2 * m + 1 + dim)
+    upper = -2.0 * k[1:] * (2 * k[1:] - 1 + 2 * m + dim)
+    # The raises below the stray one, -4A(N - 1 - k), written without it so
+    # that they stay negative where B^2 - omega^2/2 rounds.  No sign check:
+    # A > 0 by the map's precondition and 2m + dim - 1 >= 0 by the choice
+    # of root, so every upper * lower is positive.
+    lower = -4.0 * A * (N - 1 - k[:-1])
+    stray = max(
+        abs(A * (4 * N - 1 + 2 * m + dim) - B * B + 0.5 * pot.omega**2),
+        abs(pot.a - A * A),
+        abs(pot.b - 2.0 * A * B),
+        abs(pot.c - m * (m + dim - 1)),
+    )
+    scale = max(_potential_scale(pot), B * B, np.max(np.abs(diag)), np.max(np.abs(upper), initial=0.0))
     if stray > _CLOSURE_TOL * scale:
         raise QesClosureError(
             f"super2 ansatz space does not close (stray coefficient {stray:.3g}); "
             "the r^2 coefficient is inconsistent with the block size"
         )
 
-    vals, vecs = np.linalg.eig(mat)
-    vals = _require_real(vals, "QES energies")
-    vecs = _require_real(vecs, "polynomial coefficients")
-    order = np.argsort(vals)
-    energies = vals[order]
-    polys = [_trim_poly(vecs[:, i]) for i in order]
-
+    energies, vecs = _tridiagonal_eig(diag, upper, lower)
     return QesSolution(
         family="super2",
         energies=tuple(energies),
-        polynomials=tuple(tuple(c) for c in polys),
+        polynomials=tuple(tuple(v) for v in vecs.T),
         gauge=(p.a_p, p.b_p),
         power=m,
         charges=None,
-        closure_residual=stray / max(scale, 1e-300),
+        closure_residual=stray / scale,
     )
+
+
+def _potential_scale(pot: Potential8D) -> float:
+    return max(0.5 * pot.omega**2, abs(pot.a), abs(pot.b), abs(pot.c))
 
 
 def qes_wavefunction(sol: QesSolution, i: int, r):

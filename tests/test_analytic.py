@@ -55,6 +55,23 @@ class TestKummer:
         kummer_1f1_terminating(2, -2.5, 1.0)
 
 
+@pytest.mark.parametrize("value", [math.inf, math.nan, 2.5, -1])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda v: QuantumNumbers(v),
+        lambda v: QuantumNumbers(0, L=v),
+        lambda v: QuantumNumbers(0, J=v),
+        lambda v: kummer_1f1_terminating(v, 4.0, 1.0),
+        lambda v: effective_lprime(v, 0.0),
+    ],
+    ids=["N", "L", "J", "kummer-n", "lprime-L"],
+)
+def test_non_integral_or_negative_index_rejected(call, value):
+    with pytest.raises(ValueError):
+        call(value)
+
+
 class TestEffectiveLprime:
     def test_collapses_without_singular_term(self):
         assert effective_lprime(2, 0.0) == pytest.approx(2.0)

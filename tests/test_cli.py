@@ -267,6 +267,17 @@ class TestQes:
         assert "positive r^6 coefficient" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("family, a_prime", [("super2", 0.05), ("sub2", 1.0)])
+    def test_cprime_above_half_dim_exit_6(self, tmp_path, capsys, family, a_prime):
+        # c' = 4 > (Dim - 1)/2: the tables do not close for either family
+        cfg = _write(
+            tmp_path,
+            "q.json",
+            {"family": family, "a_prime": a_prime, "b_prime": 1.0, "c_prime": 4.0, "N": 2},
+        )
+        assert main(["qes", cfg, "--out", str(tmp_path)]) == 6
+        assert "QES closure failed" in capsys.readouterr().err
+
     def test_closure_failure_exit_6(self, tmp_path, monkeypatch, capsys):
         import hurwitz_kepler.cli as climod
         from hurwitz_kepler.errors import QesClosureError

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import Polynomial
 
 from hurwitz_kepler import analytic
 from hurwitz_kepler.analytic import (
@@ -193,3 +196,135 @@ class TestSub2Solve:
 def test_unknown_family():
     with pytest.raises(ValueError):
         qes_solve(QesPrimedParams(a_p=1.0, b_p=1.0, N=1), "cubic")
+
+
+@pytest.mark.parametrize(
+    "family, p",
+    [
+        ("super2", QesPrimedParams(a_p=0.05, b_p=1.0, c_p=4.0, N=2, dim=8)),
+        ("sub2", QesPrimedParams(a_p=1.0, b_p=1.0, c_p=4.0, N=2, dim=8)),
+    ],
+)
+def test_cprime_above_half_dim_does_not_close(family, p):
+    # the upper root of m(m + Dim - 1) = c'(c' - Dim + 1) is c' - Dim + 1,
+    # not -c', so the tables' E = -d (sub2) and omega^2 (super2) miss it
+    with pytest.raises(QesClosureError):
+        qes_solve(p, family)
+
+
+@pytest.mark.parametrize("family, a_p", [("super2", 0.05), ("sub2", 1.0)])
+def test_integer_valued_float_sizes_solve_as_ints(family, a_p):
+    as_float = qes_solve(QesPrimedParams(a_p=a_p, b_p=1.0, N=2.0, dim=8.0), family)
+    assert as_float == qes_solve(QesPrimedParams(a_p=a_p, b_p=1.0, N=2, dim=8), family)
+
+
+@pytest.mark.parametrize("key", ["N", "dim"])
+@pytest.mark.parametrize("value", [math.inf, math.nan, 2.5, 0])
+def test_non_integral_or_nonpositive_size_rejected(key, value):
+    with pytest.raises(ValueError):
+        QesPrimedParams(a_p=1.0, b_p=1.0, **{key: value})
+
+
+# ---------------------------------------------------------------------------
+# Independent oracle: the full reduced operator on each returned state
+
+
+def _operator_terms(y, r, m, dim, phi, potential_terms, energy):
+    """The terms of H(y G)/G - E y, G = r^m exp(-phi), one array each.
+
+    H f = -f'' - (dim/r) f' + V f with G'/G = m/r - phi' and
+    G''/G = (G'/G)^2 - m/r^2 - phi'' expanded term by term.
+    """
+    d1, d2 = phi.deriv(1)(r), phi.deriv(2)(r)
+    y0, y1, y2 = y(r), y.deriv(1)(r), y.deriv(2)(r)
+    return [
+        -y2,
+        -2.0 * m / r * y1,
+        2.0 * d1 * y1,
+        -(m * m - m) / r**2 * y0,
+        2.0 * m * d1 / r * y0,
+        -(d1**2) * y0,
+        d2 * y0,
+        -dim / r * y1,
+        -dim * m / r**2 * y0,
+        dim * d1 / r * y0,
+        *(v * y0 for v in potential_terms),
+        -energy * y0,
+    ]
+
+
+def _reduced_residual(family, p, sol):
+    """Worst |H f - E f| over its size, f = P(r) r^power exp(-phi), all states.
+
+    The size is the same sum with every coefficient and factor replaced by
+    its absolute value, so a state whose polynomial lost a coefficient
+    shows up at that coefficient's share of the function.
+    """
+    r = np.linspace(0.2, 3.0, 57) / math.sqrt(p.b_p)
+    if family == "super2":
+        pot = qes_map_super2(p)
+        phi = Polynomial([0.0, 0.0, 0.5 * p.b_p, 0.0, 0.25 * p.a_p])
+    else:
+        pot, _ = qes_map_sub2(p)
+        phi = Polynomial([0.0, p.a_p, 0.5 * p.b_p])
+    worst = 0.0
+    for i, coeffs in enumerate(sol.polynomials):
+        if family == "super2":
+            full = np.zeros(2 * len(coeffs) - 1)
+            full[::2] = coeffs
+            V = [0.5 * pot.omega**2 * r**2, pot.c / r**2, pot.b * r**4, pot.a * r**6]
+        else:
+            full = np.array(coeffs)
+            V = [0.5 * pot.omega**2 * r**2, pot.c / r**2, pot.a * r, sol.charges[i] / r]
+        e = sol.energies[i]
+        res = sum(_operator_terms(Polynomial(full), r, sol.power, p.dim, phi, V, e))
+        size = sum(
+            np.abs(t)
+            for t in _operator_terms(
+                Polynomial(np.abs(full)), r, abs(sol.power), p.dim,
+                Polynomial(np.abs(phi.coef)), np.abs(V), abs(e),
+            )
+        )
+        worst = max(worst, float(np.max(np.abs(res) / size)))
+    return worst
+
+
+@st.composite
+def _qes_cases(draw):
+    family = draw(st.sampled_from(["super2", "sub2"]))
+    dim = draw(st.integers(1, 12))
+    N = draw(st.integers(1, 6))
+    c_p = draw(st.floats(-2.0, (dim - 1) / 2))
+    b_p = draw(st.floats(0.2, 3.0))
+    if family == "super2":
+        # a' below b'^2 / (4N + Dim - 2c' - 1), where omega^2 > 0
+        bound = b_p**2 / (4 * N + dim - 2 * c_p - 1)
+        a_p = 10.0 ** draw(st.floats(-6.0, -0.01)) * bound
+    else:
+        a_p = draw(st.floats(-2.0, 2.0))
+    return family, QesPrimedParams(a_p=a_p, b_p=b_p, c_p=c_p, N=N, dim=dim)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_qes_cases())
+# small a': top coefficients far below the largest, which must stay
+@example(case=("super2", QesPrimedParams(a_p=1e-3, b_p=1.0, N=6, dim=8)))
+@example(case=("super2", QesPrimedParams(a_p=1e-5, b_p=1.0, N=6, dim=8)))
+# c' next to the double root (Dim - 1)/2 of m(m + Dim - 1) = c, where a
+# root taken through c = c'(c' - Dim + 1) is off by sqrt(eps)
+@example(case=("sub2", QesPrimedParams(a_p=1.0, b_p=1.0, c_p=3.4999999, N=2, dim=8)))
+def test_every_state_solves_the_reduced_operator(case):
+    family, p = case
+    sol = qes_solve(p, family)
+    assert sol.power == pytest.approx(-p.c_p, abs=1e-14)
+    assert all(len(c) == p.N for c in sol.polynomials)
+    assert _reduced_residual(family, p, sol) <= 1e-12
+    if family == "super2":
+        assert np.all(np.diff(sol.energies) > 0)
+        if p.N == 1:
+            assert sol.energies[0] == pytest.approx(p.b_p * (p.dim + 1 - 2 * p.c_p), rel=1e-13)
+    else:
+        pot, d = qes_map_sub2(p)
+        assert sol.energies == pytest.approx([-d] * p.N, rel=1e-13, abs=1e-13)
+        if p.N == 1:
+            assert sol.charges[0] == pytest.approx(pot.b, rel=1e-13, abs=1e-13)
