@@ -169,6 +169,11 @@ class QesPrimedParams:
         object.__setattr__(self, "dim", int(self.dim))
 
 
+def _mapped_c(p: QesPrimedParams) -> float:
+    """The mapped centrifugal strength c = c'(c' - D + 1), +0.0 at c' = 0 (not -0.0)."""
+    return p.c_p * (p.c_p - p.dim + 1.0) + 0.0
+
+
 def qes_map_sub2(p: QesPrimedParams) -> tuple[Potential8D, float]:
     """Map primed constants to the sub-quadratic family.
 
@@ -184,7 +189,7 @@ def qes_map_sub2(p: QesPrimedParams) -> tuple[Potential8D, float]:
         omega=math.sqrt(2.0) * p.b_p,
         a=2.0 * p.a_p * p.b_p,
         b=-p.a_p * (D - 2.0 * p.c_p),
-        c=p.c_p * (p.c_p - D + 1.0),
+        c=_mapped_c(p),
     )
     d = p.a_p**2 - p.b_p * (2 * p.N + D - 1.0 - 2.0 * p.c_p)
     return pot, d
@@ -210,7 +215,7 @@ def qes_map_super2(p: QesPrimedParams) -> Potential8D:
         omega=math.sqrt(omega_sq),
         a=p.a_p**2,
         b=2.0 * p.a_p * p.b_p,
-        c=p.c_p * (p.c_p - D + 1.0),
+        c=_mapped_c(p),
     )
 
 

@@ -10,10 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 import hurwitz_kepler
 from hurwitz_kepler.algebra import hurwitz_forward_batch
-from hurwitz_kepler.cli import _build_parser, main, write_csv
+from hurwitz_kepler.cli import CSV_BLOCK_ROWS, _build_parser, main, write_csv
 
 
 def _write(tmp_path, name, payload):
@@ -147,6 +150,57 @@ class TestTransformFormat:
         with pytest.raises(ValueError, match="cannot serialize non-finite float"):
             write_csv(tmp_path / "t.csv", ["a", "b", "c", "d"], table)
         assert not (tmp_path / "t.csv").exists()
+
+
+def _one_template_per_row(header, table):
+    """The CSV text of ``table`` with one ``%.17g`` template per row: the writer's oracle."""
+    template = ",".join(["%.17g"] * table.shape[1])
+    return "\n".join([",".join(header)] + [template % tuple(row) for row in table.tolist()]) + "\n"
+
+
+def _ulps(x):
+    """``x`` (a decimal string) as the nearest double and its two neighbours."""
+    x = float(x)
+    return [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+
+
+class TestCsvWriter:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        table=arrays(
+            np.float64,
+            array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=9),
+            elements=st.floats(allow_nan=False, allow_infinity=False),
+        )
+    )
+    @example(table=np.array([[0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]]))
+    @example(table=np.array([_ulps("1e-4"), _ulps("1e16")]))
+    @example(table=np.array([_ulps(f"1e{k}") for k in range(-5, 18)]))
+    @example(table=np.array([_ulps(f"-1e{k}") for k in range(-5, 18)]))
+    @example(table=np.array([[0.09999999999999999, 9999999999999998.0, 99999999999999999.0]]))
+    @example(table=np.array([[2.0**53 + 2.0, 2.0**60 + 2.0**8, 12345678901234567890.0, -(2.0**63)]]))
+    def test_cells_are_17g(self, tmp_path, table):
+        # every cell is exactly format(v, ".17g"): the vectorized fixed-notation
+        # cells, subnormals, the scientific-notation cells and both zeros
+        write_csv(tmp_path / "t.csv", [f"c{j}" for j in range(table.shape[1])], table)
+        text = (tmp_path / "t.csv").read_text()
+        assert text.splitlines()[1:] == [",".join(format(v, ".17g") for v in row) for row in table.tolist()]
+
+    @pytest.mark.parametrize(
+        "rows", [0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS + 3]
+    )
+    def test_block_boundaries(self, tmp_path, rows):
+        # fixed and scientific cells, zeros of both signs and integral values
+        # past 2**53 on every side of the block edges
+        rng = np.random.default_rng(rows)
+        table = rng.normal(size=(rows, 5)) * 10.0 ** rng.integers(-7, 19, size=(rows, 5))
+        table[rng.random(size=table.shape) < 0.1] = 0.0
+        table[rng.random(size=table.shape) < 0.1] = -0.0
+        header = ["a", "b", "c", "d", "e"]
+        write_csv(tmp_path / "t.csv", header, table)
+        assert (tmp_path / "t.csv").read_text() == _one_template_per_row(header, table)
+        if rows == 0:
+            assert (tmp_path / "t.csv").read_text() == "a,b,c,d,e\n"
 
 
 class TestSpectrum:
@@ -306,6 +360,16 @@ class TestQes:
         assert doc["energies"][0] == pytest.approx(9.0, rel=1e-12)
         assert doc["charges"][0] == pytest.approx(0.0, abs=1e-12)
         assert doc["energy_offset_d"] == pytest.approx(-9.0)
+
+    @pytest.mark.parametrize("family, a_prime, N", [("super2", 1e-3, 6), ("sub2", 1.0, 2)])
+    def test_mapped_c_is_unsigned_zero(self, tmp_path, family, a_prime, N):
+        # c' = 0 maps to c = c'(c' - Dim + 1) = 0, written 0 and not -0
+        cfg = _write(tmp_path, "q.json", {"family": family, "a_prime": a_prime, "b_prime": 1.0, "N": N})
+        assert main(["qes", cfg, "--out", str(tmp_path)]) == 0
+        header, rows = _read_csv(tmp_path / "qes.csv")
+        assert [row[header.index("c")] for row in rows] == ["0"] * N
+        text = (tmp_path / "qes.json").read_text()
+        assert re.search(r'"mapped_potential": \{[^}]*"c": (\S+)\n', text)[1] == "0"
 
     @pytest.mark.parametrize("family, a_prime, solves", [("super2", 0.05, 1), ("sub2", 0.5, 2)])
     def test_one_verification_solve_per_potential(self, tmp_path, monkeypatch, family, a_prime, solves):
