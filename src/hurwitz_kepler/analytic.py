@@ -75,7 +75,11 @@ class QuantumNumbers:
 
 
 def kummer_1f1_terminating(n: int, beta: float, z: float) -> float:
-    """Exact finite sum 1F1(-n; beta; z) = sum_k (-n)_k / ((beta)_k k!) z^k."""
+    """Exact finite sum 1F1(-n; beta; z) = sum_k (-n)_k / ((beta)_k k!) z^k.
+
+    An array z is evaluated elementwise, by the same operations as a
+    scalar; n = 0 returns the scalar 1.0.
+    """
     if not (n >= 0 and float(n).is_integer()):
         raise ValueError("n must be a nonnegative integer")
     total = 1.0
@@ -115,8 +119,7 @@ def radial_wavefunction(q: QuantumNumbers, omega: float, c: float, r) -> float:
     z = omega * r**2
     if np.ndim(r) == 0:
         return float(r**lp * math.exp(-0.5 * z) * kummer_1f1_terminating(q.N, lp + 4.0, z))
-    hyp = np.array([kummer_1f1_terminating(q.N, lp + 4.0, zz) for zz in z])
-    return r**lp * np.exp(-0.5 * z) * hyp
+    return r**lp * np.exp(-0.5 * z) * kummer_1f1_terminating(q.N, lp + 4.0, z)
 
 
 @dataclass(frozen=True)
@@ -178,7 +181,7 @@ def qes_map_sub2(p: QesPrimedParams) -> tuple[Potential8D, float]:
     """Map primed constants to the sub-quadratic family.
 
     Returns the potential (omega^2 = 2 b'^2, a = 2 a' b', b = -a'(D - 2c'),
-    c = c'(c' - D + 1)) together with the derived energy-offset constant
+    c = c'(c' - D + 1), b and c +0.0 where zero) together with the derived energy-offset constant
     d = a'^2 - b'(2N + D - 1 - 2c'); the QES energy equals -d.
     """
     if p.b_p <= 0.0:
@@ -188,7 +191,7 @@ def qes_map_sub2(p: QesPrimedParams) -> tuple[Potential8D, float]:
         variant="sub2",
         omega=math.sqrt(2.0) * p.b_p,
         a=2.0 * p.a_p * p.b_p,
-        b=-p.a_p * (D - 2.0 * p.c_p),
+        b=-p.a_p * (D - 2.0 * p.c_p) + 0.0,
         c=_mapped_c(p),
     )
     d = p.a_p**2 - p.b_p * (2 * p.N + D - 1.0 - 2.0 * p.c_p)

@@ -398,13 +398,18 @@ def _spectrum_micz(cfg: dict) -> tuple:
             f"but the polar solve's fixed grid of n = {polar.n} takes at most {polar.n // 4}"
         )
     _check_states("n_states", n_states, grid)
+    # closed-form lambda = n_theta + the regular exponents at the two poles
+    poles = effective_lprime(micz.J, 4.0 * micz.c1) + effective_lprime(micz.L, 4.0 * micz.c2)
+    # the smallest closed-form |E|, at N = theta_index = n_states - 1, must not underflow
+    if micz.Z * micz.Z / (2.0 * (2 * n_states + 0.5 * poles + 2.0) ** 2) < sys.float_info.min:
+        raise ConfigError(
+            f"micz block key 'Z' must be large enough for normal closed-form E, got {micz.Z!r}"
+        )
     states = spherical_micz_energies(
         micz, n_theta=n_states, n_radial=n_states, grid_theta=polar, grid_radial=grid
     )
     rows = []
     worst = 0.0
-    # closed-form lambda = n_theta + the regular exponents at the two poles
-    poles = effective_lprime(micz.J, 4.0 * micz.c1) + effective_lprime(micz.L, 4.0 * micz.c2)
     for E, itheta, N, lam in states[: n_states * 2]:
         e_closed = -micz.Z**2 / (2.0 * (N + itheta + 0.5 * poles + 4.0) ** 2)
         dev = abs(E - e_closed) / abs(e_closed)
@@ -609,8 +614,10 @@ def cmd_duality(args) -> int:
     omega = float_key(cfg, "omega")
     omega2 = float_key(cfg, "omega2", omega)
     for key, value in (("omega", omega), ("omega2", omega2)):
-        if value <= 0.0:
-            raise ConfigError(f"config key {key!r} must be positive, got {value!r}")
+        if not 0.0 < value <= math.sqrt(sys.float_info.max):  # or E = -omega^2/2 overflows
+            raise ConfigError(
+                f"config key {key!r} must be positive and at most sqrt(float max), got {value!r}"
+            )
     grid = _grid_from(cfg, 2000)
     cases_cfg = cfg.get("cases", [{"c1": 0.0, "c2": 0.0}])
     if not (isinstance(cases_cfg, list) and cases_cfg):
@@ -694,14 +701,6 @@ def main(argv=None) -> int:
         return 4
     except BracketError as exc:
         print(f"bracket error: {exc}", file=sys.stderr)
-        if exc.bracket is not None:
-            e_lo, e_hi = exc.bracket
-            print(f"  bracket: E_lo = {e_lo:.10g}, E_hi = {e_hi:.10g}", file=sys.stderr)
-        for (i, j), (f_lo, f_hi) in exc.endpoint_mismatch.items():
-            print(
-                f"  pair ({i}, {j}): mismatch {f_lo:.6g} at E_lo, {f_hi:.6g} at E_hi",
-                file=sys.stderr,
-            )
         return 5
     except QesClosureError as exc:
         print(f"QES closure failed: {exc}", file=sys.stderr)

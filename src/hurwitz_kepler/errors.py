@@ -13,7 +13,7 @@ The CLI maps outcomes to stable exit codes:
    rejected value (``ValueError``), or a flag the subcommand does not take
 3  spherical-separability violation: :class:`SeparabilityError`
 4  violated QES precondition: :class:`QesPreconditionError`
-5  bracket failure: :class:`BracketError`
+5  empty energy window: :class:`BracketError`
 6  QES closure failure: :class:`QesClosureError`
 """
 
@@ -57,19 +57,12 @@ class QesClosureError(HurwitzKeplerError):
 
 
 class BracketError(HurwitzKeplerError):
-    """No eigenvalue-matching sign change inside the requested bracket.
+    """The energy window (E_lo, E_hi) of a parabolic joint search holds no resolved level.
 
-    ``bracket`` is the searched (E_lo, E_hi) and ``endpoint_mismatch`` maps
-    each branch pair (i, j) to its mismatch mu_u[i] + mu_v[j] at E_lo and
-    at E_hi.
+    Either the lowest level above E_lo, once resolved, lies at or above
+    E_hi, or no level above E_lo settles on the largest basis of the level
+    enumeration.  The message names the window.
     """
-
-    def __init__(
-        self, message: str, bracket: tuple | None = None, endpoint_mismatch: dict | None = None
-    ):
-        super().__init__(message)
-        self.bracket = bracket
-        self.endpoint_mismatch = {} if endpoint_mismatch is None else endpoint_mismatch
 
 
 class AccuracyError(HurwitzKeplerError):

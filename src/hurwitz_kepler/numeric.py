@@ -31,10 +31,14 @@ Cholesky factor of that mass, each is the linear pencil T(E) = W0 - (E/2)
 WB of a right-definite two-parameter problem, W0 holding -Z_a times the
 identity, so an energy costs one small symmetric eigensolve per equation;
 the eigenvalues fall strictly with E and their slopes follow from the
-eigenvectors (Hellmann-Feynman).  :func:`parabolic_joint_solve` finds
-each matching root by safeguarded Newton iteration from a Sturmian seed,
-and grows the basis, one Newton root per size, until the root changes by
-no more than its rounding.
+eigenvectors (Hellmann-Feynman).  :func:`parabolic_joint_solve` reads
+every joint level of a small basis from one eigensolve of the
+Kronecker-sum pencil of the two equations (Atkinson, Multiparameter
+Eigenvalue Problems, 1972; Hochstenbach & Plestenjak, SIAM J. Matrix
+Anal. Appl. 24 (2002) 392), takes the lowest level in its energy window,
+and refines only that level's degenerate group by safeguarded Newton
+iteration, growing the basis, one Newton root per size, until the root
+changes by no more than its rounding.
 
 Solves share no mutable state; concurrent sector sweeps are safe.
 """
@@ -599,9 +603,15 @@ def _oscillator_basis(potential: Potential8D) -> dict:
 
 # Newton steps allowed per root; bisection alone would need about 60.
 _MAX_NEWTON = 100
-# Branches (node counts 0, 1, 2) searched per equation.
-_BRANCHES = 3
-# Basis size of the joint search's endpoint mismatches and first roots.
+# Basis functions per equation of the first level enumeration, and the most
+# it grows to: a window whose lowest level has not settled by then holds no
+# resolved level.
+_LEVEL_BASIS = 6
+_MAX_LEVEL_BASIS = 18
+# Largest move of a resolved level one rung up, relative to the level, and
+# the width of the degenerate group refined with it.
+_LEVEL_TOL = 1e-5
+# Basis size of the first Newton root of the refinement ladder.
 _FIRST_BASIS = 12
 
 
@@ -615,8 +625,8 @@ class JointState:
     plus its rounding (see :func:`parabolic_joint_solve`).  ``node_u`` and
     ``node_v`` are the pair's branch indices (i, j): the node counts of its
     two states, which the sign changes of the last Ritz functions certify.
-    ``solves`` counts the pencil eigensolves of the whole search that
-    returned this state, the endpoint solves included.
+    ``solves`` counts the eigensolves of the whole search that returned
+    this state, the level enumeration's Kronecker-sum solves included.
     """
 
     E: float
@@ -644,12 +654,29 @@ def _shifted(pencil, n: int, energy: float, branches):
     return mu[branches], vectors, slope, _EPS * np.linalg.norm(matrix)
 
 
-def _match_root(pencils, n: int, i: int, j: int, energy: float, lo: float, hi: float):
+def _joint_levels(pencils, n: int) -> np.ndarray:
+    """Every joint level E of the two pencils on their leading n x n blocks, ascending.
+
+    (W0_u x I + I x W0_v) z = E (WB_u x I + I x WB_v) z / 2, Atkinson's
+    Kronecker-sum form of a right-definite two-parameter problem, holds
+    exactly when mu_u[i](E) + mu_v[j](E) = 0 for some branch pair (i, j),
+    z being the product of the two eigenvectors.  In the eigenbases of WB_u
+    and WB_v its right-hand matrix is diagonal and positive, so one
+    symmetric eigensolve of order n^2 gives every level.
+    """
+    (d_u, q_u), (d_v, q_v) = (np.linalg.eigh(p[4][:n, :n]) for p in pencils)
+    a_u, a_v = (q.T @ p[0][:n, :n] @ q for p, q in zip(pencils, (q_u, q_v)))
+    eye = np.eye(n)
+    scale = (0.5 * (d_u[:, None] + d_v)).ravel() ** -0.5
+    return np.linalg.eigvalsh((np.kron(a_u, eye) + np.kron(eye, a_v)) * np.outer(scale, scale))
+
+
+def _match_root(pencils, n: int, i: int, j: int, energy: float):
     """Root of F(E) = mu_u[i](E) + mu_v[j](E) on n basis functions, by Newton steps from ``energy``.
 
-    F is strictly decreasing, so every evaluation moves one end of the known
-    bracket (lo, hi), which may start unbounded; a step that would leave it
-    is replaced by bisection.  The root is defined to its rounding floor,
+    F is strictly decreasing, so every evaluation moves one end of the
+    bracket it has found, which starts unbounded; a step that would leave
+    it is replaced by bisection.  The root is defined to its rounding floor,
     the rounding of the two eigenvalues over |F'|, below which Newton would
     cycle.  A step below that floor, or below a tenth of sqrt(floor |E|),
     after which Newton's quadratic convergence leaves about a hundredth of
@@ -658,6 +685,7 @@ def _match_root(pencils, n: int, i: int, j: int, energy: float, lo: float, hi: f
     evaluations and the unit eigenvectors of the two branches at the last
     one.
     """
+    lo, hi = -math.inf, math.inf
     for evals in range(1, _MAX_NEWTON + 1):
         (mu_u, v_u, s_u, r_u), (mu_v, v_v, s_v, r_v) = (
             _shifted(p, n, energy, b) for p, b in zip(pencils, (i, j))
@@ -685,7 +713,7 @@ def parabolic_joint_solve(
     grid: Grid,
     bracket: tuple,
 ) -> JointState:
-    """Find E in ``bracket`` where the u- and v-equations share a P.
+    """The lowest level in the energy window ``bracket`` where the u- and v-equations share a P.
 
     For fixed E, the u-equation eigenvalues are -P-candidates and the
     v-equation eigenvalues are +P-candidates; a physical state needs a
@@ -702,28 +730,27 @@ def parabolic_joint_solve(
     (Hellmann-Feynman).  An energy costs one symmetric eigensolve of the
     leading N x N block per equation (:func:`_shifted`).
 
-    The branches are node counts 0, 1 and 2 of each equation, and the
-    endpoint mismatches are read on ``_FIRST_BASIS`` functions.  Each pair
-    whose mismatch changes sign is solved there by bracket-safeguarded
-    Newton (:func:`_match_root`).  The charge enters as the constant shift
-    -Z_a of each pencil, so F(E_hi) + Z, with Z = Z1 + Z2, is the charge the
-    pair binds at E_hi.  Newton starts at the Sturmian seed E* = E_hi (Z /
-    (F(E_hi) + Z))^2, which is the root up to the basis error when that
-    charge grows as sqrt(-E) (sho factors) and only a first guess
-    otherwise; it starts at the secant point of the bracket when Z <= 0,
-    F(E_hi) + Z <= 0 or E* lies outside the bracket.  The basis then grows
-    by ``_STEP`` functions, with one unbounded Newton root per size
-    started from the root of the size before, until the root changes by
-    no more than its rounding floor or N reaches the smaller of ``grid.n``
-    and ``_MAX_BASIS``.  E is the last root, E_error its change plus its
-    floor, P the shared eigenvalue there, and the node counts of both Ritz
-    functions on the fine sample of :func:`_basis` must be the pair's
-    branch indices, or :class:`AccuracyError` is raised.  Of the roots
-    found, the lowest E wins and degenerate pairs (within 1e-8 relative)
-    are broken by the smallest |P|.  Every state of that degenerate group
-    must satisfy ``E_error <= _CONV_TOL * |E|`` or :class:`AccuracyError`
-    is raised, as it is for a LAPACK failure; a bracket without a sign
-    change raises :class:`BracketError` carrying the endpoint mismatches.
+    One eigensolve of the Kronecker-sum pencil on n = ``_LEVEL_BASIS``
+    functions per equation (:func:`_joint_levels`) gives every level the
+    basis holds.  The lowest above E_lo is E*, and its degenerate group is
+    the pairs whose Newton step -F/F' from E* on that basis is within
+    ``_LEVEL_TOL`` of E*; only they are refined.  Each pair's ladder starts
+    from E*: one Newton root per basis size (:func:`_match_root`), the
+    first on max(``_FIRST_BASIS``, n + ``_STEP``) functions.  If a first
+    root moves by more than ``_LEVEL_TOL`` from E*, the level is not
+    resolved and n grows by ``_STEP``; a window with no resolved level by
+    n = ``_MAX_LEVEL_BASIS``, or whose lowest resolved level above E_lo
+    lies at or above E_hi, raises :class:`BracketError`.  Each ladder then
+    grows by ``_STEP`` until the root changes by no more than its rounding
+    floor or N reaches the smaller of ``grid.n`` and ``_MAX_BASIS``.  E is
+    the last root, E_error its change plus its floor, P the shared
+    eigenvalue there, and the node counts of both Ritz functions on the
+    fine sample of :func:`_basis` must be the pair's branch indices, or
+    :class:`AccuracyError` is raised.  Of the group, the lowest E wins and
+    degenerate pairs (within 1e-8 relative) are broken by the smallest
+    |P|, then by the first pair.  Every state of that degenerate group must
+    satisfy ``E_error <= _CONV_TOL * |E|`` or :class:`AccuracyError` is
+    raised, as it is for a LAPACK failure.
     """
     e_lo, e_hi = bracket
     if not (e_lo < e_hi < 0.0):
@@ -736,35 +763,37 @@ def parabolic_joint_solve(
     cap = min(grid.n, _MAX_BASIS)
     with _lapack_failure():
         block = _block(problems, _FIRST_BASIS, cap)
-        (mu_u_lo, mu_v_lo), (mu_u_hi, mu_v_hi) = (
-            [_shifted(p, _FIRST_BASIS, e, slice(_BRANCHES))[0] for p in block] for e in bracket
-        )
-        solves = 4  # each equation at E_lo and at E_hi
-        mismatch = {
-            (i, j): (float(mu_u_lo[i] + mu_v_lo[j]), float(mu_u_hi[i] + mu_v_hi[j]))
-            for i in range(_BRANCHES)
-            for j in range(_BRANCHES - i)
-        }
-        states, sizes = [], {}
-        z = model.Z
-        for (i, j), (f_lo, f_hi) in mismatch.items():
-            if not f_lo >= 0.0 >= f_hi:
+        solves, resolved = 0, False
+        for n in range(_LEVEL_BASIS, min(_MAX_LEVEL_BASIS, cap - _STEP) + 1, _STEP):
+            levels = _joint_levels(block, n)
+            first = max(_FIRST_BASIS, n + _STEP)
+            k = int(np.searchsorted(levels, e_lo, side="right"))
+            solves += 1
+            if k == len(levels):
                 continue
-            # Sturmian seed: the pair binds charge F + Z at e_hi, and with sho
-            # factors that charge grows as sqrt(-E); otherwise it is a guess.
-            seed = e_hi * (z / (f_hi + z)) ** 2 if z > 0.0 and f_hi + z > 0.0 else math.nan
-            if e_lo < seed < e_hi:
-                energy = seed
-            else:
-                energy = e_lo + (e_hi - e_lo) * f_lo / (f_lo - f_hi) if f_lo else e_lo
-            n, lo, hi, below = _FIRST_BASIS, e_lo, e_hi, None
+            e_star, tol = levels[k], _LEVEL_TOL * abs(levels[k])
+            (mu_u, _, s_u, _), (mu_v, _, s_v, _) = (
+                _shifted(pencil, n, e_star, slice(None)) for pencil in block
+            )
+            steps = np.abs((mu_u[:, None] + mu_v) / (s_u[:, None] + s_v))
+            pairs = [divmod(int(f), n) for f in np.flatnonzero(steps <= tol)]  # in (i, j) order
+            roots = [_match_root(block, first, i, j, e_star) for i, j in pairs]
+            solves += 2 + 2 * sum(root[3] for root in roots)
+            resolved = all(abs(root[0] - e_star) <= tol for root in roots)
+            if resolved:
+                break
+        if not resolved or min(root[0] for root in roots) >= e_hi:
+            raise BracketError(f"the window ({e_lo:.10g}, {e_hi:.10g}) holds no resolved level")
+        states, sizes = [], {}
+        for (i, j), (energy, *_) in zip(pairs, roots):
+            n = first
             while True:
+                below, n = energy, min(n + _STEP, cap)
                 block = _block(problems, n, cap, block)
-                energy, p, floor, evals, vectors = _match_root(block, n, i, j, energy, lo, hi)
+                energy, p, floor, evals, vectors = _match_root(block, n, i, j, below)
                 solves += 2 * evals
-                if below is not None and (abs(energy - below) <= floor or n == cap):
+                if abs(energy - below) <= floor or n == cap:
                     break
-                below, lo, hi, n = energy, -math.inf, math.inf, min(n + _STEP, cap)
             counts = [_node_counts(pencil, n, v[:, None])[0] for pencil, v in zip(block, vectors)]
             if counts != [i, j]:
                 raise AccuracyError(
@@ -782,12 +811,6 @@ def parabolic_joint_solve(
                     solves=0,
                 )
             )
-    if not states:
-        raise BracketError(
-            f"no eigenvalue match changes sign in the bracket ({e_lo:.6g}, {e_hi:.6g})",
-            bracket=(e_lo, e_hi),
-            endpoint_mismatch=mismatch,
-        )
     best_e = min(s.E for s in states)
     group = [s for s in states if abs(s.E - best_e) <= 1e-8 * abs(best_e)]
     for s in group:

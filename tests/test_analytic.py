@@ -143,6 +143,19 @@ class TestRadialWavefunction:
         with pytest.raises(ValueError):
             radial_wavefunction(QuantumNumbers(0, 0), 1.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("N", range(6))
+    def test_array_matches_points(self, N):
+        # an array r evaluates 1F1 elementwise by the scalar's operations, so
+        # the profile is bit-identical to its point-by-point form; N = 0
+        # broadcasts the scalar 1F1 = 1
+        r = np.linspace(0.05, 6.0, 200)
+        lp, z = effective_lprime(1, 2.0), 0.7 * r**2
+        points = np.array([kummer_1f1_terminating(N, lp + 4.0, zz) for zz in z])
+        np.testing.assert_array_equal(kummer_1f1_terminating(N, lp + 4.0, z), points)
+        vals = radial_wavefunction(QuantumNumbers(N, 1), 0.7, 2.0, r)
+        assert vals.shape == r.shape
+        np.testing.assert_array_equal(vals, r**lp * np.exp(-0.5 * z) * points)
+
 
 class TestDualMap:
     def test_values(self):

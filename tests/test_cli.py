@@ -361,15 +361,20 @@ class TestQes:
         assert doc["charges"][0] == pytest.approx(0.0, abs=1e-12)
         assert doc["energy_offset_d"] == pytest.approx(-9.0)
 
-    @pytest.mark.parametrize("family, a_prime, N", [("super2", 1e-3, 6), ("sub2", 1.0, 2)])
+    @pytest.mark.parametrize(
+        "family, a_prime, N", [("super2", 1e-3, 6), ("sub2", 1.0, 2), ("sub2", 0.0, 1)]
+    )
     def test_mapped_c_is_unsigned_zero(self, tmp_path, family, a_prime, N):
-        # c' = 0 maps to c = c'(c' - Dim + 1) = 0, written 0 and not -0
+        # c' = 0 maps to c = c'(c' - Dim + 1) = 0, written 0 and not -0; so
+        # does the sub2 b = -a'(Dim - 2c') at a' = 0
         cfg = _write(tmp_path, "q.json", {"family": family, "a_prime": a_prime, "b_prime": 1.0, "N": N})
         assert main(["qes", cfg, "--out", str(tmp_path)]) == 0
         header, rows = _read_csv(tmp_path / "qes.csv")
         assert [row[header.index("c")] for row in rows] == ["0"] * N
         text = (tmp_path / "qes.json").read_text()
         assert re.search(r'"mapped_potential": \{[^}]*"c": (\S+)\n', text)[1] == "0"
+        if a_prime == 0.0:
+            assert re.search(r'"mapped_potential": \{[^}]*"b": (\S+),\n', text)[1] == "0"
 
     @pytest.mark.parametrize("family, a_prime, solves", [("super2", 0.05, 1), ("sub2", 0.5, 2)])
     def test_one_verification_solve_per_potential(self, tmp_path, monkeypatch, family, a_prime, solves):
@@ -414,9 +419,9 @@ class TestDuality:
             # the parabolic error bar bounds the deviation; both are ground levels
             assert 0.0 < case["E_parabolic_error"] <= 1e-5 * abs(case["E_parabolic"])
             assert abs(case["E_parabolic"] - case["E_dual"]) <= case["E_parabolic_error"]
-        # four endpoint solves and one Newton evaluation (two solves) on each
-        # of 12 and 16 basis functions
-        assert [case["parabolic_solves"] for case in doc["cases"]] == [8, 8]
+        # one Kronecker-sum solve, two to find the level's pair, and one
+        # Newton evaluation (two solves) on each of 12 and 16 basis functions
+        assert [case["parabolic_solves"] for case in doc["cases"]] == [7, 7]
 
     def test_fixed_charge_energy_scales_as_charge_squared(self):
         # the dressed case's fixed-charge energy is its spherical energy at
@@ -451,21 +456,16 @@ class TestDuality:
         from hurwitz_kepler.errors import BracketError
 
         def boom(*a, **k):
-            raise BracketError(
-                "nothing in bracket",
-                bracket=(-0.028, -0.024),
-                endpoint_mismatch={(0, 0): (0.25, 0.125)},
-            )
+            raise BracketError("the window (-0.028, -0.024) holds no resolved level")
 
         monkeypatch.setattr(climod, "parabolic_joint_solve", boom)
         cfg = _write(tmp_path, "d.json", {"omega": 0.25})
         assert main(["duality", cfg, "--out", str(tmp_path)]) == 5
         err = capsys.readouterr().err
-        assert "E_lo = -0.028, E_hi = -0.024" in err
-        assert "pair (0, 0): mismatch 0.25 at E_lo, 0.125 at E_hi" in err
+        assert err == "bracket error: the window (-0.028, -0.024) holds no resolved level\n"
 
     def test_empty_bracket_fields_reach_stderr(self, tmp_path, monkeypatch, capsys):
-        # the real search on a bracket between the two lowest levels
+        # the real search on a window between the two lowest levels
         import hurwitz_kepler.cli as climod
 
         solve = climod.parabolic_joint_solve
@@ -477,9 +477,7 @@ class TestDuality:
         cfg = _write(tmp_path, "d.json", {"omega": 0.25})
         assert main(["duality", cfg, "--out", str(tmp_path)]) == 5
         err = capsys.readouterr().err
-        assert "E_lo = -0.028, E_hi = -0.024" in err
-        for pair in ("(0, 0)", "(0, 1)", "(0, 2)", "(1, 0)", "(1, 1)", "(2, 0)"):
-            assert f"pair {pair}: mismatch" in err
+        assert err == "bracket error: the window (-0.028, -0.024) holds no resolved level\n"
 
 
 class TestSerialization:
@@ -702,8 +700,9 @@ def test_duality_cases_must_be_a_list_exit_2(tmp_path, capsys, cases, verify):
         ({"omega": 0.25, "omega2": -1}, "config key 'omega2' must be positive"),
         ({"omega": 0.25, "omega2": 0}, "config key 'omega2' must be positive"),
         ({"omega": 0}, "config key 'omega' must be positive"),
+        ({"omega": 1e300}, "config key 'omega' must be positive and at most sqrt(float max)"),
     ],
-    ids=["c1-negative", "c2-negative", "omega2-negative", "omega2-zero", "omega-zero"],
+    ids=["c1-negative", "c2-negative", "omega2-negative", "omega2-zero", "omega-zero", "omega-overflow"],
 )
 def test_duality_strength_and_frequency_exit_2(tmp_path, capsys, cfg, message, verify):
     path = _write(tmp_path, "d.json", cfg)
@@ -719,6 +718,16 @@ def test_micz_spectrum_nonpositive_charge_exit_2(tmp_path, capsys, Z):
     out = tmp_path / "out"
     assert main(["spectrum", path, "--out", str(out)]) == 2
     assert "micz block key 'Z' must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_micz_spectrum_underflowing_charge_exit_2(tmp_path, capsys):
+    # Z^2 / (2 n^2) underflows to 0 at Z = 1e-300, and the deviation from
+    # the closed form would divide by it
+    path = _write(tmp_path, "m.json", {"problem": "micz", "micz": {"Z": 1e-300}})
+    out = tmp_path / "out"
+    assert main(["spectrum", path, "--out", str(out)]) == 2
+    assert "micz block key 'Z' must be large enough for normal closed-form E" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -205,14 +205,13 @@ class TestSolverMechanics:
 
     def test_extension_limit(self):
         # a negative quartic coupling turns the u-equation's potential over,
-        # so no basis holds its states: its lowest Ritz values on the first
-        # basis already sit near -90 and no branch pair's mismatch changes
-        # sign
+        # so no basis holds its states: the levels of the Kronecker-sum
+        # pencil keep falling as the basis grows, and none above E_lo
+        # settles by the enumeration's largest basis
         p1 = Potential8D("super2", omega=1.0, b=-1e-2)
         model = OscillatorModel(p1=p1, p2=Potential8D("sho", omega=1.0), Z1=0.5, Z2=0.5)
-        with pytest.raises(BracketError) as info:
+        with pytest.raises(BracketError, match=r"the window \(-0.045, -0.024\) holds no resolved level"):
             parabolic_joint_solve(model, MiczParams(Z=1.0), Grid(n=200), (-0.045, -0.024))
-        assert all(f_lo < -30.0 and f_hi < -30.0 for f_lo, f_hi in info.value.endpoint_mismatch.values())
 
     def test_nonconvergence_error(self):
         # a 1/r well this deep binds a state far narrower than the basis
@@ -746,46 +745,11 @@ class TestWarmStart:
             return sum(numeric._shifted(p, n, e, b)[0] for p, b in zip(pencils, pair))
 
         ref = brentq(mismatch, energy - gap, energy + gap, xtol=1e-300, rtol=4.0 * _EPS)
-        root, _, floor, evals, vectors = numeric._match_root(
-            pencils, n, *pair, energy + shift * gap, -math.inf, math.inf
-        )
+        root, _, floor, evals, vectors = numeric._match_root(pencils, n, *pair, energy + shift * gap)
         assert abs(root - ref) <= 2.0 * floor
         assert evals <= 5
         counts = [numeric._node_counts(p, n, v[:, None])[0] for p, v in zip(pencils, vectors)]
         assert counts == list(pair)
-
-    def test_joint_search_lower_end_estimates_hold(self, monkeypatch):
-        # with sho factors the charge F(E) + Z that each branch pair binds
-        # grows as sqrt(-E), the scaling behind the Sturmian seed.  On the
-        # first basis, whose scale is set at E_hi, the search's E_lo
-        # mismatches of (c1, c2) = (1, 2) follow from its E_hi mismatches
-        # by that scaling to within 1e-5 of the charge, and from above, as
-        # Ritz values do; the Hellmann-Feynman slopes at E_hi alone miss
-        # them by 18% of it
-        calls, shifted = [], numeric._shifted
-
-        def recorded(pencil, n, energy, branches):
-            out = shifted(pencil, n, energy, branches)
-            calls.append((n, energy, branches, out))
-            return out
-
-        monkeypatch.setattr(numeric, "_shifted", recorded)
-        e_lo, e_hi = -0.05, -0.015
-        parabolic_joint_solve(_sho_model(), _PARA_MICZ, Grid(n=1500), (e_lo, e_hi))
-        ends = calls[:4]
-        assert [(n, e, b) for n, e, b, _ in ends] == [
-            (numeric._FIRST_BASIS, e, slice(numeric._BRANCHES)) for e in (e_lo, e_lo, e_hi, e_hi)
-        ]
-        (mu_u_lo, _, _, _), (mu_v_lo, _, _, _), hi_u, hi_v = (out for *_, out in ends)
-        (mu_u_hi, _, s_u, _), (mu_v_hi, _, s_v, _) = hi_u, hi_v
-        for i in range(3):
-            for j in range(3 - i):
-                f_lo, f_hi = mu_u_lo[i] + mu_v_lo[j], mu_u_hi[i] + mu_v_hi[j]
-                charge = f_lo + 1.0
-                scaled = (f_hi + 1.0) * math.sqrt(e_lo / e_hi) - 1.0
-                assert 0.0 <= f_lo - scaled <= 1e-5 * charge
-                linear = f_hi + (s_u[i] + s_v[j]) * (e_lo - e_hi)
-                assert abs(linear - f_lo) > 0.15 * charge
 
     @pytest.mark.parametrize("case", list(_FD_CASES))
     def test_fd_eigensolve_keeps_the_first_certified_pass(self, monkeypatch, solves, case):
@@ -824,36 +788,48 @@ class TestWarmStart:
     )
     def test_joint_search_basis_growth(self, monkeypatch, solves, bracket, pairs):
         # the bench's Coulomb levels: one 32-function block per equation, no
-        # tridiagonal solve, and each sign-changing pair settles on 16
-        # functions.  The sho seed is the root on 12 functions and the root
-        # on 12 is the start on 16, so each size takes one Newton evaluation
+        # tridiagonal solve, one Kronecker-sum solve on 6 functions and one
+        # solve per equation at its lowest level above E_lo to find the
+        # level's pairs, and each pair settles on 16 functions.  Every pair starts
+        # on 12 from the lowest level above E_lo, and the root on 12 is the
+        # start on 16; the level on 6 functions is the root on 12 to within
+        # the Newton floor, so each size takes one Newton evaluation
         calls, match = [], numeric._match_root
         blocks, whitened = [], numeric._whitened
+        enumerations, joint_levels = [], numeric._joint_levels
 
-        def recorded_match(pencils, n, i, j, energy, lo, hi):
-            out = match(pencils, n, i, j, energy, lo, hi)
-            calls.append(((i, j), n, energy, (lo, hi), out[0], out[3]))
+        def recorded_match(pencils, n, i, j, energy):
+            out = match(pencils, n, i, j, energy)
+            calls.append(((i, j), n, energy, out[0], out[3]))
             return out
 
         def recorded_whitened(problem, size):
             blocks.append(size)
             return whitened(problem, size)
 
+        def recorded_levels(pencils, n):
+            out = joint_levels(pencils, n)
+            enumerations.append((n, out))
+            return out
+
         monkeypatch.setattr(numeric, "_match_root", recorded_match)
         monkeypatch.setattr(numeric, "_whitened", recorded_whitened)
+        monkeypatch.setattr(numeric, "_joint_levels", recorded_levels)
         st = parabolic_joint_solve(_sho_model(), MiczParams(Z=1.0), Grid(n=1500), bracket)
         assert solves == {"calls": 0, "bisections": 0}
         assert blocks == [32, 32]
+        ((n, levels),) = enumerations
+        assert n == 6
+        level = levels[np.searchsorted(levels, bracket[0], side="right")]
         assert sorted({pair for pair, *_ in calls}) == pairs
         for pair in pairs:
-            (_, n0, _, ends0, root0, evals0), (_, n1, start1, ends1, _, evals1) = (
+            (_, n0, start0, root0, evals0), (_, n1, start1, _, evals1) = (
                 c for c in calls if c[0] == pair
             )
             assert (n0, n1) == (12, 16)
-            assert ends0 == bracket and ends1 == (-math.inf, math.inf)
-            assert start1 == root0
+            assert start0 == level and start1 == root0
             assert (evals0, evals1) == (1, 1)
-        assert st.solves == 4 + 2 * sum(e for *_, e in calls)
+        assert st.solves == 3 + 2 * sum(e for *_, e in calls)
 
 
 def test_eigh_tridiagonal_wraps_scipy(monkeypatch):

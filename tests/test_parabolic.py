@@ -1,4 +1,5 @@
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -46,17 +47,27 @@ class TestPureCoulomb:
         assert st.node_u + st.node_v == 1
 
     def test_empty_bracket(self):
-        with pytest.raises(BracketError) as info:
+        # the window between the two lowest levels holds none: the lowest
+        # level above E_lo, resolved, is the first excited level at -0.02
+        with pytest.raises(BracketError, match=r"the window \(-0.028, -0.024\) holds no resolved level"):
             parabolic_joint_solve(
                 _coulomb_model(), MiczParams(Z=1.0), Grid(n=800), bracket=(-0.028, -0.024)
             )
-        assert info.value.bracket == (-0.028, -0.024)
-        mism = info.value.endpoint_mismatch
-        assert set(mism) == {(i, j) for i in range(3) for j in range(3 - i)}
-        # no pair changes sign; the mismatch falls with E
-        for f_lo, f_hi in mism.values():
-            assert f_lo * f_hi > 0.0
-            assert f_lo > f_hi
+
+    def test_far_window_is_empty_at_once(self, monkeypatch):
+        # with E_hi = -1e-6 the basis scale is about 700 Coulomb lengths, and
+        # no level above E_lo = -0.001 settles on the largest enumeration
+        # basis: an empty window, found in milliseconds, not a search that
+        # grows a pair's basis to its cap
+        sizes, enumerate_levels = [], numeric._joint_levels
+        monkeypatch.setattr(numeric, "_joint_levels", lambda p, n: sizes.append(n) or enumerate_levels(p, n))
+        start = time.perf_counter()
+        with pytest.raises(BracketError, match=r"the window \(-0.001, -1e-06\) holds no resolved level"):
+            parabolic_joint_solve(
+                _coulomb_model(), MiczParams(Z=1.0), Grid(n=1500), bracket=(-0.001, -1e-6)
+            )
+        assert time.perf_counter() - start < 0.5
+        assert sizes == [6, 10, 14, 18]
 
     @pytest.mark.parametrize(
         "bracket, exact", [((-0.045, -0.024), -1.0 / 32.0), ((-0.024, -0.017), -0.02)]
@@ -65,11 +76,12 @@ class TestPureCoulomb:
         st = parabolic_joint_solve(_coulomb_model(), MiczParams(Z=1.0), Grid(n=1500), bracket=bracket)
         assert abs(st.E - exact) <= st.E_error
         assert st.E_error <= 1e-5 * abs(st.E)
-        # two endpoint solves per equation, then one Newton evaluation (two
-        # solves) at each basis size: the sho seed is the root, and the
-        # ground pair settles on 16 functions; the excited level has two
-        # pairs, (0, 1) and (1, 0)
-        assert st.solves == {(-0.045, -0.024): 8, (-0.024, -0.017): 12}[bracket]
+        # one Kronecker-sum solve and one solve per equation to find the
+        # pairs of the level, then one Newton evaluation (two solves) per pair
+        # at each basis size: the level on 6 functions is the root on 12 to
+        # within the Newton floor, and the ground pair settles on 16
+        # functions; the excited level has two pairs, (0, 1) and (1, 0)
+        assert st.solves == {(-0.045, -0.024): 7, (-0.024, -0.017): 11}[bracket]
 
     @pytest.mark.parametrize("n", [200, 680])
     def test_charge_four_ground_on_small_grids(self, n):
@@ -114,32 +126,29 @@ class TestPureCoulomb:
                 _coulomb_model(), MiczParams(Z=1.0), Grid(n=1500), bracket=(-0.045, -0.024)
             )
 
-    def test_first_domain_holds_for_three_branches(self, monkeypatch):
-        # the endpoint mismatches are read on the first basis, 12 functions
-        # on (0, inf) with scale 1 / sqrt(-2 E_hi): at E_hi that is the
-        # Sturmian basis, whose functions are the pure Coulomb states, so the
-        # three branches of each equation are the closed forms kappa (i + 2)
-        # - Z_a to rounding; at E_lo, a scale 37% off, to 1e-10.  Their
-        # Ritz functions have 0, 1 and 2 sign changes at both ends
-        calls, shifted = [], numeric._shifted
-
-        def record(pencil, n, energy, branches):
-            out = shifted(pencil, n, energy, branches)
-            calls.append((pencil, n, energy, branches, out))
-            return out
-
-        monkeypatch.setattr(numeric, "_shifted", record)
+    def test_first_domain_holds_for_three_branches(self):
+        # the first rung of the ladder is 12 functions on (0, inf) with scale
+        # 1 / sqrt(-2 E_hi): at E_hi that is the Sturmian basis, whose
+        # functions are the pure Coulomb states, so the three lowest branches
+        # of each equation are the closed forms kappa (i + 2) - Z_a to
+        # rounding; at E_lo, a scale 37% off, to 1e-10.  Their Ritz
+        # functions have 0, 1 and 2 sign changes at both ends
         e_lo, e_hi = -0.045, -0.024
-        parabolic_joint_solve(_coulomb_model(), MiczParams(Z=1.0), Grid(n=1500), bracket=(e_lo, e_hi))
-        ends = calls[:4]
-        assert [(n, e, b) for _, n, e, b, _ in ends] == [
-            (12, e, slice(3)) for e in (e_lo, e_lo, e_hi, e_hi)
+        problems = [
+            replace(
+                build_radial_problem(kind, model=_coulomb_model(), micz=MiczParams(Z=1.0), energy=0.0),
+                basis_scale=1.0 / math.sqrt(-2.0 * e_hi),
+            )
+            for kind in ("para_u", "para_v")
         ]
-        for pencil, n, energy, _, (mu, vectors, _, rounding) in ends:
-            exact = math.sqrt(-2.0 * energy) * (np.arange(3) + 2.0) - 0.5
-            tol = 2.0 * rounding if energy == e_hi else 1e-10
-            np.testing.assert_allclose(mu, exact, rtol=0.0, atol=tol)
-            assert numeric._node_counts(pencil, n, vectors) == [0, 1, 2]
+        n = numeric._FIRST_BASIS
+        for pencil in numeric._block(problems, n, 1500):
+            for energy in (e_lo, e_hi):
+                mu, vectors, _, rounding = _shifted(pencil, n, energy, slice(3))
+                exact = math.sqrt(-2.0 * energy) * (np.arange(3) + 2.0) - 0.5
+                tol = 2.0 * rounding if energy == e_hi else 1e-10
+                np.testing.assert_allclose(mu, exact, rtol=0.0, atol=tol)
+                assert numeric._node_counts(pencil, n, vectors) == [0, 1, 2]
 
 
 class TestGeneralizedMicz:
@@ -273,34 +282,52 @@ def _rounding_floor(pencils, n, i, j, energy):
 
 
 def _recorded_search(model, micz, grid, bracket):
-    """The search and, for the returned pair, (pencils, n, start, root, floor) of each basis size."""
-    sizes = {}
-    match = numeric._match_root
+    """The search, (n, levels) of each level enumeration, the pairs refined after the last one, and the returned pair's rungs.
 
-    def record(pencils, n, i, j, energy, *args):
-        out = match(pencils, n, i, j, energy, *args)
-        sizes.setdefault((i, j), []).append((pencils, n, energy, out[0], out[2]))
+    A rung is (pencils, n, start, root, floor) of one Newton root.
+    """
+    events = []
+    match, enumerate_levels = numeric._match_root, numeric._joint_levels
+
+    def record_match(pencils, n, i, j, energy):
+        out = match(pencils, n, i, j, energy)
+        events.append(((i, j), (pencils, n, energy, out[0], out[2])))
+        return out
+
+    def record_levels(pencils, n):
+        out = enumerate_levels(pencils, n)
+        events.append(("levels", (n, out)))
         return out
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(numeric, "_match_root", record)
+        mp.setattr(numeric, "_match_root", record_match)
+        mp.setattr(numeric, "_joint_levels", record_levels)
         st = parabolic_joint_solve(model, micz, grid, bracket=bracket)
-    return st, sizes[st.node_u, st.node_v]
+    last = max(k for k, (kind, _) in enumerate(events) if kind == "levels")
+    enumerations = [rec for kind, rec in events if kind == "levels"]
+    refined = {kind for kind, _ in events[last + 1 :]}
+    rungs = [rec for kind, rec in events[last + 1 :] if kind == (st.node_u, st.node_v)]
+    return st, enumerations, refined, rungs
 
 
-def _assert_roots_of_the_pencils(st, sizes, bracket):
-    # the basis grows by 4 functions from 12, each size's Newton starts from
-    # the root of the size before, and each root is F's root on that size's
-    # pencils to within its rounding floor, whatever the start; E is the
-    # last root, and E_error its change from the size before plus its floor
-    assert [n for _, n, *_ in sizes] == list(range(12, 12 + 4 * len(sizes), 4))
-    for (_, _, _, root, _), (_, _, start, _, _) in zip(sizes, sizes[1:]):
+def _assert_roots_of_the_pencils(st, enumerations, rungs, bracket):
+    # the ladder starts from E*, the lowest level above E_lo of the last
+    # enumeration, on max(12, n + 4) functions and grows by 4; each size's
+    # Newton starts from the root of the size before, and each root is F's
+    # root on that size's pencils to within its rounding floor, whatever
+    # the start; E is the last root, and E_error its change from the size
+    # before plus its floor
+    n, levels = enumerations[-1]
+    first = max(numeric._FIRST_BASIS, n + numeric._STEP)
+    assert rungs[0][2] == levels[np.searchsorted(levels, bracket[0], side="right")]
+    assert [size for _, size, *_ in rungs] == list(range(first, first + 4 * len(rungs), 4))
+    for (_, _, _, root, _), (_, _, start, _, _) in zip(rungs, rungs[1:]):
         assert start == root
-    for pencils, n, _, root, floor in sizes:
-        ref = _reference_root(pencils, n, st.node_u, st.node_v, *bracket)
-        assert abs(root - ref) <= 2.0 * _rounding_floor(pencils, n, st.node_u, st.node_v, ref)
-        assert floor == pytest.approx(_rounding_floor(pencils, n, st.node_u, st.node_v, root), rel=1e-3)
-    (*_, below, _), (*_, root, floor) = sizes[-2:]
+    for pencils, size, _, root, floor in rungs:
+        ref = _reference_root(pencils, size, st.node_u, st.node_v, *bracket)
+        assert abs(root - ref) <= 2.0 * _rounding_floor(pencils, size, st.node_u, st.node_v, ref)
+        assert floor == pytest.approx(_rounding_floor(pencils, size, st.node_u, st.node_v, root), rel=1e-3)
+    (*_, below, _), (*_, root, floor) = rungs[-2:]
     assert st.E == root
     assert st.E_error == abs(root - below) + floor
 
@@ -314,11 +341,11 @@ class TestSturmianSeed:
         exact, du = _level(c1, c2, level, Z)
         bracket = (_level(c1, c2, level - 0.5, Z)[0], _level(c1, c2, level + 0.5, Z)[0])
         micz = MiczParams(Z=Z, c1=c1, c2=c2)
-        st, sizes = _recorded_search(_coulomb_model(Z=Z), micz, Grid(n=3000), bracket)
+        st, _, _, rungs = _recorded_search(_coulomb_model(Z=Z), micz, Grid(n=3000), bracket)
         error = abs(st.E - exact)
         assert error <= st.E_error
         # where the basis, not rounding, sets the bar, it tracks the error
-        rounding = sizes[-1][-1]
+        rounding = rungs[-1][-1]
         if st.E_error - rounding > 10.0 * rounding:
             assert st.E_error <= 3.0 * error
         assert st.node_u + st.node_v == level
@@ -354,42 +381,48 @@ class TestSturmianSeed:
     )
     def test_anharmonic_seed_is_only_a_start(self, a, b, Z, bracket):
         # the confining quartic passes the E_error gate on the basis cap the
-        # other searches use
+        # other searches use.  Its level on the first 6 functions is only a
+        # start: one rung up, on 12, the pair's root moves by more than
+        # _LEVEL_TOL, so the enumeration grows by 4 until it holds, and the
+        # ladder starts from the resolved level
         p = Potential8D("super2", omega=1.0, a=a, b=b)
         model = OscillatorModel(p1=p, p2=p, Z1=0.5 * Z, Z2=0.5 * Z)
-        micz = MiczParams(Z=Z)
-        st, sizes = _recorded_search(model, micz, Grid(n=1500), bracket)
-        first, n, start, root, _ = sizes[0]
-        e_hi = bracket[1]
-        f_hi = _mismatch(first, n, st.node_u, st.node_v, e_hi)[0]
-        seed = e_hi * (Z / (f_hi + Z)) ** 2
-        # the first Newton search started from the Sturmian seed, well off the root
-        assert start == pytest.approx(seed, rel=1e-10)
-        assert abs(seed - root) > 1e-3 * abs(root)
-        _assert_roots_of_the_pencils(st, sizes, bracket)
+        st, enumerations, refined, rungs = _recorded_search(model, MiczParams(Z=Z), Grid(n=1500), bracket)
+        sizes = [n for n, _ in enumerations]
+        assert len(sizes) > 1 and sizes == list(range(6, 6 + 4 * len(sizes), 4))
+        n, levels = enumerations[0]
+        seed = levels[np.searchsorted(levels, bracket[0], side="right")]
+        assert abs(seed - st.E) > numeric._LEVEL_TOL * abs(st.E)
+        assert refined == {(0, 0)} == {(st.node_u, st.node_v)}
+        _assert_roots_of_the_pencils(st, enumerations, rungs, bracket)
 
     @pytest.mark.parametrize(
         "Z, bracket",
         [(0.0, (-0.05, -0.03)), (0.08, (-0.1, -0.04)), (0.1, (-0.06, -0.045))],
-        ids=["Z=0", "charge<=0", "seed-outside"],
+        ids=["Z=0", "Z=0.08", "Z=0.1"],
     )
-    def test_secant_start_without_a_seed(self, Z, bracket):
-        # an attractive linear term binds the sub2 factors without the charge.
-        # The first Newton search starts at the bracket's secant point when
-        # Z <= 0, when the pair binds a nonpositive charge at E_hi (Z = 0.08)
-        # or when the seed falls outside the bracket (Z = 0.1)
+    def test_sub2_search_refines_only_its_level(self, Z, bracket):
+        # an attractive linear term binds the sub2 factors without the
+        # charge.  One enumeration on 6 functions resolves the ground level,
+        # and only its pair (0, 0) climbs the ladder, about 20 Newton
+        # evaluations in all: a search that refined every pair whose root
+        # lies in the window took 123 at Z = 0
         p = Potential8D("sub2", omega=1.0, a=-0.2)
         model = OscillatorModel(p1=p, p2=p, Z1=0.5 * Z, Z2=0.5 * Z)
-        micz = MiczParams(Z=Z)
-        st, sizes = _recorded_search(model, micz, Grid(n=1500), bracket)
-        first, n, start, _, _ = sizes[0]
-        f_lo, f_hi = (_mismatch(first, n, st.node_u, st.node_v, e)[0] for e in bracket)
-        e_lo, e_hi = bracket
-        assert start == pytest.approx(e_lo + (e_hi - e_lo) * f_lo / (f_lo - f_hi), rel=1e-10)
-        if Z > 0.0:
-            seed = e_hi * (Z / (f_hi + Z)) ** 2
-            assert f_hi + Z <= 0.0 or not e_lo < seed < e_hi
-        _assert_roots_of_the_pencils(st, sizes, bracket)
+        evals, match = [], numeric._match_root
+
+        def counted(*args):
+            out = match(*args)
+            evals.append(out[3])
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(numeric, "_match_root", counted)
+            st, enumerations, refined, rungs = _recorded_search(model, MiczParams(Z=Z), Grid(n=1500), bracket)
+        assert [n for n, _ in enumerations] == [6]
+        assert refined == {(0, 0)} == {(st.node_u, st.node_v)}
+        assert sum(evals) <= 20
+        _assert_roots_of_the_pencils(st, enumerations, rungs, bracket)
 
 
 class TestPerturbativeOracle:
