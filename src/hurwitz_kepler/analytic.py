@@ -181,8 +181,9 @@ def qes_map_sub2(p: QesPrimedParams) -> tuple[Potential8D, float]:
     """Map primed constants to the sub-quadratic family.
 
     Returns the potential (omega^2 = 2 b'^2, a = 2 a' b', b = -a'(D - 2c'),
-    c = c'(c' - D + 1), b and c +0.0 where zero) together with the derived energy-offset constant
-    d = a'^2 - b'(2N + D - 1 - 2c'); the QES energy equals -d.
+    c = c'(c' - D + 1), b and c +0.0 where zero) together with the derived
+    energy-offset constant d = a'^2 - b'(2N + D - 1 - 2c'); the QES energy
+    equals -d.
     """
     if p.b_p <= 0.0:
         raise QesPreconditionError("sub2 map needs b' > 0 (so omega is real positive)")

@@ -611,7 +611,7 @@ _MAX_LEVEL_BASIS = 18
 # Largest move of a resolved level one rung up, relative to the level, and
 # the width of the degenerate group refined with it.
 _LEVEL_TOL = 1e-5
-# Basis size of the first Newton root of the refinement ladder.
+# Smallest basis size of the first Newton root of the refinement ladder.
 _FIRST_BASIS = 12
 
 

@@ -235,6 +235,20 @@ class TestPencilProperties:
             for j in range(3 - i):
                 assert np.all(np.diff(mu_u[:, i] + mu_v[:, j]) < 0.0)
 
+    @pytest.mark.parametrize("c1, c2", [(0.0, 0.0), (1.0, 2.0), (0.5, 1.5)])
+    def test_kronecker_levels_are_the_closed_forms(self, c1, c2):
+        # on the search's first 6 functions per equation, scaled for the
+        # ground level's window, the lowest six levels of the Kronecker-sum
+        # pencil are the closed-form levels 0, 1 and 2 with multiplicities
+        # 1, 2 and 3, each from above as Ritz values are: levels 0 and 1
+        # within 1e-9 relative, level 2, with two nodes in one equation,
+        # within 1e-3
+        exact = np.array([_level(c1, c2, level)[0] for level in (0, 1, 1, 2, 2, 2)])
+        levels = numeric._joint_levels(_pencils(c1, c2, e_hi=0.8 * exact[0]), numeric._LEVEL_BASIS)
+        error = (levels[:6] - exact) / np.abs(exact)
+        assert np.all(error > -1e-14)
+        assert np.all(error[:3] < 1e-9) and np.all(error[3:] < 1e-3)
+
     def test_charge_is_a_shift_of_the_mass(self):
         # the charge enters W0 as -Z_a times the identity, whatever the basis
         micz = MiczParams(Z=1.0, c1=0.5)
