@@ -6,7 +6,8 @@ blocks) and ``duality`` (three-way oscillator / spherical / parabolic
 agreement).  Each takes a config path, ``--tol`` and ``--out``; ``qes``
 adds ``--verify`` and ``duality`` adds ``--no-verify``.  Each accepts
 exactly the config keys its handler reads; any other flag or key exits 2.
-Exit codes are a stable contract, listed in :mod:`hurwitz_kepler.errors`.
+Exit codes are a stable contract, defined on the error types of
+:mod:`hurwitz_kepler.errors`.
 Numeric fields are serialized with 17 significant digits and every JSON
 document carries ``schema_version``; a float table is streamed to its CSV
 file in row blocks, byte-identical to ``%.17g`` in every cell.
@@ -37,17 +38,7 @@ from .analytic import (
     qes_solve,
     singular_oscillator_energy,
 )
-from .errors import (
-    AccuracyError,
-    BracketError,
-    ConfigError,
-    QesClosureError,
-    QesPreconditionError,
-    SeparabilityError,
-    check_keys,
-    float_key,
-    int_key,
-)
+from .errors import ConfigError, HurwitzKeplerError, check_keys, float_key, int_key, scale_range
 from .numeric import (
     Grid,
     build_radial_problem,
@@ -67,6 +58,12 @@ from .potentials import (
 )
 
 SCHEMA_VERSION = 1
+# Ranges of the scale keys, from the power with which each enters a run:
+# duality's omega enters its Coulomb pencils as omega^2 (E = -omega^2/2 and
+# the charge 4 omega), whose rounding squares their entries, and the QES
+# maps square each primed value.
+_OMEGA = scale_range(4)
+_PRIMED = (-scale_range(2)[1], scale_range(2)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -382,21 +379,14 @@ def _spectrum_oscillator(cfg: dict) -> tuple:
 
 def _spectrum_micz(cfg: dict) -> tuple:
     micz = micz_from_dict(cfg["micz"])
-    if micz.Z <= 0.0:
-        raise ConfigError(f"micz block key 'Z' must be positive, got {micz.Z!r}")
     if "model" in cfg:
         model = model_from_dict(cfg["model"])
         require_spherically_separable(model)
         if model.Z != 0.0 and abs(model.Z - micz.Z) > 1e-12 * max(1.0, abs(micz.Z)):
             raise ConfigError("model charge Z1+Z2 disagrees with the micz block Z")
-    n_states = int_key(cfg, "n_states", 2, minimum=1)
+    polar = Grid(n=3000)  # the polar solve's cap, not the config's: n_states <= n/4
+    n_states = int_key(cfg, "n_states", 2, minimum=1, maximum=polar.n // 4)
     grid = _grid_from(cfg, 4000)
-    polar = Grid(n=3000)  # the polar solve's cap, not the config's
-    if n_states > polar.n // 4:
-        raise ConfigError(
-            f"config key 'n_states' asks for {n_states} states per solve, "
-            f"but the polar solve's fixed grid of n = {polar.n} takes at most {polar.n // 4}"
-        )
     _check_states("n_states", n_states, grid)
     # closed-form lambda = n_theta + the regular exponents at the two poles
     poles = effective_lprime(micz.J, 4.0 * micz.c1) + effective_lprime(micz.L, 4.0 * micz.c2)
@@ -463,9 +453,9 @@ def cmd_qes(args) -> int:
     )
     family = str(cfg["family"]).lower()
     params = QesPrimedParams(
-        a_p=float_key(cfg, "a_prime"),
-        b_p=float_key(cfg, "b_prime"),
-        c_p=float_key(cfg, "c_prime", 0.0),
+        a_p=float_key(cfg, "a_prime", bounds=_PRIMED),
+        b_p=float_key(cfg, "b_prime", bounds=_PRIMED),
+        c_p=float_key(cfg, "c_prime", 0.0, bounds=_PRIMED),
         N=int_key(cfg, "N", minimum=1),
         dim=int_key(cfg, "dim", 8, minimum=1),
     )
@@ -611,13 +601,8 @@ def _duality_case(
 
 def cmd_duality(args) -> int:
     cfg = _load_config(args.config, {"omega", "omega2", "cases", "grid"}, {"omega"})
-    omega = float_key(cfg, "omega")
-    omega2 = float_key(cfg, "omega2", omega)
-    for key, value in (("omega", omega), ("omega2", omega2)):
-        if not 0.0 < value <= math.sqrt(sys.float_info.max):  # or E = -omega^2/2 overflows
-            raise ConfigError(
-                f"config key {key!r} must be positive and at most sqrt(float max), got {value!r}"
-            )
+    omega = float_key(cfg, "omega", bounds=_OMEGA)
+    omega2 = float_key(cfg, "omega2", omega, bounds=_OMEGA)
     grid = _grid_from(cfg, 2000)
     cases_cfg = cfg.get("cases", [{"c1": 0.0, "c2": 0.0}])
     if not (isinstance(cases_cfg, list) and cases_cfg):
@@ -625,11 +610,7 @@ def cmd_duality(args) -> int:
     strengths = []  # every case is checked before the first is solved
     for case in cases_cfg:
         check_keys(case, {"c1", "c2"}, what="case")
-        pair = tuple(float_key(case, c, 0.0, what="case") for c in ("c1", "c2"))
-        for key, value in zip(("c1", "c2"), pair):
-            if value < 0.0:
-                raise ConfigError(f"case key {key!r} must be nonnegative, got {value!r}")
-        strengths.append(pair)
+        strengths.append(tuple(float_key(case, c, 0.0, "case", (0.0, math.inf)) for c in ("c1", "c2")))
     z_fixed = 4.0 * omega  # coulomb charge of the undressed (c = 0) ground sector
     cases = [_duality_case(omega, c1, c2, grid, z_fixed, args.verify) for c1, c2 in strengths]
     if args.verify:
@@ -693,29 +674,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except SeparabilityError as exc:
-        print(f"separability error: {exc} (E1=E2, a=b=0)", file=sys.stderr)
-        return 3
-    except QesPreconditionError as exc:
-        print(f"QES precondition violated: {exc}", file=sys.stderr)
-        return 4
-    except BracketError as exc:
-        print(f"bracket error: {exc}", file=sys.stderr)
-        return 5
-    except QesClosureError as exc:
-        print(f"QES closure failed: {exc}", file=sys.stderr)
-        return 6
-    except AccuracyError as exc:
-        print(f"accuracy error: {exc}", file=sys.stderr)
-        if exc.state is not None:
-            print(
-                f"  state {exc.state}: error bar {exc.bar:.3g}, size {exc.nodes}, tol {exc.tol:.1g}",
-                file=sys.stderr,
-            )
-        return 1
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    except HurwitzKeplerError as exc:
+        print(exc.report(), file=sys.stderr)
+        return exc.exit_code
+    except ValueError as exc:  # a rejected value outside the package's types
+        print(f"{ConfigError.label}: {exc}", file=sys.stderr)
+        return ConfigError.exit_code
 
 
 if __name__ == "__main__":

@@ -193,7 +193,7 @@ class Spectrum:
     ``convergence`` holds each one's error bar in the same units: its
     change from the basis size before plus the rounding of the
     eigensolve.  ``node_counts`` are the sign changes of the Ritz
-    functions.
+    functions, 0 .. k - 1 as :func:`fd_eigensolve` checks.
     """
 
     eigenvalues: np.ndarray
@@ -433,8 +433,9 @@ def fd_eigensolve(problem: RadialProblem, grid: Grid, k: int) -> Spectrum:
     above ``_CONV_TOL * max(1, |value|)`` raises :class:`AccuracyError`, as
     does a LAPACK failure.  The node counts are the sign changes of each
     Ritz function on the fine sample of :func:`_basis`, where it keeps
-    more than ``_NODE_FLOOR`` of its peak.  The grid's spacing and stretch
-    and the problem's domain play no part.
+    more than ``_NODE_FLOOR`` of its peak; state i must have i of them, or
+    :class:`AccuracyError` names the first state that does not.  The
+    grid's spacing and stretch and the problem's domain play no part.
     """
     if k < 1:
         raise ValueError("need at least one eigenvalue")
@@ -459,11 +460,13 @@ def fd_eigensolve(problem: RadialProblem, grid: Grid, k: int) -> Spectrum:
     if np.any(rel > _CONV_TOL):
         worst = int(np.argmax(rel))
         raise _gate_error(worst, n, conv[worst] * scale)
-    return Spectrum(
-        eigenvalues=values * scale,
-        convergence=conv * scale,
-        node_counts=tuple(_node_counts(block[0], n, vectors[:, :k])),
-    )
+    counts = _node_counts(block[0], n, vectors[:, :k])
+    for state, count in enumerate(counts):
+        if count != state:
+            raise AccuracyError(
+                f"the Ritz function of state {state} on {n} basis functions has {count} sign changes"
+            )
+    return Spectrum(eigenvalues=values * scale, convergence=conv * scale, node_counts=tuple(counts))
 
 
 # ---------------------------------------------------------------------------
@@ -779,7 +782,8 @@ def parabolic_joint_solve(
             pairs = [divmod(int(f), n) for f in np.flatnonzero(steps <= tol)]  # in (i, j) order
             roots = [_match_root(block, first, i, j, e_star) for i, j in pairs]
             solves += 2 + 2 * sum(root[3] for root in roots)
-            resolved = all(abs(root[0] - e_star) <= tol for root in roots)
+            # a step with no pair within tol of E* resolves nothing
+            resolved = bool(roots) and all(abs(root[0] - e_star) <= tol for root in roots)
             if resolved:
                 break
         if not resolved or min(root[0] for root in roots) >= e_hi:

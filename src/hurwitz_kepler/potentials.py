@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SeparabilityError, check_keys, float_key, int_key
+from .errors import SeparabilityError, check_keys, float_key, int_key, scale_range
 
 __all__ = [
     "Potential8D",
@@ -235,12 +235,19 @@ def micz_centrifugal_strengths(m: MiczParams) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # JSON-facing constructors (strict: unknown keys rejected)
 
+# Ranges of the scale keys, from the power with which each enters a pencil
+# whose rounding squares its entries: a factor's omega as E = -omega^2/2 in
+# an oscillator pencil of entries in omega, and the micz charge Z as Z^2 in
+# the Coulomb pencil (its basis scale is 3 / Z, and E goes as Z^2).
+_FACTOR_OMEGA = scale_range(2)
+_CHARGE = scale_range(4)
+
 
 def potential_from_dict(d: dict) -> Potential8D:
     check_keys(d, {"variant", "omega", "c", "a", "b"}, {"variant", "omega"}, "potential")
     return Potential8D(
         variant=d["variant"],
-        omega=float_key(d, "omega", what="potential"),
+        omega=float_key(d, "omega", what="potential", bounds=_FACTOR_OMEGA),
         c=float_key(d, "c", 0.0, what="potential"),
         a=float_key(d, "a", 0.0, what="potential"),
         b=float_key(d, "b", 0.0, what="potential"),
@@ -262,7 +269,7 @@ def model_from_dict(d: dict) -> OscillatorModel:
 def micz_from_dict(d: dict) -> MiczParams:
     check_keys(d, {"Z", "c1", "c2", "J", "L"}, {"Z"}, "micz block")
     return MiczParams(
-        Z=float_key(d, "Z", what="micz block"),
+        Z=float_key(d, "Z", what="micz block", bounds=_CHARGE),
         c1=float_key(d, "c1", 0.0, what="micz block"),
         c2=float_key(d, "c2", 0.0, what="micz block"),
         J=int_key(d, "J", 0, minimum=0, what="micz block"),

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 import hurwitz_kepler
+from hurwitz_kepler import errors
 from hurwitz_kepler.algebra import hurwitz_forward_batch
 from hurwitz_kepler.cli import CSV_BLOCK_ROWS, _build_parser, main, write_csv
 
@@ -321,6 +322,20 @@ class TestQes:
         assert "positive r^6 coefficient" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("verify", [[], ["--verify"]], ids=["plain", "verify"])
+    @pytest.mark.parametrize(
+        "family, key",
+        [("sub2", "a_prime"), ("sub2", "b_prime"), ("super2", "b_prime")],
+    )
+    def test_primed_value_whose_map_overflows_exit_2(self, tmp_path, capsys, family, key, verify):
+        # the maps square a' and b' (d = a'^2 - ..., omega^2 = 2 b'^2, ...)
+        cfg = _write(tmp_path, "q.json", {**_QES, "family": family, "a_prime": 0.05, key: 1e300})
+        out = tmp_path / "out"
+        assert main(["qes", cfg, "--out", str(out)] + verify) == 2
+        err = capsys.readouterr().err
+        assert f"config error: config key {key!r} must be between -1.34e+146 and 1.34e+146, got 1e+300" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("family, a_prime", [("super2", 0.05), ("sub2", 1.0)])
     def test_cprime_above_half_dim_exit_6(self, tmp_path, capsys, family, a_prime):
         # c' = 4 > (Dim - 1)/2: the tables do not close for either family
@@ -362,11 +377,13 @@ class TestQes:
         assert doc["energy_offset_d"] == pytest.approx(-9.0)
 
     @pytest.mark.parametrize(
-        "family, a_prime, N", [("super2", 1e-3, 6), ("sub2", 1.0, 2), ("sub2", 0.0, 1)]
+        "family, a_prime, N",
+        [("super2", 1e-3, 6), ("sub2", 1.0, 2), ("sub2", 0.0, 1), ("sub2", -0.0, 1)],
     )
     def test_mapped_c_is_unsigned_zero(self, tmp_path, family, a_prime, N):
         # c' = 0 maps to c = c'(c' - Dim + 1) = 0, written 0 and not -0; so
-        # does the sub2 b = -a'(Dim - 2c') at a' = 0
+        # does the sub2 b = -a'(Dim - 2c') at a' = 0, and a config's a' = -0
+        # is read as 0, so its a' and mapped a = 2 a' b' are written 0
         cfg = _write(tmp_path, "q.json", {"family": family, "a_prime": a_prime, "b_prime": 1.0, "N": N})
         assert main(["qes", cfg, "--out", str(tmp_path)]) == 0
         header, rows = _read_csv(tmp_path / "qes.csv")
@@ -375,6 +392,8 @@ class TestQes:
         assert re.search(r'"mapped_potential": \{[^}]*"c": (\S+)\n', text)[1] == "0"
         if a_prime == 0.0:
             assert re.search(r'"mapped_potential": \{[^}]*"b": (\S+),\n', text)[1] == "0"
+            assert re.search(r'"mapped_potential": \{[^}]*"a": (\S+),\n', text)[1] == "0"
+            assert re.search(r'"primed": \{[^}]*"a_prime": (\S+),\n', text)[1] == "0"
 
     @pytest.mark.parametrize("family, a_prime, solves", [("super2", 0.05, 1), ("sub2", 0.5, 2)])
     def test_one_verification_solve_per_potential(self, tmp_path, monkeypatch, family, a_prime, solves):
@@ -700,7 +719,7 @@ def test_duality_cases_must_be_a_list_exit_2(tmp_path, capsys, cases, verify):
         ({"omega": 0.25, "omega2": -1}, "config key 'omega2' must be positive"),
         ({"omega": 0.25, "omega2": 0}, "config key 'omega2' must be positive"),
         ({"omega": 0}, "config key 'omega' must be positive"),
-        ({"omega": 1e300}, "config key 'omega' must be positive and at most sqrt(float max)"),
+        ({"omega": 1e300}, "config key 'omega' must be positive, between 1.22e-73 and 1.16e+73"),
     ],
     ids=["c1-negative", "c2-negative", "omega2-negative", "omega2-zero", "omega-zero", "omega-overflow"],
 )
@@ -722,12 +741,70 @@ def test_micz_spectrum_nonpositive_charge_exit_2(tmp_path, capsys, Z):
 
 
 def test_micz_spectrum_underflowing_charge_exit_2(tmp_path, capsys):
-    # Z^2 / (2 n^2) underflows to 0 at Z = 1e-300, and the deviation from
-    # the closed form would divide by it
-    path = _write(tmp_path, "m.json", {"problem": "micz", "micz": {"Z": 1e-300}})
+    # Z^2 / (2 n^2) underflows to 0 at Z = 1e-70 with c1 = 1e200 (n about
+    # 1e100), although Z is in its range, and the deviation from the closed
+    # form would divide by it
+    path = _write(tmp_path, "m.json", {"problem": "micz", "micz": {"Z": 1e-70, "c1": 1e200}})
     out = tmp_path / "out"
     assert main(["spectrum", path, "--out", str(out)]) == 2
     assert "micz block key 'Z' must be large enough for normal closed-form E" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# Each scale key's range (README): duality's omega and omega2 and the micz Z
+# enter their Coulomb pencils squared, a potential's omega enters as
+# E = -omega^2/2; the rounding of a pencil squares its entries.
+_SCALE_KEYS = {
+    "omega": ("duality", lambda v: {"omega": v}, "config key 'omega'", 1.2213e-73, 1.1579e73),
+    "omega2": ("duality", lambda v: {"omega": 0.25, "omega2": v}, "config key 'omega2'", 1.2213e-73, 1.1579e73),
+    "Z": ("spectrum", lambda v: {"problem": "micz", "micz": {"Z": v}}, "micz block key 'Z'", 1.2213e-73, 1.1579e73),
+    "potential omega": (
+        "spectrum",
+        lambda v: {**_OSC, "potential": {**_SHO, "omega": v}},
+        "potential key 'omega'",
+        1.4917e-146,
+        1.3408e146,
+    ),
+}
+
+
+@pytest.mark.parametrize("side", ["low", "high"])
+@pytest.mark.parametrize("key", list(_SCALE_KEYS))
+def test_scale_key_just_inside_its_range_passes(tmp_path, key, side):
+    sub, config, _, lo, hi = _SCALE_KEYS[key]
+    value = 1.001 * lo if side == "low" else 0.999 * hi
+    path = _write(tmp_path, "c.json", config(value))
+    assert main([sub, path, "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("omega", 0.999 * 1.2213e-73),
+        ("omega", 1.001 * 1.1579e73),
+        ("omega", 1e77),  # the rounding of its pencils overflowed: "error bar inf"
+        ("omega", 1e-160),  # an empty level group: "min() arg is an empty sequence"
+        ("omega", 1e-200),  # an underflowed bracket
+        ("omega2", 0.999 * 1.2213e-73),
+        ("omega2", 1.001 * 1.1579e73),
+        ("Z", 0.999 * 1.2213e-73),
+        ("Z", 1.001 * 1.1579e73),
+        ("Z", 1e154),  # "Eigenvalues did not converge"
+        ("Z", 1e300),  # a ZeroDivisionError traceback
+        ("potential omega", 0.999 * 1.4917e-146),
+        ("potential omega", 1.001 * 1.3408e146),
+        ("potential omega", 1e154),  # "error bar inf"
+        ("potential omega", 1e300),  # an OverflowError traceback
+        ("potential omega", 1e-200),  # E = -omega^2/2 underflowed: every level 99.75% off
+    ],
+    ids=lambda v: f"{v:.5g}" if isinstance(v, float) else v,
+)
+def test_scale_key_outside_its_range_exit_2(tmp_path, capsys, key, value):
+    sub, config, name, lo, hi = _SCALE_KEYS[key]
+    path = _write(tmp_path, "c.json", config(value))
+    out = tmp_path / "out"
+    assert main([sub, path, "--out", str(out)]) == 2
+    assert f"config error: {name} must be positive, between {lo:.3g} and {hi:.3g}, got " in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -777,9 +854,7 @@ def test_micz_states_beyond_a_quarter_of_the_polar_grid_exit_2(tmp_path, capsys)
     path = _write(tmp_path, "s.json", {**_MICZ, "n_states": 751, "grid": {"n": 4000}})
     out = tmp_path / "out"
     assert main(["spectrum", path, "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "config key 'n_states' asks for 751 states per solve" in err
-    assert "polar solve's fixed grid of n = 3000 takes at most 750" in err
+    assert "config key 'n_states' must be at most 750, got 751" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -793,6 +868,32 @@ def test_qes_verify_states_beyond_a_quarter_of_the_grid_exit_2(tmp_path, capsys)
     assert "config key 'N' asks for 6 states per solve" in err
     assert "grid block key 'n' >= 24, got 16" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "error, code, prefix",
+    [
+        (errors.ConfigError, 2, "config error: "),
+        (errors.SeparabilityError, 3, "separability error: "),
+        (errors.QesPreconditionError, 4, "QES precondition violated: "),
+        (errors.BracketError, 5, "bracket error: "),
+        (errors.QesClosureError, 6, "QES closure failed: "),
+        (errors.AccuracyError, 1, "accuracy error: "),
+        (ValueError, 2, "config error: "),
+    ],
+    ids=lambda v: v.__name__ if isinstance(v, type) else None,
+)
+def test_exit_code_and_stderr_prefix_of_each_error(tmp_path, capsys, monkeypatch, error, code, prefix):
+    # main reads each code and label from the error type; a plain
+    # ValueError is a rejected value, a config error
+    import hurwitz_kepler.cli as climod
+
+    def stub(args):
+        raise error("the message")
+
+    monkeypatch.setattr(climod, "cmd_transform", stub)
+    assert main(["transform", _write(tmp_path, "t.json", {})]) == code
+    assert capsys.readouterr().err == prefix + "the message\n"
 
 
 def test_lapack_failure_exit_1(tmp_path, capsys, monkeypatch):

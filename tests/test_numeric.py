@@ -399,6 +399,16 @@ class TestCachedPencil:
             replace(_CACHED_CASES["theta"], mass_power=-1)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("c, state, count", [(1e29, 0, 1), (1e30, 0, 2), (1e150, 1, 0)])
+def test_fd_eigensolve_checks_its_node_counts(c, state, count):
+    # at such a c the basis no longer resolves the states: their sign
+    # changes were (1, 1, 3, 3), (2, 1, 2, 3) and (0, 0, 0, 0), unchecked
+    prob = build_radial_problem("osc8", potential=Potential8D("sho", omega=1.0, c=c), L=0)
+    with pytest.raises(AccuracyError, match=rf"Ritz function of state {state} on \d+ basis functions has {count} sign"):
+        fd_eigensolve(prob, Grid(n=2000), 4)
+
+
 @pytest.mark.parametrize("dim", [8.7, -3, math.inf, math.nan])
 def test_qes_problem_rejects_non_integral_or_negative_dim(dim):
     # never truncated: dim = 8.7 solved dim = 8, and dim = -3 returned 4.24

@@ -69,6 +69,15 @@ class TestPureCoulomb:
         assert time.perf_counter() - start < 0.5
         assert sizes == [6, 10, 14, 18]
 
+    def test_step_with_an_empty_group_is_unresolved(self, monkeypatch):
+        # with no pair's step within the level tolerance of E*, no step
+        # resolves a level, which is an empty window and not min() of nothing
+        monkeypatch.setattr(numeric, "_LEVEL_TOL", 0.0)
+        with pytest.raises(BracketError, match=r"the window \(-0.045, -0.024\) holds no resolved level"):
+            parabolic_joint_solve(
+                _coulomb_model(), MiczParams(Z=1.0), Grid(n=1500), bracket=(-0.045, -0.024)
+            )
+
     @pytest.mark.parametrize(
         "bracket, exact", [((-0.045, -0.024), -1.0 / 32.0), ((-0.024, -0.017), -0.02)]
     )
