@@ -739,9 +739,9 @@ def parabolic_joint_solve(
     the pairs whose Newton step -F/F' from E* on that basis is within
     ``_LEVEL_TOL`` of E*; only they are refined.  Each pair's ladder starts
     from E*: one Newton root per basis size (:func:`_match_root`), the
-    first on max(``_FIRST_BASIS``, n + ``_STEP``) functions.  If a first
-    root moves by more than ``_LEVEL_TOL`` from E*, the level is not
-    resolved and n grows by ``_STEP``; a window with no resolved level by
+    first on max(``_FIRST_BASIS``, n + ``_STEP``) functions.  If the group
+    is empty, or a first root moves by more than ``_LEVEL_TOL`` from E*,
+    the level is not resolved and n grows by ``_STEP``; a window with no resolved level by
     n = ``_MAX_LEVEL_BASIS``, or whose lowest resolved level above E_lo
     lies at or above E_hi, raises :class:`BracketError`.  Each ladder then
     grows by ``_STEP`` until the root changes by no more than its rounding
