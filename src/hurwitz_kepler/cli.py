@@ -38,7 +38,7 @@ from .analytic import (
     qes_solve,
     singular_oscillator_energy,
 )
-from .errors import ConfigError, HurwitzKeplerError, check_keys, float_key, int_key, scale_range
+from .errors import STRENGTH_MAX, ConfigError, HurwitzKeplerError, check_keys, float_key, int_key, scale_range
 from .numeric import (
     Grid,
     build_radial_problem,
@@ -610,7 +610,7 @@ def cmd_duality(args) -> int:
     strengths = []  # every case is checked before the first is solved
     for case in cases_cfg:
         check_keys(case, {"c1", "c2"}, what="case")
-        pair = (float_key(case, c, 0.0, what="case", bounds=(0.0, math.inf)) for c in ("c1", "c2"))
+        pair = (float_key(case, c, 0.0, what="case", bounds=(0.0, STRENGTH_MAX)) for c in ("c1", "c2"))
         strengths.append(tuple(pair))
     z_fixed = 4.0 * omega  # coulomb charge of the undressed (c = 0) ground sector
     cases = [_duality_case(omega, c1, c2, grid, z_fixed, args.verify) for c1, c2 in strengths]

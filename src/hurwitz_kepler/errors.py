@@ -39,6 +39,7 @@ __all__ = [
     "int_key",
     "float_key",
     "scale_range",
+    "STRENGTH_MAX",
 ]
 
 
@@ -172,6 +173,12 @@ def scale_range(power: int) -> tuple:
     return (sys.float_info.min * _ROOM) ** (1.0 / power), (sys.float_info.max / _ROOM) ** (1.0 / power)
 
 
+# Largest strength c of a 1/x^2 pole: its pole exponent s ~ sqrt(2 c) puts
+# the Jacobi nodes of a basis about 1/s from the pole's end, which they round
+# onto from s ~ 1e15 (c ~ 1e30), and c = 1/eps keeps s eps = sqrt(2 eps).
+STRENGTH_MAX = 1.0 / sys.float_info.epsilon
+
+
 def float_key(d: dict, key: str, default=None, what: str = "config", bounds=(-math.inf, math.inf)) -> float:
     """``d[key]`` (``default`` when absent) as a float, never coerced and never -0.0.
 
@@ -185,8 +192,8 @@ def float_key(d: dict, key: str, default=None, what: str = "config", bounds=(-ma
     v = float(v) + 0.0  # -0.0 + 0.0 is 0.0
     lo, hi = bounds
     if not lo <= v <= hi:
-        span = "nonnegative" if bounds == (0.0, math.inf) else f"between {lo:.3g} and {hi:.3g}"
-        if lo > 0.0:
-            span = "positive, " + span
+        span = f"at most {hi:.3g}" if lo == -math.inf else f"between {lo:.3g} and {hi:.3g}"
+        if lo >= 0.0:
+            span = ("positive, " if lo > 0.0 else "nonnegative, ") + span
         raise ConfigError(f"{what} key {key!r} must be {span}, got {v!r}")
     return v

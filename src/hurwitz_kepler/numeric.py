@@ -14,9 +14,9 @@ pole exponent and decay: x^s e^(-t/2) times Laguerre polynomials in t =
 polynomials in z = sin^2(theta/2) on the sin^7 weight (Baye, Phys. Rep.
 565 (2015) 1).  The Gauss rule of each basis comes from one symmetric
 eigensolve of its Jacobi matrix (Golub & Welsch, Math. Comp. 23 (1969)
-221), so the solvers need numpy alone.  Its nodes, the exact stiffness,
-the inverse Cholesky factor of the mass and the whitened energy matrix
-depend on the basis alone, up to a power of the basis scale, and are
+221), so the solvers need numpy alone.  Its nodes and, whitened by the
+Cholesky factor of the mass, its values, stiffness, energy matrix and sign
+sample depend on the basis alone, up to a power of the basis scale, and are
 cached per weight, basis size and mass power (64 entries at most), so a
 solve assembles and whitens only its potential term.  The Ritz values fall
 geometrically with the basis size, and a solve stops where they change by
@@ -155,10 +155,8 @@ class RadialProblem:
     on the sin^7 weight its pole exponents come from ``pole_strengths``
     (alpha_u, alpha_v), the coefficients of 1/cos^2(theta/2) and
     1/sin^2(theta/2) in ``effective_term``.  A solve assembles only the
-    potential term of its pencil: the whitening factor and the energy
-    matrix are cached with the basis, per weight, basis size and mass
-    power, and scaled by the power of ``basis_scale``.  The solvers leave
-    the domain aside.
+    potential term of its pencil (see :func:`_whitened`).  The solvers
+    leave the domain aside.
     """
 
     weight_exponent: int
@@ -302,10 +300,11 @@ def _whitening(a: float, b, size: int, p: int, j: int):
     Cholesky factor of B0, returns the nodes at beta = 1 (t^(1/p), or theta
     = arccos(-x)), the moment that weights each potential value there
     (t^(2/p), or z (1 - z)), the whitened values L0^-1 values, the whitened
-    stiffness p^2 L0^-1 S L0^-T, L0^-1, the whitened energy matrix L0^-1 C0
-    L0^-T and the fine sample.  L0^-1 is lower triangular, so the leading
-    blocks of every table are the tables of a smaller basis.  The tables
-    are read-only.
+    stiffness p^2 L0^-1 S L0^-T, the whitened energy matrix L0^-1 C0 L0^-T
+    and L0^-1 fine, on which a Ritz vector v of any pencil of the basis has
+    the signs of its function, (L0^-1 fine)^T v.  L0^-1 is lower
+    triangular, so the leading blocks of every table are the tables of a
+    smaller basis.  The tables are read-only.
     """
     x, values, stiffness, fine = _basis(a, b, size)
     if b is None:
@@ -316,15 +315,8 @@ def _whitening(a: float, b, size: int, p: int, j: int):
         mass = moment
     inverse = np.tril(np.linalg.inv(np.linalg.cholesky((values * mass) @ values.T)))
     values = inverse @ values
-    tables = (
-        nodes,
-        moment,
-        values,
-        inverse @ stiffness @ inverse.T,
-        inverse,
-        (values * moment) @ values.T,
-        fine,
-    )
+    stiffness, energy = inverse @ stiffness @ inverse.T, (values * moment) @ values.T
+    tables = (nodes, moment, values, stiffness, energy, inverse @ fine)
     for table in tables:
         table.setflags(write=False)
     return tables
@@ -341,11 +333,11 @@ def _pole_exponent(d: float, c: float) -> float:
 def _whitened(problem: RadialProblem, size: int):
     """Galerkin pencil of ``problem`` on its first ``size`` basis functions, whitened.
 
-    Returns L^-1 A L^-T, L^-1 (L the Cholesky factor of the mass B), the
-    rounding of the whitened matrix, eps times its Frobenius norm, which
-    bounds the error of the assembly and of a symmetric eigensolve of any
-    leading block, the fine sample of :func:`_basis` and the whitened
-    energy matrix L^-1 C L^-T.
+    Returns L^-1 A L^-T (L the Cholesky factor of the mass B), the rounding
+    of the whitened matrix, eps times its Frobenius norm, which bounds the
+    error of the assembly and of a symmetric eigensolve of any leading
+    block, the sign sample of :func:`_whitening` and the whitened energy
+    matrix L^-1 C L^-T.
 
     A power weight x^k with centrifugal coefficient C takes R_n = x^s
     e^(-t/2) p_n(t), t = (x / beta)^p, s (s + k - 1) = C and p_n orthonormal
@@ -380,12 +372,11 @@ def _whitened(problem: RadialProblem, size: int):
         k, p, beta = problem.weight_exponent, problem.basis_power, problem.basis_scale
         s = _pole_exponent(k - 1.0, problem.centrifugal_coeff)
         key = ((2.0 * s + k - 1.0) / p - 1.0, None, size, p, j)
-    nodes, moment, values, stiffness, inverse, energy, fine = _whitening(*key)
+    nodes, moment, values, stiffness, energy, sample = _whitening(*key)
     scale = beta**-j
     source = scale * moment * problem.effective_term(beta * nodes)
     whitened = scale / (beta * beta) * stiffness + (values * source) @ values.T
-    rounding = _EPS * np.linalg.norm(whitened)
-    return whitened, math.sqrt(scale) / beta * inverse, rounding, fine, scale * energy
+    return whitened, _EPS * np.linalg.norm(whitened), sample, scale * energy
 
 
 def _block(problems, n: int, cap: int, block=None):
@@ -403,9 +394,8 @@ def _block(problems, n: int, cap: int, block=None):
 
 
 def _node_counts(pencil, n: int, vectors) -> list:
-    """Sign changes of the Ritz functions of ``vectors`` (columns on n functions) on the fine sample."""
-    _, inverse, _, fine, _ = pencil
-    return [_count_nodes(f) for f in (fine[:n].T @ (inverse[:n, :n].T @ vectors)).T]
+    """Sign changes of the Ritz functions of ``vectors`` (columns on n functions) on the sign sample."""
+    return [_count_nodes(f) for f in (pencil[2][:n].T @ vectors).T]
 
 
 @contextlib.contextmanager
@@ -447,7 +437,7 @@ def fd_eigensolve(problem: RadialProblem, grid: Grid, k: int) -> Spectrum:
         while True:
             n = min(n, cap)
             block = _block([problem], n, cap, block)
-            ((whitened, _, rounding, _, _),) = block
+            ((whitened, rounding, _, _),) = block
             ritz, vectors = np.linalg.eigh(whitened[:n, :n])
             if values is not None:
                 change = np.abs(ritz[:k] - values)
@@ -483,10 +473,6 @@ def build_radial_problem(kind: str, **params) -> RadialProblem:
                       angular eigenvalue), optional rmax.  Eigenvalue E
                       (weight r^8, raw 2E).
     kind = 'theta'  : polar equation; needs micz.  Eigenvalue Lambda.
-    kind = 'para_u' : parabolic u-equation; needs model, micz, energy.
-                      Eigenvalue -P, with the 1/w mass; its basis scale
-                      is 1 until the joint search sets it.
-    kind = 'para_v' : parabolic v-equation, eigenvalue +P.
 
     ``rmax`` only sets the problem's domain (0, rmax), which no solver
     reads; it defaults to the half-line the basis spans.  Any other
@@ -537,24 +523,6 @@ def build_radial_problem(kind: str, **params) -> RadialProblem:
             effective_term=lambda th: alpha_u / np.cos(th / 2.0) ** 2 + alpha_v / np.sin(th / 2.0) ** 2,
             domain=(0.0, math.pi),
             pole_strengths=(alpha_u, alpha_v),
-        )
-    if kind in ("para_u", "para_v"):
-        check_keys(params, {"model", "micz", "energy"}, what=f"{kind} problem")
-        model: OscillatorModel = params["model"]
-        micz: MiczParams = params["micz"]
-        energy = float(params["energy"])
-        alpha_u, alpha_v = micz_centrifugal_strengths(micz)
-        if kind == "para_u":
-            alpha, p, Za = alpha_u, model.p1, model.Z1
-        else:
-            alpha, p, Za = alpha_v, model.p2, model.Z2
-        return RadialProblem(
-            weight_exponent=4,
-            centrifugal_coeff=alpha,
-            effective_term=lambda w: (factor_potential(p, energy, 0.5 * w) - Za) / w,
-            domain=(0.0, math.inf),
-            mass_power=-1,
-            basis_power=1,
         )
     raise ValueError(f"unknown problem kind {kind!r}")
 
@@ -618,6 +586,29 @@ _LEVEL_TOL = 1e-5
 _FIRST_BASIS = 12
 
 
+def _parabolic_pair(model: OscillatorModel, micz: MiczParams, beta: float) -> tuple:
+    """The parabolic u- and v-equations (eigenvalues -P and +P) on the basis scale ``beta``, at E = 0.
+
+    Each has the weight w^4, the 1/w mass, alpha_u or alpha_v of
+    :func:`micz_centrifugal_strengths` and the source (W_a(w/2) - Z_a) / w;
+    E enters as -E w/2, which the pencil's WB carries (see :func:`_shifted`).
+    """
+
+    def equation(alpha, potential, charge):
+        return RadialProblem(
+            weight_exponent=4,
+            centrifugal_coeff=alpha,
+            effective_term=lambda w: (factor_potential(potential, 0.0, 0.5 * w) - charge) / w,
+            domain=(0.0, math.inf),
+            mass_power=-1,
+            basis_scale=beta,
+            basis_power=1,
+        )
+
+    alpha_u, alpha_v = micz_centrifugal_strengths(micz)
+    return equation(alpha_u, model.p1, model.Z1), equation(alpha_v, model.p2, model.Z2)
+
+
 @dataclass(frozen=True)
 class JointState:
     """A matched parabolic eigenstate: energy, separation constant, nodes.
@@ -649,7 +640,7 @@ def _shifted(pencil, n: int, energy: float, branches):
     eigenvector v, and the rounding of the eigenvalues is eps |T(E)|
     (Frobenius norm).
     """
-    w0, wb = pencil[0][:n, :n], pencil[4][:n, :n]
+    w0, wb = pencil[0][:n, :n], pencil[3][:n, :n]
     matrix = w0 - 0.5 * energy * wb
     mu, vectors = np.linalg.eigh(matrix)
     vectors = vectors[:, branches]
@@ -667,7 +658,7 @@ def _joint_levels(pencils, n: int) -> np.ndarray:
     and WB_v its right-hand matrix is diagonal and positive, so one
     symmetric eigensolve of order n^2 gives every level.
     """
-    (d_u, q_u), (d_v, q_v) = (np.linalg.eigh(p[4][:n, :n]) for p in pencils)
+    (d_u, q_u), (d_v, q_v) = (np.linalg.eigh(p[3][:n, :n]) for p in pencils)
     a_u, a_v = (q.T @ p[0][:n, :n] @ q for p, q in zip(pencils, (q_u, q_v)))
     eye = np.eye(n)
     scale = (0.5 * (d_u[:, None] + d_v)).ravel() ** -0.5
@@ -758,11 +749,7 @@ def parabolic_joint_solve(
     e_lo, e_hi = bracket
     if not (e_lo < e_hi < 0.0):
         raise ValueError("bracket must satisfy E_lo < E_hi < 0")
-    beta = 1.0 / math.sqrt(-2.0 * e_hi)
-    problems = [
-        replace(build_radial_problem(kind, model=model, micz=micz, energy=0.0), basis_scale=beta)
-        for kind in ("para_u", "para_v")
-    ]
+    problems = _parabolic_pair(model, micz, 1.0 / math.sqrt(-2.0 * e_hi))
     cap = min(grid.n, _MAX_BASIS)
     with _lapack_failure():
         block = _block(problems, _FIRST_BASIS, cap)

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SeparabilityError, check_keys, float_key, int_key, scale_range
+from .errors import STRENGTH_MAX, SeparabilityError, check_keys, float_key, int_key, scale_range
 
 __all__ = [
     "Potential8D",
@@ -248,7 +248,7 @@ def potential_from_dict(d: dict) -> Potential8D:
     return Potential8D(
         variant=d["variant"],
         omega=float_key(d, "omega", what="potential", bounds=_FACTOR_OMEGA),
-        c=float_key(d, "c", 0.0, what="potential"),
+        c=float_key(d, "c", 0.0, what="potential", bounds=(-math.inf, STRENGTH_MAX)),
         a=float_key(d, "a", 0.0, what="potential"),
         b=float_key(d, "b", 0.0, what="potential"),
     )
@@ -270,8 +270,8 @@ def micz_from_dict(d: dict) -> MiczParams:
     check_keys(d, {"Z", "c1", "c2", "J", "L"}, {"Z"}, "micz block")
     return MiczParams(
         Z=float_key(d, "Z", what="micz block", bounds=_CHARGE),
-        c1=float_key(d, "c1", 0.0, what="micz block"),
-        c2=float_key(d, "c2", 0.0, what="micz block"),
+        c1=float_key(d, "c1", 0.0, what="micz block", bounds=(0.0, STRENGTH_MAX)),
+        c2=float_key(d, "c2", 0.0, what="micz block", bounds=(0.0, STRENGTH_MAX)),
         J=int_key(d, "J", 0, minimum=0, what="micz block"),
         L=int_key(d, "L", 0, minimum=0, what="micz block"),
     )

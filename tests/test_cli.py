@@ -1,10 +1,13 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import re
 import shlex
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -741,10 +744,10 @@ def test_micz_spectrum_nonpositive_charge_exit_2(tmp_path, capsys, Z):
 
 
 def test_micz_spectrum_underflowing_charge_exit_2(tmp_path, capsys):
-    # Z^2 / (2 n^2) underflows to 0 at Z = 1e-70 with c1 = 1e200 (n about
+    # Z^2 / (2 n^2) underflows to 0 at Z = 1e-70 with J = 10^100 (n about
     # 1e100), although Z is in its range, and the deviation from the closed
     # form would divide by it
-    path = _write(tmp_path, "m.json", {"problem": "micz", "micz": {"Z": 1e-70, "c1": 1e200}})
+    path = _write(tmp_path, "m.json", {"problem": "micz", "micz": {"Z": 1e-70, "J": 10**100}})
     out = tmp_path / "out"
     assert main(["spectrum", path, "--out", str(out)]) == 2
     assert "micz block key 'Z' must be large enough for normal closed-form E" in capsys.readouterr().err
@@ -806,6 +809,51 @@ def test_scale_key_outside_its_range_exit_2(tmp_path, capsys, key, value):
     assert main([sub, path, "--out", str(out)]) == 2
     assert f"config error: {name} must be positive, between {lo:.3g} and {hi:.3g}, got " in capsys.readouterr().err
     assert not out.exists()
+
+
+# Each singular strength's range (README): c enters a basis through its pole
+# exponent s ~ sqrt(2 c), and from about c = 1e30 the basis tables of
+# numeric._basis are no longer finite (log1p divided by zero at c = 1e40, a
+# RuntimeWarning and exit 1, not 2)
+_STRENGTH_KEYS = {
+    "potential c": ("spectrum", lambda v: {**_OSC, "potential": {**_SHO, "c": v}}, "potential key 'c'"),
+    "micz c1": ("spectrum", lambda v: {"problem": "micz", "micz": {"Z": 1.0, "c1": v}}, "micz block key 'c1'"),
+    "micz c2": ("spectrum", lambda v: {"problem": "micz", "micz": {"Z": 1.0, "c2": v}}, "micz block key 'c2'"),
+    "case c1": ("duality", lambda v: {"omega": 1.0, "cases": [{"c1": v}]}, "case key 'c1'"),
+    "case c2": ("duality", lambda v: {"omega": 1.0, "cases": [{"c1": 0.5, "c2": v}]}, "case key 'c2'"),
+}
+_STRENGTHS = [0.0, 5e-324, *(10.0**e for e in range(-300, 301, 10)), errors.STRENGTH_MAX, 10.0 * errors.STRENGTH_MAX]
+
+
+@settings(max_examples=40, deadline=None)
+@given(key=st.sampled_from(list(_STRENGTH_KEYS)), value=st.sampled_from(_STRENGTHS))
+@example(key="potential c", value=1e300)  # exited 1 on the node-count check
+@example(key="micz c1", value=1e300)  # exited 1: "Matrix is not positive definite"
+@example(key="micz c2", value=1e300)
+@example(key="case c1", value=1e300)
+@example(key="case c2", value=1e300)
+@example(key="potential c", value=10.0 * errors.STRENGTH_MAX)
+@example(key="micz c1", value=10.0 * errors.STRENGTH_MAX)
+@example(key="micz c2", value=10.0 * errors.STRENGTH_MAX)
+@example(key="case c1", value=10.0 * errors.STRENGTH_MAX)
+@example(key="case c2", value=10.0 * errors.STRENGTH_MAX)
+def test_singular_strength_exits_by_the_contract(key, value):
+    # every strength from 0 to 1e300 exits 0 or 1 (a basis that cannot hold
+    # the states, see CHANGES.md) inside its range and 2 above it, with no
+    # exception or warning escaping; exit 2 names the key and writes nothing
+    sub, config, name = _STRENGTH_KEYS[key]
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = _write(Path(tmp), "c.json", config(value)), Path(tmp) / "out"
+        with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("error")
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                code = main([sub, path, "--out", str(out)])
+        if value > errors.STRENGTH_MAX:
+            assert code == 2
+            assert f"config error: {name} must be " in err.getvalue()
+            assert not out.exists()
+        else:
+            assert code in (0, 1)
 
 
 def test_oscillator_spectrum_complex_lprime_exit_2(tmp_path, capsys):

@@ -34,6 +34,7 @@ from hurwitz_kepler.potentials import (
     MiczParams,
     OscillatorModel,
     Potential8D,
+    factor_potential,
     require_spherically_separable,
 )
 
@@ -95,19 +96,14 @@ class TestOscillatorOracle:
                     assert spec.node_counts == (0, 1, 2)
 
 
-_MODEL = {"model": _sho_model(), "micz": MiczParams(Z=1.0), "energy": -0.5}
-
-
 @pytest.mark.parametrize(
     "kind, params, key",
     [
         ("osc8", {"potential": Potential8D("sho", omega=1.0), "l": 2}, "l"),
         ("coul9", {"Z": 1.0, "lam": 0.0, "L": 1}, "L"),
         ("theta", {"micz": MiczParams(Z=1.0), "rmax": math.pi}, "rmax"),
-        ("para_u", {**_MODEL, "rmax": 50.0}, "rmax"),
-        ("para_v", {**_MODEL, "Z": 1.0}, "Z"),
     ],
-    ids=["osc8", "coul9", "theta", "para_u", "para_v"],
+    ids=["osc8", "coul9", "theta"],
 )
 def test_builder_rejects_unread_keyword(kind, params, key):
     # a keyword the kind does not read is an error, not a default: the typo
@@ -270,86 +266,109 @@ class TestSolverMechanics:
         assert spec.node_counts == (0, 1, 2, 3)
 
 
+_PARA_MODEL = OscillatorModel(
+    p1=Potential8D("sub2", omega=1.0, a=0.3, b=0.2),
+    p2=Potential8D("super2", omega=1.0, a=0.01, b=0.1),
+    Z1=0.4,
+    Z2=0.6,
+)
+
+
 class TestParaBuilders:
+    # numeric._parabolic_pair builds the joint search's two equations at
+    # E = 0 on one basis scale; the energy rides on the pencil's WB
     def test_para_u_effective_term_matches_w(self):
-        model = OscillatorModel(
-            p1=Potential8D("sub2", omega=1.0, a=0.3, b=0.2),
-            p2=Potential8D("sho", omega=1.0),
-            Z1=0.4,
-            Z2=0.6,
-        )
-        micz = MiczParams(Z=1.0, c1=0.5)
-        prob = build_radial_problem("para_u", model=model, micz=micz, energy=-0.5)
-        u = np.array([0.5, 1.0, 2.0, 8.0])
-        w_direct = -0.5 * u * (-0.5) + 0.2 * np.sqrt(2.0 / u) + 0.3 * np.sqrt(u / 2.0) - 0.4
-        assert np.allclose(prob.effective_term(u) * u, w_direct, rtol=1e-13)
-        assert prob.centrifugal_coeff == pytest.approx((0 + 8 * 0.5) / 4.0)
-        assert prob.mass_power == -1
+        # the u-equation takes p1, Z1 and alpha_u = (J (J + 6) + 8 c1) / 4,
+        # and its source times w is the factor potential at rho^2 = w/2
+        # without its harmonic term, minus Z1
+        u, _ = numeric._parabolic_pair(_PARA_MODEL, MiczParams(Z=1.0, c1=0.5, J=1), 2.5)
+        w = np.array([0.5, 1.0, 2.0, 8.0])
+        w_direct = 0.2 * np.sqrt(2.0 / w) + 0.3 * np.sqrt(w / 2.0) - 0.4
+        np.testing.assert_allclose(u.effective_term(w) * w, w_direct, rtol=1e-13)
+        assert u.centrifugal_coeff == (1 * 7 + 8 * 0.5) / 4.0
+        assert (u.weight_exponent, u.mass_power, u.basis_scale, u.basis_power) == (4, -1, 2.5, 1)
 
     def test_para_v_slot(self):
-        model = _sho_model()
-        prob = build_radial_problem(
-            "para_v", model=model, micz=MiczParams(Z=1.0, c2=2.0), energy=-0.5
-        )
-        assert prob.centrifugal_coeff == pytest.approx(4.0)
+        # the v-equation takes p2, Z2 and alpha_v = (L (L + 6) + 8 c2) / 4
+        _, v = numeric._parabolic_pair(_PARA_MODEL, MiczParams(Z=1.0, c2=2.0, L=2), 2.5)
+        w = np.array([0.5, 1.0, 2.0, 8.0])
+        w_direct = 0.1 * (w / 2.0) ** 2 + 0.01 * (w / 2.0) ** 3 - 0.6
+        np.testing.assert_allclose(v.effective_term(w) * w, w_direct, rtol=1e-13)
+        assert v.centrifugal_coeff == (2 * 8 + 8 * 2.0) / 4.0
+        assert (v.weight_exponent, v.mass_power, v.basis_scale, v.basis_power) == (4, -1, 2.5, 1)
+
+    @pytest.mark.parametrize("energy", [-0.5, -0.02])
+    def test_energy_matrix_carries_the_energy(self, energy):
+        # W0 - (E/2) WB is, to a few roundings, the pencil of the same equation
+        # with the energy in its source: the factor potential at E, whose
+        # harmonic term is -E w/2
+        micz = MiczParams(Z=1.0, c1=0.5, c2=1.0)
+        pair = numeric._parabolic_pair(_PARA_MODEL, micz, 3.0)
+        for problem, p, charge in zip(pair, (_PARA_MODEL.p1, _PARA_MODEL.p2), (0.4, 0.6)):
+            w0, _, _, wb = numeric._whitened(problem, 16)
+            source = lambda w: (factor_potential(p, energy, 0.5 * w) - charge) / w  # noqa: B023, E731
+            reference, rounding, _, _ = numeric._whitened(replace(problem, effective_term=source), 16)
+            np.testing.assert_allclose(w0 - 0.5 * energy * wb, reference, rtol=0.0, atol=4.0 * rounding)
 
 
 def _cold_pencil(problem, size):
-    """Whitened pencil, inverse factor and energy matrix of ``problem`` from a Cholesky factor of its own mass.
+    """Whitened pencil, inverse factor, energy matrix and sign sample L^-1 fine of ``problem``, all cold.
 
     The assembly of ``numeric._whitened``'s docstring on the uncached basis
-    tables, at the problem's basis scale, with L^-1 from a triangular solve.
+    tables, at the problem's basis scale, with L^-1 from a Cholesky factor
+    of the problem's own mass and a triangular solve.
     """
     if problem.weight_kind == "sin7":
         tau, sigma = (numeric._pole_exponent(3.0, alpha) for alpha in problem.pole_strengths)
-        x, values, stiffness, _ = numeric._basis(2.0 * tau + 2.0, 2.0 * sigma + 2.0, size)
+        x, values, stiffness, fine = numeric._basis(2.0 * tau + 2.0, 2.0 * sigma + 2.0, size)
         moment = mass = 0.25 * (1.0 - x * x)
         source = mass * problem.effective_term(np.arccos(-x))
     else:
         k, p, beta = problem.weight_exponent, problem.basis_power, problem.basis_scale
         s = numeric._pole_exponent(k - 1.0, problem.centrifugal_coeff)
-        t, values, stiffness, _ = numeric._basis((2.0 * s + k - 1.0) / p - 1.0, None, size)
+        t, values, stiffness, fine = numeric._basis((2.0 * s + k - 1.0) / p - 1.0, None, size)
         stiffness = p * p * stiffness
         r = beta * t ** (1.0 / p)
         moment, source, mass = r * r, r * r * problem.effective_term(r), r ** (2 + problem.mass_power)
     factor = np.linalg.cholesky((values * mass) @ values.T)
     inverse = scipy.linalg.solve_triangular(factor, np.eye(size), lower=True)
     pencil = inverse @ (stiffness + (values * source) @ values.T) @ inverse.T
-    return pencil, inverse, inverse @ ((values * moment) @ values.T) @ inverse.T
+    return pencil, inverse, inverse @ ((values * moment) @ values.T) @ inverse.T, inverse @ fine
 
 
 _CACHED_CASES = {
     "osc8": build_radial_problem("osc8", potential=Potential8D("sho", omega=1.3, c=1.0), L=1),
     "coul9": build_radial_problem("coul9", Z=1.2, lam=2.5),
-    "para_u": replace(
-        build_radial_problem("para_u", model=_sho_model(), micz=MiczParams(Z=1.0, c1=0.5), energy=0.0),
-        basis_scale=4.0,
-    ),
+    "para_u": numeric._parabolic_pair(_sho_model(), MiczParams(Z=1.0, c1=0.5), 4.0)[0],
     "theta": build_radial_problem("theta", micz=MiczParams(Z=1.0, c1=1.0, c2=2.0)),
 }
 
 
 class TestCachedPencil:
-    # the whitening factor and the energy matrix are cached with the basis
-    # and scaled by a power of beta: p = 2 (osc8), p = 1 (coul9), the 1/w
-    # mass (para_u) and the sin^7 weight (theta) match a cold Cholesky
-    # assembly.  Whitening by L^-1 magnifies the rounding of every entry by
-    # up to cond(L), so a few roundings are eps cond(L) times the norm
+    # the whitened stiffness, energy matrix and sign sample are cached with
+    # the basis and scaled by a power of beta: p = 2 (osc8), p = 1 (coul9),
+    # the 1/w mass (para_u) and the sin^7 weight (theta) match a cold
+    # Cholesky assembly.  The cached sample leaves out the positive factor
+    # beta^-(1 + j/2) of L^-1, which moves no sign.  Whitening by L^-1
+    # magnifies the rounding of every entry by up to cond(L), so a few
+    # roundings are eps cond(L) times the norm
     @pytest.mark.parametrize("case", list(_CACHED_CASES))
     @pytest.mark.parametrize("scale", [1.0, 0.37, 2.9])
     def test_matches_cold_assembly(self, case, scale):
         problem = _CACHED_CASES[case]
+        factor = 1.0
         if problem.weight_kind == "power":
             problem = replace(problem, basis_scale=scale * problem.basis_scale)
+            factor = problem.basis_scale ** (1.0 + 0.5 * problem.mass_power)
         for size in (16, 32):
-            pencil, inverse, rounding, fine, energy = numeric._whitened(problem, size)
-            cold = _cold_pencil(problem, size)
-            cond = np.linalg.cond(cold[1])
-            for table, reference in zip((pencil, inverse, energy), cold):
+            pencil, rounding, sample, energy = numeric._whitened(problem, size)
+            cold_pencil, inverse, cold_energy, cold_sample = _cold_pencil(problem, size)
+            cond = np.linalg.cond(inverse)
+            for table, reference in zip((pencil, energy, sample), (cold_pencil, cold_energy, factor * cold_sample)):
                 bound = 4.0 * cond * _EPS * np.linalg.norm(reference)
                 assert np.max(np.abs(table - reference)) <= bound
             assert rounding == _EPS * np.linalg.norm(pencil)
-            assert fine.shape[0] == size and not fine.flags.writeable
+            assert sample.shape[0] == size and not sample.flags.writeable
 
     @pytest.mark.parametrize("case", ["osc8", "coul9"])
     def test_second_scale_hits_the_cache(self, case):
@@ -464,7 +483,7 @@ def _solve_with_rounding(problem, grid, k):
 
     def recorded(problem, size):
         out = whitened(problem, size)
-        roundings.append(out[2])
+        roundings.append(out[1])
         return out
 
     with pytest.MonkeyPatch.context() as m:
@@ -671,13 +690,7 @@ _PARA_MICZ = MiczParams(Z=1.0, c1=1.0, c2=2.0)
 
 def _para_problems(model=None, micz=_PARA_MICZ, e_hi=-0.02):
     """The joint search's problems (u, v) for a bracket ending at ``e_hi``: basis scale 1 / sqrt(-2 E_hi)."""
-    return [
-        replace(
-            build_radial_problem(kind, model=model or _sho_model(), micz=micz, energy=0.0),
-            basis_scale=1.0 / math.sqrt(-2.0 * e_hi),
-        )
-        for kind in ("para_u", "para_v")
-    ]
+    return numeric._parabolic_pair(model or _sho_model(), micz, 1.0 / math.sqrt(-2.0 * e_hi))
 
 
 def _para_level(level, micz=_PARA_MICZ, Z=1.0):
@@ -782,7 +795,7 @@ class TestWarmStart:
         sizes = list(range(-(-k // numeric._STEP) * numeric._STEP, size + 1, numeric._STEP))
         certified = []
         for n in sizes:
-            matrix, _, rounding, _, _ = next(b for b in blocks if len(b[0]) >= n)
+            matrix, rounding, _, _ = next(b for b in blocks if len(b[0]) >= n)
             ritz = np.linalg.eigh(matrix[:n, :n])[0][:k]
             if n > sizes[0]:
                 certified.append(bool(np.all(np.abs(ritz - previous) <= rounding)))

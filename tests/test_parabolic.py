@@ -1,6 +1,5 @@
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,9 +11,9 @@ from hurwitz_kepler import numeric
 from hurwitz_kepler.errors import AccuracyError, BracketError
 from hurwitz_kepler.numeric import (
     Grid,
+    _parabolic_pair,
     _shifted,
     _whitened,
-    build_radial_problem,
     parabolic_joint_solve,
     spherical_micz_energies,
 )
@@ -143,13 +142,7 @@ class TestPureCoulomb:
         # rounding; at E_lo, a scale 37% off, to 1e-10.  Their Ritz
         # functions have 0, 1 and 2 sign changes at both ends
         e_lo, e_hi = -0.045, -0.024
-        problems = [
-            replace(
-                build_radial_problem(kind, model=_coulomb_model(), micz=MiczParams(Z=1.0), energy=0.0),
-                basis_scale=1.0 / math.sqrt(-2.0 * e_hi),
-            )
-            for kind in ("para_u", "para_v")
-        ]
+        problems = _parabolic_pair(_coulomb_model(), MiczParams(Z=1.0), 1.0 / math.sqrt(-2.0 * e_hi))
         n = numeric._FIRST_BASIS
         for pencil in numeric._block(problems, n, 1500):
             for energy in (e_lo, e_hi):
@@ -206,17 +199,8 @@ _N = 16  # basis size of the pencil properties, on which the bench searches sett
 def _pencils(c1, c2, e_hi=-0.024):
     """Whitened basis pencils (u, v) of the pure Coulomb model with the joint search's scale at ``e_hi``."""
     micz = MiczParams(Z=1.0, c1=c1, c2=c2)
-    beta = 1.0 / math.sqrt(-2.0 * e_hi)
-    return [
-        _whitened(
-            replace(
-                build_radial_problem(kind, model=_coulomb_model(), micz=micz, energy=0.0),
-                basis_scale=beta,
-            ),
-            32,
-        )
-        for kind in ("para_u", "para_v")
-    ]
+    problems = _parabolic_pair(_coulomb_model(), micz, 1.0 / math.sqrt(-2.0 * e_hi))
+    return [_whitened(problem, 32) for problem in problems]
 
 
 strength = st_.floats(min_value=0.0, max_value=3.0)
@@ -261,16 +245,7 @@ class TestPencilProperties:
     def test_charge_is_a_shift_of_the_mass(self):
         # the charge enters W0 as -Z_a times the identity, whatever the basis
         micz = MiczParams(Z=1.0, c1=0.5)
-        charged, neutral = (
-            _whitened(
-                replace(
-                    build_radial_problem("para_u", model=_coulomb_model(Z=z), micz=micz, energy=0.0),
-                    basis_scale=4.0,
-                ),
-                32,
-            )[0]
-            for z in (1.0, 0.0)
-        )
+        charged, neutral = (_whitened(_parabolic_pair(_coulomb_model(Z=z), micz, 4.0)[0], 32)[0] for z in (1.0, 0.0))
         np.testing.assert_allclose(charged - neutral, -0.5 * np.eye(32), atol=1e-12)
 
 
