@@ -43,7 +43,7 @@ from .numeric import (
     Grid,
     build_radial_problem,
     fd_eigensolve,
-    parabolic_joint_solve,
+    parabolic_pair,
     qes_verification_problem,
     spherical_micz_energies,
 )
@@ -59,9 +59,11 @@ from .potentials import (
 
 SCHEMA_VERSION = 1
 # Ranges of the scale keys, from the power with which each enters a run:
-# duality's omega enters its Coulomb pencils as omega^2 (E = -omega^2/2 and
-# the charge 4 omega), whose rounding squares their entries, and the QES
-# maps square each primed value.
+# duality's omega enters every energy as omega^2 (E_dual = -omega^2/2, and
+# the charge, about 4 omega, squared) and the parabolic pencils at E_dual
+# with entries in omega, whose rounding squares them; it keeps the range of
+# a fourth power, as the micz charge does.  The QES maps square each primed
+# value.
 _OMEGA = scale_range(4)
 _PRIMED = (-scale_range(2)[1], scale_range(2)[1])
 
@@ -390,11 +392,6 @@ def _spectrum_micz(cfg: dict) -> tuple:
     _check_states("n_states", n_states, grid)
     # closed-form lambda = n_theta + the regular exponents at the two poles
     poles = effective_lprime(micz.J, 4.0 * micz.c1) + effective_lprime(micz.L, 4.0 * micz.c2)
-    # the smallest closed-form |E|, at N = theta_index = n_states - 1, must not underflow
-    if micz.Z * micz.Z / (2.0 * (2 * n_states + 0.5 * poles + 2.0) ** 2) < sys.float_info.min:
-        raise ConfigError(
-            f"micz block key 'Z' must be large enough for normal closed-form E, got {micz.Z!r}"
-        )
     states = spherical_micz_energies(
         micz, n_theta=n_states, n_radial=n_states, grid_theta=polar, grid_radial=grid
     )
@@ -537,14 +534,6 @@ def cmd_qes(args) -> int:
 # duality
 
 
-def _spherical_ground(z: float, c1: float, c2: float, grid: Grid) -> float:
-    micz = MiczParams(Z=z, c1=c1, c2=c2)
-    states = spherical_micz_energies(
-        micz, n_theta=1, n_radial=1, grid_theta=Grid(n=3000), grid_radial=grid
-    )
-    return states[0][0]
-
-
 def _duality_case(
     omega: float, c1: float, c2: float, grid: Grid, z_fixed: float, verify: bool
 ) -> dict:
@@ -574,26 +563,30 @@ def _duality_case(
     if not verify:
         return case
 
-    e_sph = _spherical_ground(z_charge, c1, c2, grid)
     micz = MiczParams(Z=z_charge, c1=c1, c2=c2)
+    ((e_sph, *_),) = spherical_micz_energies(micz, 1, 1, Grid(n=3000), grid)
+    # The parabolic chart at E_dual: the charge-free u- and v-equations hold
+    # their ground states exactly on the decay length 1/kappa = 1/omega, and
+    # the level's charge Z* is the sum of their eigenvalues, so Coulomb
+    # scaling gives the energy at Z = Z_charge.
     p = Potential8D("sho", omega=omega)
-    model = OscillatorModel(p1=p, p2=p, Z1=0.5 * z_charge, Z2=0.5 * z_charge)
-    st = parabolic_joint_solve(
-        model, micz, grid, bracket=(1.3 * e_dual, 0.8 * e_dual)
-    )
-    # The polar equation has no Z in it and the radial basis scales as 1/Z,
-    # so the numerical spherical ground energy scales as Z^2 to rounding.
-    e_fixed = e_sph * (z_fixed / z_charge) ** 2
+    u, v = (fd_eigensolve(f, grid, 1) for f in parabolic_pair(OscillatorModel(p, p), micz, 1.0 / omega, e_dual))
+    z_star = u.eigenvalues[0] + v.eigenvalues[0]
+    e_par = e_dual * (z_charge / z_star) ** 2
+    bar = 2.0 * (u.convergence[0] + v.convergence[0]) / z_star
     case.update(
         {
             "E_spherical": e_sph,
-            "E_parabolic": st.E,
+            "E_parabolic": e_par,
             "dev_spherical": abs(e_sph - e_dual) / abs(e_dual),
-            "dev_parabolic": abs(st.E - e_dual) / abs(e_dual),
-            "P": st.P,
-            "E_fixed_charge": e_fixed,
-            "E_parabolic_error": st.E_error,
-            "parabolic_solves": st.solves,
+            "dev_parabolic": abs(e_par - e_dual) / abs(e_dual),
+            "P": v.eigenvalues[0] - 0.5 * z_charge,
+            # E_spherical is -(Z / Z_0)^2 / 2 of the radial charge Z_0 at E =
+            # -1/2, so at the fixed charge it scales as Z^2
+            "E_fixed_charge": e_sph * (z_fixed / z_charge) ** 2,
+            # dE/dZ* = -2 E / Z*, and the scaling's four roundings
+            "E_parabolic_error": abs(e_par) * (bar + 4.0 * sys.float_info.epsilon),
+            "parabolic_solves": 2,
         }
     )
     return case

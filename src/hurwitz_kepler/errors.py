@@ -18,7 +18,8 @@ catches.  The codes are
    rejected value (``ValueError``), or a flag the subcommand does not take
 3  spherical-separability violation: :class:`SeparabilityError`
 4  violated QES precondition: :class:`QesPreconditionError`
-5  empty energy window: :class:`BracketError`
+5  empty energy window: :class:`BracketError`, which only the library's
+   ``parabolic_joint_solve`` raises; no subcommand exits 5
 6  QES closure failure: :class:`QesClosureError`
 """
 

@@ -21,17 +21,26 @@ cached per weight, basis size and mass power (64 entries at most), so a
 solve assembles and whitens only its potential term.  The Ritz values fall
 geometrically with the basis size, and a solve stops where they change by
 no more than their rounding.  :func:`fd_eigensolve` solves the fixed
-problems: the 8-D singular oscillator, the spherical-chart radial and
-polar equations and the QES cross-checks.
+problems: the 8-D singular oscillator, the polar equation, the QES
+cross-checks, and the radial and parabolic equations of the MICZ-Kepler
+charts at a fixed energy.
 
-The two parabolic equations are Coulomb Sturmian problems in w: the
-energy enters each only as -E w/2 and the charge only as -Z_a/w, a shift
-of the 1/w mass (Rotenberg, Ann. Phys. 19 (1962) 262).  Whitened by the
-Cholesky factor of that mass, each is the linear pencil T(E) = W0 - (E/2)
-WB of a right-definite two-parameter problem, W0 holding -Z_a times the
-identity, so an energy costs one small symmetric eigensolve per equation;
-the eigenvalues fall strictly with E and their slopes follow from the
-eigenvectors (Hellmann-Feynman).  :func:`parabolic_joint_solve` reads
+The Coulomb equations of both charts are Sturmian problems: each is
+linear in the energy, and the charge enters only as a multiple of 1/x, the
+1/x mass (x = r or w; Rotenberg, Ann. Phys. 19 (1962) 262; Avery & Avery,
+Generalized Sturmians and Atomic Spectra, 2006).  At a fixed E the
+charges are therefore the eigenvalues of one symmetric pencil per
+equation, and a basis that decays as the states at E do holds the Coulomb
+states exactly: :func:`spherical_micz_energies` solves the radial
+equation at E = -1/2 and scales each charge Z_N to the energy
+-(Z/Z_N)^2/2, and a parabolic level at E has the charge zeta_u + zeta_v of
+the two charge-free equations of :func:`parabolic_pair`.  Whitened by the
+Cholesky factor of the 1/w mass, each parabolic equation is the linear
+pencil T(E) = W0 - (E/2) WB of a right-definite two-parameter problem, W0
+holding -Z_a times the identity, so an energy costs one small symmetric
+eigensolve per equation; the eigenvalues fall strictly with E and their
+slopes follow from the eigenvectors (Hellmann-Feynman).  At a fixed
+charge :func:`parabolic_joint_solve` reads
 every joint level of a small basis from one eigensolve of the
 Kronecker-sum pencil of the two equations (Atkinson, Multiparameter
 Eigenvalue Problems, 1972; Hochstenbach & Plestenjak, SIAM J. Matrix
@@ -71,6 +80,7 @@ __all__ = [
     "fd_eigensolve",
     "build_radial_problem",
     "parabolic_joint_solve",
+    "parabolic_pair",
     "qes_verification_problem",
     "spherical_micz_energies",
 ]
@@ -93,9 +103,10 @@ _MAX_BASIS = 512
 # tail, where the basis cannot follow the decay, keeps wiggles up to about
 # 1e-7 of the peak.
 _NODE_FLOOR = 1e-6
-# Basis scale of a Coulomb radial problem times Z: its functions decay as
-# exp(-Z r / 6), as a level of principal number 6 does, between the ground
-# level (4) and the micz radial levels of the tests (up to about 10).
+# Basis scale of a fixed-charge Coulomb radial problem ('coul9') times Z: its
+# functions decay as exp(-Z r / 6), as a level of principal number 6 does,
+# between the ground level (4) and the levels of the tests (up to about 10).
+# The spherical chart of a micz spectrum solves at a fixed energy instead.
 _COULOMB_SCALE = 3.0
 
 
@@ -469,9 +480,9 @@ def build_radial_problem(kind: str, **params) -> RadialProblem:
     kind = 'osc8'   : 8-D radial oscillator; needs potential, optional L
                       (a nonnegative integer, default 0) and rmax.
                       Eigenvalue Z (weight r^7, raw eigenvalue 2Z).
-    kind = 'coul9'  : spherical-chart radial equation; needs Z and lam (the
-                      angular eigenvalue), optional rmax.  Eigenvalue E
-                      (weight r^8, raw 2E).
+    kind = 'coul9'  : spherical-chart radial equation at a fixed charge;
+                      needs Z and lam (the angular eigenvalue), optional
+                      rmax.  Eigenvalue E (weight r^8, raw 2E).
     kind = 'theta'  : polar equation; needs micz.  Eigenvalue Lambda.
 
     ``rmax`` only sets the problem's domain (0, rmax), which no solver
@@ -586,19 +597,23 @@ _LEVEL_TOL = 1e-5
 _FIRST_BASIS = 12
 
 
-def _parabolic_pair(model: OscillatorModel, micz: MiczParams, beta: float) -> tuple:
-    """The parabolic u- and v-equations (eigenvalues -P and +P) on the basis scale ``beta``, at E = 0.
+def parabolic_pair(model: OscillatorModel, micz: MiczParams, beta: float, energy: float) -> tuple:
+    """The parabolic u- and v-equations (eigenvalues -P and +P) on the basis scale ``beta``, at E = ``energy``.
 
     Each has the weight w^4, the 1/w mass, alpha_u or alpha_v of
-    :func:`micz_centrifugal_strengths` and the source (W_a(w/2) - Z_a) / w;
-    E enters as -E w/2, which the pencil's WB carries (see :func:`_shifted`).
+    :func:`micz_centrifugal_strengths` and the source (W_a(w/2) - Z_a) / w,
+    E entering W_a as -E w/2.  Its eigenvalue is the charge of the 1/w mass
+    that the equation needs at E beyond Z_a: ``duality`` reads the charges
+    of a level from the charge-free pair at its E, and the joint search
+    builds the pair at E = 0 and carries E in the pencil's WB (see
+    :func:`_shifted`).
     """
 
     def equation(alpha, potential, charge):
         return RadialProblem(
             weight_exponent=4,
             centrifugal_coeff=alpha,
-            effective_term=lambda w: (factor_potential(potential, 0.0, 0.5 * w) - charge) / w,
+            effective_term=lambda w: (factor_potential(potential, energy, 0.5 * w) - charge) / w,
             domain=(0.0, math.inf),
             mass_power=-1,
             basis_scale=beta,
@@ -749,7 +764,7 @@ def parabolic_joint_solve(
     e_lo, e_hi = bracket
     if not (e_lo < e_hi < 0.0):
         raise ValueError("bracket must satisfy E_lo < E_hi < 0")
-    problems = _parabolic_pair(model, micz, 1.0 / math.sqrt(-2.0 * e_hi))
+    problems = parabolic_pair(model, micz, 1.0 / math.sqrt(-2.0 * e_hi), 0.0)
     cap = min(grid.n, _MAX_BASIS)
     with _lapack_failure():
         block = _block(problems, _FIRST_BASIS, cap)
@@ -818,17 +833,23 @@ def spherical_micz_energies(
     grid_radial: Grid,
     rmax: float = math.inf,
 ) -> list:
-    """Spherical-chart energies: polar eigenvalues then radial solves.
+    """Spherical-chart energies: polar eigenvalues, then one Sturmian radial solve per eigenvalue.
 
-    ``rmax`` is the radial problems' domain, which no solver reads.
-    Returns tuples (E, n_theta_index, N, Lambda) sorted by energy.
+    The radial equation -(1/r^8)(r^8 R')' + Lambda R / r^2 - 2 Z R / r =
+    2 E R is solved at E = -1/2 for its charges: the source 1, the 1/r mass
+    and the eigenvalue 2 Z_N.  Every state then decays as e^-r, as the basis
+    of scale 1/2 does, so the basis holds it exactly and the solve stops on
+    8 functions for up to 4 states.  Coulomb scaling turns Z_N into the
+    energy E_N = -(Z / Z_N)^2 / 2 of the charge Z, exact for this equation.
+    ``rmax`` is the radial problems' domain, which no solver reads.  Returns
+    tuples (E, n_theta_index, N, Lambda) sorted by energy.
     """
     theta_spec = fd_eigensolve(build_radial_problem("theta", micz=micz), grid_theta, n_theta)
     out = []
     for it, lam in enumerate(theta_spec.eigenvalues):
-        prob = build_radial_problem("coul9", Z=micz.Z, lam=lam, rmax=rmax)
-        spec = fd_eigensolve(prob, grid_radial, n_radial)
-        for N in range(n_radial):
-            out.append((float(spec.eigenvalues[N]), it, N, float(lam)))
-    out.sort(key=lambda t: t[0])
-    return out
+        prob = RadialProblem(
+            8, lam, lambda r: 1.0, (0.0, rmax), mass_power=-1, eigenvalue_scale=0.5, basis_scale=0.5, basis_power=1
+        )
+        charges = fd_eigensolve(prob, grid_radial, n_radial).eigenvalues
+        out += [(float(-0.5 * (micz.Z / z) ** 2), it, N, float(lam)) for N, z in enumerate(charges)]
+    return sorted(out, key=lambda t: t[0])

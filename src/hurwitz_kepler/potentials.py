@@ -235,10 +235,13 @@ def micz_centrifugal_strengths(m: MiczParams) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # JSON-facing constructors (strict: unknown keys rejected)
 
-# Ranges of the scale keys, from the power with which each enters a pencil
-# whose rounding squares its entries: a factor's omega as E = -omega^2/2 in
-# an oscillator pencil of entries in omega, and the micz charge Z as Z^2 in
-# the Coulomb pencil (its basis scale is 3 / Z, and E goes as Z^2).
+# Ranges of the scale keys, from the power with which each enters a run: a
+# factor's omega as E = -omega^2/2 in an oscillator pencil of entries in
+# omega, whose rounding squares them, and the micz charge Z as Z^2 in every
+# energy (E = -(Z / Z_N)^2 / 2 of the charges Z_N at E = -1/2, and the
+# closed form; no pencil holds Z).  Z keeps the range of a fourth power, in
+# which every closed-form E of a micz spectrum is normal: with J, L, c1, c2
+# and n_states at their maxima and Z at its least, |E| is 1.8e-163.
 _FACTOR_OMEGA = scale_range(2)
 _CHARGE = scale_range(4)
 
@@ -268,10 +271,13 @@ def model_from_dict(d: dict) -> OscillatorModel:
 
 def micz_from_dict(d: dict) -> MiczParams:
     check_keys(d, {"Z", "c1", "c2", "J", "L"}, {"Z"}, "micz block")
+    # J (J + 6) enters a pole strength as 8 c1 does, so J and L stop at
+    # sqrt(STRENGTH_MAX) = 67108864
+    index_max = math.isqrt(int(STRENGTH_MAX))
     return MiczParams(
         Z=float_key(d, "Z", what="micz block", bounds=_CHARGE),
         c1=float_key(d, "c1", 0.0, what="micz block", bounds=(0.0, STRENGTH_MAX)),
         c2=float_key(d, "c2", 0.0, what="micz block", bounds=(0.0, STRENGTH_MAX)),
-        J=int_key(d, "J", 0, minimum=0, what="micz block"),
-        L=int_key(d, "L", 0, minimum=0, what="micz block"),
+        J=int_key(d, "J", 0, minimum=0, maximum=index_max, what="micz block"),
+        L=int_key(d, "L", 0, minimum=0, maximum=index_max, what="micz block"),
     )

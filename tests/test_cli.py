@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import shlex
@@ -441,22 +442,23 @@ class TestDuality:
             # the parabolic error bar bounds the deviation; both are ground levels
             assert 0.0 < case["E_parabolic_error"] <= 1e-5 * abs(case["E_parabolic"])
             assert abs(case["E_parabolic"] - case["E_dual"]) <= case["E_parabolic_error"]
-        # one Kronecker-sum solve, two to find the level's pair, and one
-        # Newton evaluation (two solves) on each of 12 and 16 basis functions
-        assert [case["parabolic_solves"] for case in doc["cases"]] == [7, 7]
+        # one fixed-energy solve of each charge-free factor, u and v
+        assert [case["parabolic_solves"] for case in doc["cases"]] == [2, 2]
 
     def test_fixed_charge_energy_scales_as_charge_squared(self):
         # the dressed case's fixed-charge energy is its spherical energy at
         # Z = 4 omega, obtained by Z^2 scaling instead of a second solve
         import hurwitz_kepler.cli as climod
-        from hurwitz_kepler.numeric import Grid
+        from hurwitz_kepler.numeric import Grid, spherical_micz_energies
+        from hurwitz_kepler.potentials import MiczParams
 
         omega, c1, c2, grid = 0.25, 1.0, 2.0, Grid(n=2000)
         case = climod._duality_case(omega, c1, c2, grid, 4.0 * omega, verify=True)
         scaled = case["E_spherical"] * (4.0 * omega / case["Z_charge"]) ** 2
         assert case["E_fixed_charge"] == pytest.approx(scaled, rel=1e-14, abs=0.0)
-        direct = climod._spherical_ground(4.0 * omega, c1, c2, grid)
-        assert case["E_fixed_charge"] == pytest.approx(direct, rel=1e-10, abs=0.0)
+        micz = MiczParams(Z=4.0 * omega, c1=c1, c2=c2)
+        ((direct, *_),) = spherical_micz_energies(micz, 1, 1, Grid(n=3000), grid)
+        assert case["E_fixed_charge"] == pytest.approx(direct, rel=1e-14, abs=0.0)
 
     def test_unverified_report_has_null_search_fields(self, tmp_path):
         cfg = _write(tmp_path, "d.json", {"omega": 0.25})
@@ -472,34 +474,6 @@ class TestDuality:
         doc = json.loads((tmp_path / "duality_report.json").read_text())
         e1, e2 = -0.5 * 0.25**2, -0.5 * 0.5**2
         assert doc["dipole_coefficient"] == pytest.approx(0.5 * (e1 - e2))
-
-    def test_bracket_failure_exit_5(self, tmp_path, monkeypatch, capsys):
-        import hurwitz_kepler.cli as climod
-        from hurwitz_kepler.errors import BracketError
-
-        def boom(*a, **k):
-            raise BracketError("the window (-0.028, -0.024) holds no resolved level")
-
-        monkeypatch.setattr(climod, "parabolic_joint_solve", boom)
-        cfg = _write(tmp_path, "d.json", {"omega": 0.25})
-        assert main(["duality", cfg, "--out", str(tmp_path)]) == 5
-        err = capsys.readouterr().err
-        assert err == "bracket error: the window (-0.028, -0.024) holds no resolved level\n"
-
-    def test_empty_bracket_fields_reach_stderr(self, tmp_path, monkeypatch, capsys):
-        # the real search on a window between the two lowest levels
-        import hurwitz_kepler.cli as climod
-
-        solve = climod.parabolic_joint_solve
-
-        def shifted(model, micz, grid, bracket):
-            return solve(model, micz, grid, bracket=(-0.028, -0.024))
-
-        monkeypatch.setattr(climod, "parabolic_joint_solve", shifted)
-        cfg = _write(tmp_path, "d.json", {"omega": 0.25})
-        assert main(["duality", cfg, "--out", str(tmp_path)]) == 5
-        err = capsys.readouterr().err
-        assert err == "bracket error: the window (-0.028, -0.024) holds no resolved level\n"
 
 
 class TestSerialization:
@@ -743,15 +717,26 @@ def test_micz_spectrum_nonpositive_charge_exit_2(tmp_path, capsys, Z):
     assert not out.exists()
 
 
-def test_micz_spectrum_underflowing_charge_exit_2(tmp_path, capsys):
-    # Z^2 / (2 n^2) underflows to 0 at Z = 1e-70 with J = 10^100 (n about
-    # 1e100), although Z is in its range, and the deviation from the closed
-    # form would divide by it
-    path = _write(tmp_path, "m.json", {"problem": "micz", "micz": {"Z": 1e-70, "J": 10**100}})
+@pytest.mark.parametrize("key", ["J", "L"])
+@pytest.mark.parametrize("above", [0, 1], ids=["max", "max+1"])
+def test_micz_pole_index_range(tmp_path, key, above):
+    # J (J + 6) enters a pole strength as 8 c1 does, so J and L stop at
+    # sqrt(STRENGTH_MAX): J = 10^15 exited 1 and 10^16 warned in log1p
+    top = math.isqrt(int(errors.STRENGTH_MAX))
+    assert top == 67108864
+    value = top + above
+    path = _write(tmp_path, "m.json", {"problem": "micz", "micz": {"Z": 1.0, key: value}})
     out = tmp_path / "out"
-    assert main(["spectrum", path, "--out", str(out)]) == 2
-    assert "micz block key 'Z' must be large enough for normal closed-form E" in capsys.readouterr().err
-    assert not out.exists()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("error")
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(["spectrum", path, "--out", str(out)])
+    if above:
+        assert code == 2
+        assert f"config error: micz block key {key!r} must be at most 67108864, got {value}" in err.getvalue()
+        assert not out.exists()
+    else:
+        assert code == 0
 
 
 # Each scale key's range (README): duality's omega and omega2 and the micz Z
@@ -837,10 +822,16 @@ _STRENGTHS = [0.0, 5e-324, *(10.0**e for e in range(-300, 301, 10)), errors.STRE
 @example(key="micz c2", value=10.0 * errors.STRENGTH_MAX)
 @example(key="case c1", value=10.0 * errors.STRENGTH_MAX)
 @example(key="case c2", value=10.0 * errors.STRENGTH_MAX)
+@example(key="micz c1", value=2e3)  # exited 1 on the fixed-charge radial scale 3/Z
+@example(key="micz c1", value=1e6)
+@example(key="micz c1", value=1e12)
+@example(key="case c1", value=2e3)
+@example(key="case c1", value=1e6)
+@example(key="case c1", value=1e12)
 def test_singular_strength_exits_by_the_contract(key, value):
-    # every strength from 0 to 1e300 exits 0 or 1 (a basis that cannot hold
-    # the states, see CHANGES.md) inside its range and 2 above it, with no
-    # exception or warning escaping; exit 2 names the key and writes nothing
+    # every strength from 0 to 1e300 exits 0 inside its range and 2 above
+    # it, with no exception or warning escaping; exit 2 names the key and
+    # writes nothing
     sub, config, name = _STRENGTH_KEYS[key]
     with tempfile.TemporaryDirectory() as tmp:
         path, out = _write(Path(tmp), "c.json", config(value)), Path(tmp) / "out"
@@ -853,7 +844,7 @@ def test_singular_strength_exits_by_the_contract(key, value):
             assert f"config error: {name} must be " in err.getvalue()
             assert not out.exists()
         else:
-            assert code in (0, 1)
+            assert code == 0
 
 
 def test_oscillator_spectrum_complex_lprime_exit_2(tmp_path, capsys):

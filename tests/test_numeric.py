@@ -34,7 +34,6 @@ from hurwitz_kepler.potentials import (
     MiczParams,
     OscillatorModel,
     Potential8D,
-    factor_potential,
     require_spherically_separable,
 )
 
@@ -275,13 +274,14 @@ _PARA_MODEL = OscillatorModel(
 
 
 class TestParaBuilders:
-    # numeric._parabolic_pair builds the joint search's two equations at
-    # E = 0 on one basis scale; the energy rides on the pencil's WB
+    # numeric.parabolic_pair builds the two parabolic equations at one energy
+    # on one basis scale; the joint search builds them at E = 0 and carries
+    # the energy on the pencil's WB
     def test_para_u_effective_term_matches_w(self):
         # the u-equation takes p1, Z1 and alpha_u = (J (J + 6) + 8 c1) / 4,
         # and its source times w is the factor potential at rho^2 = w/2
         # without its harmonic term, minus Z1
-        u, _ = numeric._parabolic_pair(_PARA_MODEL, MiczParams(Z=1.0, c1=0.5, J=1), 2.5)
+        u, _ = numeric.parabolic_pair(_PARA_MODEL, MiczParams(Z=1.0, c1=0.5, J=1), 2.5, 0.0)
         w = np.array([0.5, 1.0, 2.0, 8.0])
         w_direct = 0.2 * np.sqrt(2.0 / w) + 0.3 * np.sqrt(w / 2.0) - 0.4
         np.testing.assert_allclose(u.effective_term(w) * w, w_direct, rtol=1e-13)
@@ -290,7 +290,7 @@ class TestParaBuilders:
 
     def test_para_v_slot(self):
         # the v-equation takes p2, Z2 and alpha_v = (L (L + 6) + 8 c2) / 4
-        _, v = numeric._parabolic_pair(_PARA_MODEL, MiczParams(Z=1.0, c2=2.0, L=2), 2.5)
+        _, v = numeric.parabolic_pair(_PARA_MODEL, MiczParams(Z=1.0, c2=2.0, L=2), 2.5, 0.0)
         w = np.array([0.5, 1.0, 2.0, 8.0])
         w_direct = 0.1 * (w / 2.0) ** 2 + 0.01 * (w / 2.0) ** 3 - 0.6
         np.testing.assert_allclose(v.effective_term(w) * w, w_direct, rtol=1e-13)
@@ -299,15 +299,13 @@ class TestParaBuilders:
 
     @pytest.mark.parametrize("energy", [-0.5, -0.02])
     def test_energy_matrix_carries_the_energy(self, energy):
-        # W0 - (E/2) WB is, to a few roundings, the pencil of the same equation
-        # with the energy in its source: the factor potential at E, whose
-        # harmonic term is -E w/2
+        # W0 - (E/2) WB of the pair at E = 0 is, to a few roundings, the pencil
+        # of the pair built at E, whose sources hold the harmonic term -E w/2
         micz = MiczParams(Z=1.0, c1=0.5, c2=1.0)
-        pair = numeric._parabolic_pair(_PARA_MODEL, micz, 3.0)
-        for problem, p, charge in zip(pair, (_PARA_MODEL.p1, _PARA_MODEL.p2), (0.4, 0.6)):
+        pairs = (numeric.parabolic_pair(_PARA_MODEL, micz, 3.0, e) for e in (0.0, energy))
+        for problem, at_energy in zip(*pairs):
             w0, _, _, wb = numeric._whitened(problem, 16)
-            source = lambda w: (factor_potential(p, energy, 0.5 * w) - charge) / w  # noqa: B023, E731
-            reference, rounding, _, _ = numeric._whitened(replace(problem, effective_term=source), 16)
+            reference, rounding, _, _ = numeric._whitened(at_energy, 16)
             np.testing.assert_allclose(w0 - 0.5 * energy * wb, reference, rtol=0.0, atol=4.0 * rounding)
 
 
@@ -339,7 +337,7 @@ def _cold_pencil(problem, size):
 _CACHED_CASES = {
     "osc8": build_radial_problem("osc8", potential=Potential8D("sho", omega=1.3, c=1.0), L=1),
     "coul9": build_radial_problem("coul9", Z=1.2, lam=2.5),
-    "para_u": numeric._parabolic_pair(_sho_model(), MiczParams(Z=1.0, c1=0.5), 4.0)[0],
+    "para_u": numeric.parabolic_pair(_sho_model(), MiczParams(Z=1.0, c1=0.5), 4.0, 0.0)[0],
     "theta": build_radial_problem("theta", micz=MiczParams(Z=1.0, c1=1.0, c2=2.0)),
 }
 
@@ -464,8 +462,34 @@ def test_spherical_micz_energies_keeps_polar_eigenvalue(monkeypatch):
     monkeypatch.setattr(numeric, "fd_eigensolve", below_zero)
     ((E, it, N, lam),) = spherical_micz_energies(micz, 1, 1, Grid(n=1280), Grid(n=1000), rmax=260.0)
     assert lam < 0.0 and (it, N) == (0, 0)
-    radial = build_radial_problem("coul9", Z=1.0, lam=lam, rmax=260.0)
-    assert E == solve(radial, Grid(n=1000), 1).eigenvalues[0]
+    (charge,) = solve(_sturmian(lam), Grid(n=1000), 1).eigenvalues
+    assert charge == pytest.approx(4.0 + 0.5 * (-7.0 + math.sqrt(49.0 + 4.0 * lam)), rel=1e-14)
+    assert E == -0.5 * (1.0 / charge) ** 2
+
+
+def _sturmian(lam, rmax=math.inf):
+    """The radial equation of ``spherical_micz_energies`` at E = -1/2: its eigenvalues are the charges Z_N."""
+    return RadialProblem(
+        8, lam, lambda r: 1.0, (0.0, rmax), mass_power=-1, eigenvalue_scale=0.5, basis_scale=0.5, basis_power=1
+    )
+
+
+@pytest.mark.parametrize("c1, c2", [(0.0, 0.0), (1.0, 2.0), (2e3, 0.0), (1e12, 3.0)])
+def test_spherical_radial_solves_stop_on_8_functions(monkeypatch, c1, c2):
+    # on the scale 1/2 at E = -1/2 the basis holds every radial state, so the
+    # first test after 4 functions finds the charges at rounding level (the
+    # fixed-charge scale 3/Z took 16 to 20, and 512 failed from c1 = 2e3)
+    calls, solve = [], numeric.fd_eigensolve
+
+    def record(problem, grid, k):
+        calls.append((problem, grid, k))
+        return solve(problem, grid, k)
+
+    monkeypatch.setattr(numeric, "fd_eigensolve", record)
+    spherical_micz_energies(MiczParams(Z=1.0, c1=c1, c2=c2), 2, 2, Grid(n=3000), Grid(n=4000))
+    radial = [call for call in calls if call[0].weight_kind == "power"]
+    assert [(problem.mass_power, problem.basis_scale, k) for problem, _, k in radial] == [(-1, 0.5, 2)] * 2
+    assert [_basis_size(monkeypatch, *call) for call in radial] == [8, 8]
 
 
 def _basis_size(monkeypatch, problem, grid, k):
@@ -582,7 +606,9 @@ class TestCoarseGridSearch:
     def test_spherical_micz(self, Z, c1, c2):
         # E = -Z^2 / (2 (s0 + n)^2), s0 = 4 + alpha + gamma and n the polar
         # plus the radial index; each stage is checked against its own closed
-        # form, and the polar bar reaches E through dE/dLambda
+        # form (the Sturmian charges Z_N = N + l + 4 at E = -1/2), the
+        # charge's bar reaches E = -(Z / Z_N)^2 / 2 through 2 |E| / Z_N and
+        # the polar bar through dE/dLambda
         micz = MiczParams(Z=Z, c1=c1, c2=c2)
         grid_theta, grid_radial, rmax = Grid(n=3000), Grid(n=4000), 320.0 / Z
         states = spherical_micz_energies(micz, 2, 2, grid_theta, grid_radial, rmax)
@@ -591,13 +617,12 @@ class TestCoarseGridSearch:
         polar = self._check(build_radial_problem("theta", micz=micz), grid_theta, 2, exact)
         for E, it, N, lam in states:
             ell = 0.5 * (-7.0 + math.sqrt(49.0 + 4.0 * lam))
-            exact = [-(Z**2) / (2.0 * (n + ell + 4.0) ** 2) for n in range(2)]
-            prob = build_radial_problem("coul9", Z=Z, lam=lam, rmax=rmax)
-            radial = self._check(prob, grid_radial, 2, exact)
-            assert E == radial.eigenvalues[N]
+            radial = self._check(_sturmian(lam, rmax), grid_radial, 2, [n + ell + 4.0 for n in range(2)])
+            charge = radial.eigenvalues[N]
+            assert E == -0.5 * (Z / charge) ** 2
             s = N + it + shift + 4.0
             slope = Z**2 / (s**3 * (2.0 * (it + shift) + 7.0))
-            bar = radial.convergence[N] + slope * polar.convergence[it]
+            bar = 2.0 * abs(E) * radial.convergence[N] / charge + slope * polar.convergence[it]
             assert abs(E + Z**2 / (2.0 * s**2)) <= 2.0 * bar
 
 
@@ -653,6 +678,7 @@ def test_solver_inputs_and_result_fields():
 
     assert params(fd_eigensolve) == ["problem", "grid", "k"]
     assert params(parabolic_joint_solve) == ["model", "micz", "grid", "bracket"]
+    assert params(numeric.parabolic_pair) == ["model", "micz", "beta", "energy"]
     assert params(qes_solve) == ["p", "family"]
     assert fields(JointState) == ["E", "P", "node_u", "node_v", "E_error", "solves"]
     assert fields(Spectrum) == ["eigenvalues", "convergence", "node_counts"]
@@ -690,7 +716,7 @@ _PARA_MICZ = MiczParams(Z=1.0, c1=1.0, c2=2.0)
 
 def _para_problems(model=None, micz=_PARA_MICZ, e_hi=-0.02):
     """The joint search's problems (u, v) for a bracket ending at ``e_hi``: basis scale 1 / sqrt(-2 E_hi)."""
-    return numeric._parabolic_pair(model or _sho_model(), micz, 1.0 / math.sqrt(-2.0 * e_hi))
+    return numeric.parabolic_pair(model or _sho_model(), micz, 1.0 / math.sqrt(-2.0 * e_hi), 0.0)
 
 
 def _para_level(level, micz=_PARA_MICZ, Z=1.0):

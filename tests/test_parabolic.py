@@ -11,10 +11,10 @@ from hurwitz_kepler import numeric
 from hurwitz_kepler.errors import AccuracyError, BracketError
 from hurwitz_kepler.numeric import (
     Grid,
-    _parabolic_pair,
     _shifted,
     _whitened,
     parabolic_joint_solve,
+    parabolic_pair,
     spherical_micz_energies,
 )
 from hurwitz_kepler.potentials import MiczParams, OscillatorModel, Potential8D
@@ -142,7 +142,7 @@ class TestPureCoulomb:
         # rounding; at E_lo, a scale 37% off, to 1e-10.  Their Ritz
         # functions have 0, 1 and 2 sign changes at both ends
         e_lo, e_hi = -0.045, -0.024
-        problems = _parabolic_pair(_coulomb_model(), MiczParams(Z=1.0), 1.0 / math.sqrt(-2.0 * e_hi))
+        problems = parabolic_pair(_coulomb_model(), MiczParams(Z=1.0), 1.0 / math.sqrt(-2.0 * e_hi), 0.0)
         n = numeric._FIRST_BASIS
         for pencil in numeric._block(problems, n, 1500):
             for energy in (e_lo, e_hi):
@@ -199,7 +199,7 @@ _N = 16  # basis size of the pencil properties, on which the bench searches sett
 def _pencils(c1, c2, e_hi=-0.024):
     """Whitened basis pencils (u, v) of the pure Coulomb model with the joint search's scale at ``e_hi``."""
     micz = MiczParams(Z=1.0, c1=c1, c2=c2)
-    problems = _parabolic_pair(_coulomb_model(), micz, 1.0 / math.sqrt(-2.0 * e_hi))
+    problems = parabolic_pair(_coulomb_model(), micz, 1.0 / math.sqrt(-2.0 * e_hi), 0.0)
     return [_whitened(problem, 32) for problem in problems]
 
 
@@ -245,7 +245,7 @@ class TestPencilProperties:
     def test_charge_is_a_shift_of_the_mass(self):
         # the charge enters W0 as -Z_a times the identity, whatever the basis
         micz = MiczParams(Z=1.0, c1=0.5)
-        charged, neutral = (_whitened(_parabolic_pair(_coulomb_model(Z=z), micz, 4.0)[0], 32)[0] for z in (1.0, 0.0))
+        charged, neutral = (_whitened(parabolic_pair(_coulomb_model(Z=z), micz, 4.0, 0.0)[0], 32)[0] for z in (1.0, 0.0))
         np.testing.assert_allclose(charged - neutral, -0.5 * np.eye(32), atol=1e-12)
 
 
